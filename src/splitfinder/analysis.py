@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -601,7 +600,6 @@ def analyze_instance(
     exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    threads: int = 1,
 ) -> AnalysisReport:
     """Compute every structural quantity and the derived query-cost bounds."""
     k, _ = min_k(instance)
@@ -610,9 +608,8 @@ def analyze_instance(
     hint = instance.params.get("alpha_hint")
     candidate_alpha = Fraction(str(hint)) if hint else None
 
-    def one(item: tuple[int, tuple[int, int]]) -> EdgeReport:
-        index, (i, j) = item
-        return edge_alpha(
+    reports = tuple(
+        edge_alpha(
             instance,
             i,
             j,
@@ -621,13 +618,8 @@ def analyze_instance(
             seed=seed ^ index,
             candidate_alpha=candidate_alpha,
         )
-
-    items = list(enumerate(pairs))
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = tuple(pool.map(one, items))
-    else:
-        reports = tuple(one(item) for item in items)
+        for index, (i, j) in enumerate(pairs)
+    )
 
     star = alpha_star(instance, reports)
     beta = beta_of(certificate.value, star.value)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 from fractions import Fraction
 
@@ -46,16 +45,9 @@ def _parse_params(pairs: list[str] | None) -> dict[str, str]:
     return params
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("SPLITFINDER_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"SPLITFINDER_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+def _resolve_threads(_value: int | None) -> int:
+    # Everything runs on one thread; only the benchmark's provenance reads this.
+    return 1
 
 
 def _load_instance(path: str) -> Instance:
@@ -77,7 +69,6 @@ def _analyze(instance: Instance, args) -> analysis.AnalysisReport:
         exhaustive_limit=args.limit,
         samples=args.samples,
         seed=args.seed,
-        threads=_resolve_threads(args.threads),
     )
 
 
@@ -122,7 +113,7 @@ def cmd_run(args) -> int:
             persistence.write_report(transcript, args.out)
         return EXIT_OK
     if args.oracle == "all":
-        stats = engine.run_all_oracles(instance, threads=_resolve_threads(args.threads))
+        stats = engine.run_all_oracles(instance)
         if args.out:
             persistence.write_report(stats, args.out)
         print(
@@ -151,7 +142,7 @@ def cmd_verify(args) -> int:
     if document.get("instance_digest") != digest:
         raise UsageError("report was produced for a different instance (digest mismatch)")
     report = persistence.report_from_document(document, instance)
-    stats = engine.run_all_oracles(instance, threads=_resolve_threads(args.threads))
+    stats = engine.run_all_oracles(instance)
     verdict = analysis.verify_bounds(instance, report, stats, optimal_cap=args.cap)
     for check in verdict.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -213,7 +204,7 @@ def cmd_sweep(args) -> int:
         params.update(dict(zip(keys, combo)))
         instance = families.generate(args.family, params)
         report = _analyze(instance, args)
-        stats = engine.run_all_oracles(instance, threads=_resolve_threads(args.threads))
+        stats = engine.run_all_oracles(instance)
         rows.append(
             {
                 "name": instance.name,
@@ -244,11 +235,6 @@ def _add_analysis_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=0, help="base seed for edge sampling")
 
 
-def _add_threads_flag(sub) -> None:
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: SPLITFINDER_THREADS or machine parallelism)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="splitfinder", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -263,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--in", dest="infile", required=True)
     analyze.add_argument("--out", default=None)
     _add_analysis_flags(analyze)
-    _add_threads_flag(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
     run = commands.add_parser("run", help="run the query loop against oracles")
@@ -271,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--oracle", default="all",
                      help="hypothesis id, 'all' for an exhaustive sweep, or 'interactive'")
     run.add_argument("--out", default=None)
-    _add_threads_flag(run)
     run.set_defaults(func=cmd_run)
 
     verify = commands.add_parser("verify", help="check empirical costs against a report's bounds")
@@ -279,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--report", required=True)
     verify.add_argument("--cap", type=int, default=analysis.DEFAULT_OPTIMAL_CAP,
                         help="max n for the exact optimal-tree comparison")
-    _add_threads_flag(verify)
     verify.set_defaults(func=cmd_verify)
 
     optimal = commands.add_parser("optimal", help="exact optimal worst-case query count")
@@ -301,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--grid", action="append", required=True, metavar="KEY=V1,V2,...")
     sweep.add_argument("--out", required=True)
     _add_analysis_flags(sweep)
-    _add_threads_flag(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     return parser

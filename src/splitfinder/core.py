@@ -63,11 +63,7 @@ class HypothesisRecord:
 
 @dataclass(frozen=True)
 class Instance:
-    """Validated, immutable hypothesis/test outcome matrix.
-
-    Safe to share across threads: every field is effectively constant after
-    construction and all operations on it are pure functions.
-    """
+    """Validated, immutable hypothesis/test outcome matrix."""
 
     name: str
     family: str

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO
@@ -114,19 +113,12 @@ def run_gbs(
     return Transcript(oracle_id, tuple(steps), identified)
 
 
-def run_all_oracles(instance: Instance, threads: int = 1) -> CostStats:
+def run_all_oracles(instance: Instance) -> CostStats:
     """Run once per hypothesis as the hidden truth and aggregate exactly."""
-
-    def one(h: int) -> Transcript:
-        return run_gbs(instance, hypothesis_oracle(instance, h), instance.hypotheses[h].id)
-
-    indices = range(instance.n)
-    if threads > 1 and instance.n > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            transcripts = list(pool.map(one, indices))
-    else:
-        transcripts = [one(h) for h in indices]
-
+    transcripts = [
+        run_gbs(instance, hypothesis_oracle(instance, h), instance.hypotheses[h].id)
+        for h in range(instance.n)
+    ]
     per_oracle = {t.oracle_id: t.query_count for t in transcripts}
     counts = [t.query_count for t in transcripts]
     return CostStats(
@@ -143,10 +135,8 @@ def interactive_session(instance: Instance, reader: IO[str], writer: IO[str]) ->
     by a ``0`` or ``1`` line (anything else is re-prompted); ends with
     ``IDENTIFIED <hypothesis-id>``.
     """
-    space = full_space(instance)
-    steps: list[Step] = []
-    while space.size > 1:
-        x, _ = best_split_test(space)
+
+    def answer(x: int) -> int:
         test = instance.tests[x]
         meta_json = json.dumps(test.meta or {}, sort_keys=True, separators=(",", ":"))
         while True:
@@ -157,17 +147,9 @@ def interactive_session(instance: Instance, reader: IO[str], writer: IO[str]) ->
                 raise InconsistentOracle("answer channel closed mid-session")
             token = line.strip()
             if token in ("0", "1"):
-                break
-        y = int(token)
-        nxt = restrict(space, x, y)
-        if nxt.members == 0:
-            raise InconsistentOracle(
-                f"answer {y} on test {test.id!r} at step {len(steps) + 1} "
-                "contradicts every remaining hypothesis"
-            )
-        space = nxt
-        steps.append(Step(test.id, y, space.size))
-    identified = instance.hypotheses[space.member_indices()[0]].id
-    writer.write(f"IDENTIFIED {identified}\n")
+                return int(token)
+
+    transcript = run_gbs(instance, answer, "interactive")
+    writer.write(f"IDENTIFIED {transcript.identified}\n")
     writer.flush()
-    return Transcript("interactive", tuple(steps), identified)
+    return transcript

@@ -1,17 +1,18 @@
-"""Pure-Python subset-enumeration kernels.
+"""Subset-enumeration kernels over disagreement-set masks.
 
-Semantics are shared bit-for-bit with the compiled backend in ``_native``:
-subsets of ``{0 .. width-1}`` are enumerated as ascending integers, only
+Subsets of ``{0 .. width-1}`` are enumerated as ascending integers, only
 subsets with at least two members count, and the "best split" of a subset S
 is ``max over masks of min(|S & m|, |S| - |S & m|)`` taken as a fraction of
-``|S|``.  Fractions are compared by cross-multiplication; numerators and
-denominators stay well inside machine range because both are at most
-``width``.
+``|S|``.  Fractions are compared exactly by cross-multiplication, and the
+witness returned is always the first subset in enumeration order that
+strictly attains the minimum, so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+
+BACKEND = "pure"
 
 
 def prepare_masks(masks: Iterable[int], width: int) -> list[int]:

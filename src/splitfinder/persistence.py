@@ -252,24 +252,30 @@ def report_to_document(report: AnalysisReport, instance: Instance) -> dict:
 
 
 def report_from_document(document: dict, instance: Instance) -> AnalysisReport:
-    return AnalysisReport(
-        k_min=int(document["k_min"]),
-        coherence=_certificate_from_doc(instance, document["coherence"]),
-        edges=tuple(_edge_from_doc(instance, e) for e in document["edges"]),
-        alpha_star=_parse_fraction(document["alpha_star"]),
-        alpha_diagnostic=document.get("alpha_diagnostic"),
-        beta=_parse_fraction(document["beta"]),
-        bounds=BoundSet(
-            lam=_parse_fraction(document["lambda"]),
-            nowak_worst=_parse_float12(document["bound_nowak_worst"]),
-            split_worst=_parse_float12(document["bound_split_worst"]),
-            split_average=_parse_float12(document["bound_split_average"]),
-        ),
-        exhaustive_limit=int(document["knobs"]["exhaustive_limit"]),
-        sample_count=int(document["knobs"]["samples"]),
-        seed=int(document["knobs"]["seed"]),
-        edge_mode=str(document["knobs"]["edge_mode"]),
-    )
+    """Rebuild a report; a missing field or unknown id raises PersistenceError."""
+    try:
+        return AnalysisReport(
+            k_min=int(document["k_min"]),
+            coherence=_certificate_from_doc(instance, document["coherence"]),
+            edges=tuple(_edge_from_doc(instance, e) for e in document["edges"]),
+            alpha_star=_parse_fraction(document["alpha_star"]),
+            alpha_diagnostic=document.get("alpha_diagnostic"),
+            beta=_parse_fraction(document["beta"]),
+            bounds=BoundSet(
+                lam=_parse_fraction(document["lambda"]),
+                nowak_worst=_parse_float12(document["bound_nowak_worst"]),
+                split_worst=_parse_float12(document["bound_split_worst"]),
+                split_average=_parse_float12(document["bound_split_average"]),
+            ),
+            exhaustive_limit=int(document["knobs"]["exhaustive_limit"]),
+            sample_count=int(document["knobs"]["samples"]),
+            seed=int(document["knobs"]["seed"]),
+            edge_mode=str(document["knobs"]["edge_mode"]),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise PersistenceError(
+            f"malformed analysis report: {type(exc).__name__} {exc}"
+        ) from None
 
 
 def transcript_to_document(transcript: Transcript) -> dict:

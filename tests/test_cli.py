@@ -164,6 +164,29 @@ class TestAnalyzeRunVerify:
         assert "FAIL worst_case<=split_worst" in out
         assert "ERROR VerificationFailed" in err
 
+    @pytest.mark.parametrize(
+        "doctor",
+        [
+            lambda doc: doc.pop("beta"),
+            lambda doc: doc["edges"][0].update({"from": "nope"}),
+            lambda doc: doc["edges"].append(1),
+        ],
+        ids=["missing-beta", "unknown-test-id", "edge-not-an-object"],
+    )
+    def test_verify_malformed_report_exit_2(self, dj_instance, tmp_path, capsys, doctor):
+        instance_path, _ = dj_instance
+        report_path = tmp_path / "dj.report.json"
+        run_cli(capsys, "analyze", "--in", str(instance_path), "--out", str(report_path))
+        doc = json.loads(report_path.read_text())
+        doctor(doc)
+        report_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "verify", "--in", str(instance_path), "--report", str(report_path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR PersistenceError: malformed analysis report")
+        assert err.count("\n") == 1
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", "--in", str(tmp_path / "nope.json"))
         assert code == 2 and err.startswith("ERROR ")
@@ -199,14 +222,6 @@ class TestSmallCommands:
     def test_unknown_flag_rejected(self, capsys):
         code, _, err = run_cli(capsys, "entropy", "--p", "1/2", "--frobnicate")
         assert code == 2 and "ERROR UsageError" in err
-
-    def test_threads_env_fallback(self, dj_instance, capsys, monkeypatch):
-        instance_path, _ = dj_instance
-        monkeypatch.setenv("SPLITFINDER_THREADS", "2")
-        code, out, _ = run_cli(capsys, "run", "--in", str(instance_path), "--oracle", "all")
-        assert code == 0 and "worst_case=4" in out
-        monkeypatch.setenv("SPLITFINDER_THREADS", "soup")
-        assert run_cli(capsys, "run", "--in", str(instance_path))[0] == 2
 
 
 class TestSweep:

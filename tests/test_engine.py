@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import random
 from fractions import Fraction
@@ -124,11 +125,6 @@ class TestRunAllOracles:
         assert stats.average == Fraction(sum(stats.per_oracle.values()), pentagon.n)
         assert stats.average <= stats.worst_case
 
-    def test_threaded_sweep_matches_sequential(self, disjunction_d6m2):
-        sequential = run_all_oracles(disjunction_d6m2, threads=1)
-        threaded = run_all_oracles(disjunction_d6m2, threads=4)
-        assert sequential == threaded
-
 
 class TestInteractiveSession:
     def run_with_answers(self, instance, text):
@@ -160,6 +156,17 @@ class TestInteractiveSession:
     def test_closed_channel_raises(self, disjunction_d4m2):
         with pytest.raises(InconsistentOracle):
             self.run_with_answers(disjunction_d4m2, "")
+
+    def test_contradicting_answer_raises_like_run_gbs(self):
+        # Validation forbids duplicate rows, so build the instance directly:
+        # both hypotheses answer 0 and the answer 1 leaves nobody.
+        inst = dataclasses.replace(pair_instance(), columns=(0,), rows=(0, 0))
+        with pytest.raises(InconsistentOracle) as simulated:
+            run_gbs(inst, scripted_oracle([1]))
+        with pytest.raises(InconsistentOracle) as interactive:
+            self.run_with_answers(inst, "1\n")
+        assert "contradicts every remaining hypothesis" in str(simulated.value)
+        assert str(interactive.value) == str(simulated.value)
 
     def test_query_lines_carry_metadata(self, box_d1r2):
         reference = run_gbs(box_d1r2, hypothesis_oracle(box_d1r2, 0), "interactive")

@@ -1,4 +1,4 @@
-"""Kernel backends: agreement with each other and with a naive oracle."""
+"""Subset kernels: agreement with a naive oracle."""
 
 from __future__ import annotations
 
@@ -6,23 +6,12 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
-
 from splitfinder.kernels import (
-    BACKEND,
     batch_min_split,
     find_split_below,
     min_subset_split,
     prepare_masks,
-    pure,
 )
-
-try:
-    from splitfinder.kernels import _native as native
-except ImportError:
-    native = None
-
-BACKENDS = [pure] + ([native] if native is not None else [])
 
 
 def naive_min_subset_split(masks: list[int], width: int) -> tuple[Fraction, int | None]:
@@ -50,48 +39,30 @@ def random_case(rng: random.Random) -> tuple[list[int], int]:
     return masks, width
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-def test_min_subset_split_matches_naive(impl):
+def test_min_subset_split_matches_naive():
     rng = random.Random(11)
     for _ in range(120):
         masks, width = random_case(rng)
-        num, den, _ = impl.min_subset_split(masks, width)
+        num, den, _ = min_subset_split(masks, width)
         expected, _ = naive_min_subset_split(masks, width)
         assert Fraction(num, den) == expected
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-def test_find_split_below_consistent_with_min(impl):
+def test_find_split_below_consistent_with_min():
     rng = random.Random(23)
     for _ in range(120):
         masks, width = random_case(rng)
-        num, den, _ = impl.min_subset_split(masks, width)
+        num, den, _ = min_subset_split(masks, width)
         minimum = Fraction(num, den)
         # Strictly below the minimum: nothing to find.
-        assert impl.find_split_below(masks, width, num, den) is None
+        assert find_split_below(masks, width, num, den) is None
         # Just above it: the minimizing subset (or an earlier one) appears.
         above = minimum + Fraction(1, 1000)
-        found = impl.find_split_below(masks, width, above.numerator, above.denominator)
+        found = find_split_below(masks, width, above.numerator, above.denominator)
         assert found is not None
         size = found.bit_count()
         top = max((min((found & m).bit_count(), size - (found & m).bit_count()) for m in masks), default=0)
         assert Fraction(top, size) < above
-
-
-@pytest.mark.skipif(native is None, reason="native kernel not built")
-def test_backends_agree_including_witnesses():
-    rng = random.Random(37)
-    for _ in range(300):
-        masks, width = random_case(rng)
-        assert native.min_subset_split(masks, width) == pure.min_subset_split(masks, width)
-        num, den = rng.randint(0, 2), rng.randint(1, 5)
-        assert native.find_split_below(masks, width, num, den) == pure.find_split_below(
-            masks, width, num, den
-        )
-        subsets = [rng.getrandbits(width) for _ in range(8)]
-        assert native.batch_min_split(masks, subsets) == pure.batch_min_split(
-            masks, subsets
-        )
 
 
 def test_prepare_masks_folds_complements_and_constants():
@@ -106,10 +77,3 @@ def test_batch_min_split_ignores_small_subsets():
     num, den, witness = batch_min_split(masks, [0b01, 0b10, 0b11])
     assert (num, den) == (1, 2)
     assert witness is None  # the only real subset splits exactly 1/2
-
-
-def test_dispatcher_exports_selected_backend():
-    assert BACKEND in ("native", "pure")
-    num, den, _ = min_subset_split([0b01], 2)
-    assert Fraction(num, den) == Fraction(1, 2)
-    assert find_split_below([0b01], 2, 1, 2) is None
