@@ -15,6 +15,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import kernels
 from ._simplex import matrix_game_value
 from .core import Instance, delta_set
@@ -250,13 +252,38 @@ def verify_certificate(
 
 
 def _restricted_masks(instance: Instance, members: Sequence[int]) -> list[int]:
-    raw = []
-    for col in instance.columns:
-        m = 0
-        for k, h in enumerate(members):
-            m |= ((col >> h) & 1) << k
-        raw.append(m)
-    return kernels.prepare_masks(raw, len(members))
+    """Test columns restricted to `members` (bit k = members[k]), as prepare_masks gives them."""
+    width = len(members)
+    bits = instance.outcome_matrix[:, list(members)]
+    # A row and its complement differ in the top bit; the one without it is smaller.
+    packed = np.packbits(bits ^ bits[:, -1:], axis=1, bitorder="little")
+    padded = np.zeros((bits.shape[0], -(-width // 64) * 8), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    words = padded.view("<u8")
+    if words.shape[1] == 1:
+        values = words[:, 0].tolist()
+    else:
+        values = [int.from_bytes(row.tobytes(), "little") for row in words]
+    out = set(values)
+    out.discard(0)
+    return sorted(out)
+
+
+def _memo_min_split(
+    memo: dict[tuple[int, tuple[int, ...]], tuple[int, int, int | None]],
+    masks: list[int],
+    width: int,
+) -> tuple[int, int, int | None]:
+    """Exhaustive kernel result, computed once per distinct (width, masks).
+
+    The witness is in restricted coordinates, so edges with equal kernel
+    inputs share it and each decodes it through its own members.
+    """
+    key = (width, tuple(masks))
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = kernels.min_subset_split(masks, width)
+    return result
 
 
 def _decode_subset(
@@ -275,13 +302,16 @@ def edge_alpha(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     candidate_alpha: Fraction | None = None,
+    *,
+    _memo: dict | None = None,
 ) -> EdgeReport:
     """Certify the worst split over subsets of the x -> x_prime disagreement set.
 
     Small disagreement sets are enumerated exhaustively; larger ones are
     probed with seeded random subsets (each member kept with probability
     1/2, rejecting singletons), which can falsify a candidate alpha but
-    never verify one.
+    never verify one.  ``_memo`` shares exhaustive kernel results between
+    the edges of one analysis.
     """
     ds = delta_set(instance, x, x_prime)
     size = ds.size
@@ -292,7 +322,7 @@ def edge_alpha(
     members = ds.member_indices()
     masks = _restricted_masks(instance, members)
     if size <= exhaustive_limit:
-        num, den, wit = kernels.min_subset_split(masks, size)
+        num, den, wit = _memo_min_split({} if _memo is None else _memo, masks, size)
         return EdgeReport(
             x,
             x_prime,
@@ -303,7 +333,8 @@ def edge_alpha(
             0,
         )
     rng = random.Random(seed)
-    subsets = []
+    draws = [rng.getrandbits(size) for _ in range(samples)]
+    subsets = [s for s in draws if s.bit_count() >= 2]
     while len(subsets) < samples:
         s = rng.getrandbits(size)
         if s.bit_count() >= 2:
@@ -569,6 +600,7 @@ def neighborly_edge_audit(
     checked = 0
     skipped = 0
     failures: list[tuple[int, int, Fraction]] = []
+    memo: dict = {}
     for i in range(m):
         for j in range(i + 1, m):
             if (cols[i] ^ cols[j]).bit_count() > k:
@@ -582,7 +614,7 @@ def neighborly_edge_audit(
                     continue
                 members = ds.member_indices()
                 masks = _restricted_masks(instance, members)
-                num, den, _ = kernels.min_subset_split(masks, ds.size)
+                num, den, _ = _memo_min_split(memo, masks, ds.size)
                 checked += 1
                 value = Fraction(num, den)
                 if value < threshold:
@@ -608,6 +640,7 @@ def analyze_instance(
     hint = instance.params.get("alpha_hint")
     candidate_alpha = Fraction(str(hint)) if hint else None
 
+    memo: dict = {}
     reports = tuple(
         edge_alpha(
             instance,
@@ -617,6 +650,7 @@ def analyze_instance(
             samples=samples,
             seed=seed ^ index,
             candidate_alpha=candidate_alpha,
+            _memo=memo,
         )
         for index, (i, j) in enumerate(pairs)
     )

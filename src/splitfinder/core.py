@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Mapping
 
+import numpy as np
+
 
 class InstanceError(ValueError):
     """Base class for instance validation failures."""
@@ -42,6 +44,10 @@ class InvalidOutcome(InstanceError):
 
 class InvalidMeta(InstanceError):
     pass
+
+
+class MalformedInstance(InstanceError):
+    """The document does not have the shape of an instance."""
 
 
 class EmptyVersionSpace(ValueError):
@@ -92,6 +98,14 @@ class Instance:
     @cached_property
     def hypothesis_index(self) -> dict[str, int]:
         return {h.id: i for i, h in enumerate(self.hypotheses)}
+
+    @cached_property
+    def outcome_matrix(self) -> np.ndarray:
+        """Tests x hypotheses bool matrix, unpacked from `columns` on first use."""
+        nbytes = (self.n + 7) // 8
+        raw = b"".join(col.to_bytes(nbytes, "little") for col in self.columns)
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.m_tests, nbytes)
+        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(bool)
 
     def outcome(self, hypothesis: int, test: int) -> int:
         return (self.rows[hypothesis] >> test) & 1
@@ -156,16 +170,12 @@ def _bits(mask: int) -> tuple[int, ...]:
 def validate_instance(raw: Mapping[str, Any]) -> Instance:
     """Check an instance document and build the indexed Instance.
 
-    Raises EmptyInstance, DuplicateId, RowLengthMismatch, InvalidOutcome,
-    DuplicateOutcomeRow, or InvalidMeta; anything that passes satisfies all
-    instance invariants.
+    Raises MalformedInstance, EmptyInstance, DuplicateId, RowLengthMismatch,
+    InvalidOutcome, DuplicateOutcomeRow, or InvalidMeta; anything that passes
+    satisfies all instance invariants.
     """
-    tests_raw = raw.get("tests")
-    hyps_raw = raw.get("hypotheses")
-    if not tests_raw:
-        raise EmptyInstance("instance has no tests")
-    if not hyps_raw:
-        raise EmptyInstance("instance has no hypotheses")
+    tests_raw = _records(raw, "tests")
+    hyps_raw = _records(raw, "hypotheses")
 
     tests = []
     seen_test_ids: set[str] = set()
@@ -186,7 +196,7 @@ def validate_instance(raw: Mapping[str, Any]) -> Instance:
         if hid in seen_hyp_ids:
             raise DuplicateId(f"duplicate hypothesis id {hid!r}")
         seen_hyp_ids.add(hid)
-        outcomes = entry["outcomes"]
+        outcomes = entry.get("outcomes")
         if not isinstance(outcomes, str):
             raise InvalidOutcome(f"hypothesis {hid!r}: outcomes must be a string")
         if len(outcomes) != m_tests:
@@ -222,6 +232,22 @@ def validate_instance(raw: Mapping[str, Any]) -> Instance:
         columns=tuple(columns),
         rows=rows,
     )
+
+
+def _records(raw: Mapping[str, Any], key: str) -> list:
+    """The nonempty list under `key`, each entry an object with an "id"."""
+    entries = raw.get(key)
+    if not entries:
+        raise EmptyInstance(f"instance has no {key}")
+    if not isinstance(entries, (list, tuple)):
+        raise MalformedInstance(f"{key!r} must be a list of objects")
+    for position, entry in enumerate(entries):
+        if not isinstance(entry, Mapping) or "id" not in entry:
+            raise MalformedInstance(f"{key}[{position}] must be an object with an 'id'")
+        meta = entry.get("meta")
+        if meta and not isinstance(meta, Mapping):
+            raise MalformedInstance(f"{key}[{position}]: 'meta' must be an object")
+    return entries
 
 
 def _check_meta_dimensions(tests, hypotheses) -> None:

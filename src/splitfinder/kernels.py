@@ -1,18 +1,35 @@
-"""Subset-enumeration kernels over disagreement-set masks.
+"""Subset kernels over disagreement-set masks, vectorized with numpy.
 
-Subsets of ``{0 .. width-1}`` are enumerated as ascending integers, only
-subsets with at least two members count, and the "best split" of a subset S
-is ``max over masks of min(|S & m|, |S| - |S & m|)`` taken as a fraction of
-``|S|``.  Fractions are compared exactly by cross-multiplication, and the
-witness returned is always the first subset in enumeration order that
-strictly attains the minimum, so results are reproducible bit for bit.
+A subset S of ``{0 .. width-1}`` and a mask are bitsets.  Only subsets with
+at least two members count, and the "best split" of S is ``max over masks of
+min(|S & m|, |S| - |S & m|)``, taken as a fraction of ``|S|`` (0 when there
+are no masks).
+
+All three kernels run on one block helper, ``_block_best``: a block of
+subsets, as rows of little-endian ``uint64`` words, is ANDed against every
+mask at once, ``np.bitwise_count`` gives the per-mask counts, and the folded
+counts are maximized over the masks.  Blocks hold about ``BLOCK_CELLS``
+subset-by-mask cells, so temporaries stay well under a megabyte whatever the
+number of masks; any width works, with ``ceil(width / 64)`` words per row.
+
+Witness rule: ``min_subset_split`` enumerates subsets as ascending integers
+and ``batch_min_split`` takes them in the given order.  Fractions are
+compared exactly by cross-multiplying integers, and the witness is the
+first subset in that order that strictly attains the minimum (none when
+every subset splits at exactly 1/2), with the ``(num, den)`` of that subset
+itself.  Results are therefore reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-BACKEND = "pure"
+import numpy as np
+
+BACKEND = "numpy"
+
+# Subset-by-mask-by-word cells evaluated per block.
+BLOCK_CELLS = 1 << 16
 
 
 def prepare_masks(masks: Iterable[int], width: int) -> list[int]:
@@ -31,18 +48,78 @@ def prepare_masks(masks: Iterable[int], width: int) -> list[int]:
     return sorted(out)
 
 
-def _best_split_count(masks: Sequence[int], s: int, size: int) -> int:
-    half = size >> 1
-    best = 0
-    for m in masks:
-        c = (s & m).bit_count()
-        if c > size - c:
-            c = size - c
-        if c > best:
-            best = c
-            if best == half:
-                break
-    return best
+def _word_count(width: int) -> int:
+    return max(1, -(-width // 64))
+
+
+def _words(values: Sequence[int], words: int) -> np.ndarray:
+    """Non-negative ints as rows of ``words`` little-endian uint64 words."""
+    if words == 1:
+        return np.array(values, dtype=np.uint64).reshape(-1, 1)
+    nbytes = 8 * words
+    raw = b"".join(v.to_bytes(nbytes, "little") for v in values)
+    return np.frombuffer(raw, dtype="<u8").reshape(-1, words)
+
+
+def _block_rows(n_masks: int, words: int) -> int:
+    """Rows per block: a power of two, so enumerated blocks never straddle a word."""
+    return 1 << max(0, (BLOCK_CELLS // (max(n_masks, 1) * words)).bit_length() - 1)
+
+
+def _block_best(block: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best split count and size of each subset row, both as int64."""
+    counts = np.bitwise_count(block)
+    sizes = counts[:, 0] if block.shape[1] == 1 else counts.sum(axis=1, dtype=np.int64)
+    if masks.shape[0] == 0:
+        return np.zeros(block.shape[0], dtype=np.int64), sizes.astype(np.int64)
+    counts = np.bitwise_count(block[:, None, :] & masks)
+    counts = counts[:, :, 0] if block.shape[1] == 1 else counts.sum(axis=2, dtype=np.int64)
+    best = np.minimum(counts, sizes[:, None] - counts).max(axis=1)
+    return best.astype(np.int64), sizes.astype(np.int64)
+
+
+def _first_min(best: np.ndarray, sizes: np.ndarray) -> tuple[int, int, int] | None:
+    """(best, size, row) of the first row with >= 2 members at the least best/size."""
+    valid = sizes >= 2
+    if not valid.any():
+        return None
+    # The float ratio only proposes a candidate; integers decide.
+    row = int(np.where(valid, best / np.maximum(sizes, 1), np.inf).argmin())
+    num, den = int(best[row]), int(sizes[row])
+    while True:
+        below = valid & (best * den < num * sizes)
+        if not below.any():
+            break
+        row = int(below.argmax())
+        num, den = int(best[row]), int(sizes[row])
+    row = int((valid & (best * den == num * sizes)).argmax())
+    return int(best[row]), int(sizes[row]), row
+
+
+def _subset_blocks(width: int, rows: int) -> Iterable[tuple[int, np.ndarray]]:
+    """(first subset, word rows) for consecutive blocks of 0 .. 2^width - 1."""
+    words = _word_count(width)
+    total = 1 << width
+    for start in range(0, total, rows):
+        count = min(rows, total - start)
+        # start is a multiple of rows, so adding to the low word never carries.
+        block = np.repeat(_words([start], words), count, axis=0)
+        block[:, 0] += np.arange(count, dtype=np.uint64)
+        yield start, block
+
+
+def _min_over_blocks(
+    blocks: Iterable[tuple[int, np.ndarray]], masks: np.ndarray
+) -> tuple[int, int, int | None]:
+    """Running minimum over (offset of first row, block); the witness is a row index."""
+    best_num, best_den, witness = 1, 2, None
+    for offset, block in blocks:
+        found = _first_min(*_block_best(block, masks))
+        if found is not None and found[0] * best_den < best_num * found[1]:
+            best_num, best_den, witness = found[0], found[1], offset + found[2]
+            if best_num == 0:
+                break  # nothing splits below zero
+    return best_num, best_den, witness
 
 
 def min_subset_split(masks: Sequence[int], width: int) -> tuple[int, int, int | None]:
@@ -53,39 +130,28 @@ def min_subset_split(masks: Sequence[int], width: int) -> tuple[int, int, int | 
     that strictly attains it, or None when every subset splits at exactly
     1/2 (the vacuous maximum).
     """
-    best_num, best_den = 1, 2
-    witness = None
-    for s in range(3, 1 << width):
-        size = s.bit_count()
-        if size < 2:
-            continue
-        best = _best_split_count(masks, s, size)
-        if best * best_den < best_num * size:
-            best_num, best_den, witness = best, size, s
-    return best_num, best_den, witness
+    words = _word_count(width)
+    blocks = _subset_blocks(width, _block_rows(len(masks), words))
+    return _min_over_blocks(blocks, _words(masks, words))
 
 
 def find_split_below(
     masks: Sequence[int], width: int, num: int, den: int
 ) -> int | None:
     """First subset (>= 2 members) whose best split is strictly below num/den."""
-    for s in range(3, 1 << width):
-        size = s.bit_count()
-        if size < 2:
-            continue
-        threshold = num * size  # best*den < num*size  <=>  best/size < num/den
-        half = size >> 1
-        best = 0
-        for m in masks:
-            c = (s & m).bit_count()
-            if c > size - c:
-                c = size - c
-            if c > best:
-                best = c
-                if best * den >= threshold or best == half:
-                    break
-        if best * den < threshold:
-            return s
+    words = _word_count(width)
+    mask_words = _words(masks, words)
+    # For integer best: best * den < num * size  <=>  best < ceil(num * size / den).
+    # Limits are clipped to [0, size + 1], which never changes the comparison.
+    limits = np.array(
+        [min(max(-(-num * size // den), 0), size + 1) for size in range(64 * words + 1)],
+        dtype=np.int64,
+    )
+    for start, block in _subset_blocks(width, _block_rows(len(masks), words)):
+        best, sizes = _block_best(block, mask_words)
+        hits = (sizes >= 2) & (best < limits[sizes])
+        if hits.any():
+            return start + int(hits.argmax())
     return None
 
 
@@ -93,13 +159,12 @@ def batch_min_split(
     masks: Sequence[int], subsets: Sequence[int]
 ) -> tuple[int, int, int | None]:
     """Minimum best-split over an explicit list of subsets (>= 2 members each)."""
-    best_num, best_den = 1, 2
-    witness = None
-    for s in subsets:
-        size = s.bit_count()
-        if size < 2:
-            continue
-        best = _best_split_count(masks, s, size)
-        if best * best_den < best_num * size:
-            best_num, best_den, witness = best, size, s
-    return best_num, best_den, witness
+    width = max(max(subsets, default=0).bit_length(), max(masks, default=0).bit_length())
+    words = _word_count(width)
+    rows = _block_rows(len(masks), words)
+    blocks = (
+        (start, _words(subsets[start : start + rows], words))
+        for start in range(0, len(subsets), rows)
+    )
+    num, den, index = _min_over_blocks(blocks, _words(masks, words))
+    return num, den, None if index is None else subsets[index]

@@ -3,6 +3,10 @@
 Everything here works from plain outcome strings, sets, and Fractions, with
 no bitsets and none of the library's indexing or kernels, so a library bug
 cannot hide in its own oracle.
+
+The one exception is the last section: plain-Python loops over int bitsets
+that define what the vectorized subset kernels and mask restriction must
+return, witnesses and unreduced ``(num, den)`` pairs included.
 """
 
 from __future__ import annotations
@@ -127,3 +131,63 @@ def count_arcs_containing(m: int, lengths: range, vertex: int, excluded: int) ->
             if vertex in arc and excluded not in arc:
                 count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# Bit-exact reference loops for ``splitfinder.kernels`` and mask restriction
+
+
+def _best_split_count(masks: list[int], s: int, size: int) -> int:
+    best = 0
+    for m in masks:
+        c = (s & m).bit_count()
+        best = max(best, min(c, size - c))
+    return best
+
+
+def loop_min_subset_split(masks: list[int], width: int) -> tuple[int, int, int | None]:
+    """Ascending scan; the first subset strictly below the running minimum wins."""
+    best_num, best_den, witness = 1, 2, None
+    for s in range(3, 1 << width):
+        size = s.bit_count()
+        if size < 2:
+            continue
+        best = _best_split_count(masks, s, size)
+        if best * best_den < best_num * size:
+            best_num, best_den, witness = best, size, s
+    return best_num, best_den, witness
+
+
+def loop_batch_min_split(masks: list[int], subsets: list[int]) -> tuple[int, int, int | None]:
+    best_num, best_den, witness = 1, 2, None
+    for s in subsets:
+        size = s.bit_count()
+        if size < 2:
+            continue
+        best = _best_split_count(masks, s, size)
+        if best * best_den < best_num * size:
+            best_num, best_den, witness = best, size, s
+    return best_num, best_den, witness
+
+
+def loop_find_split_below(masks: list[int], width: int, num: int, den: int) -> int | None:
+    for s in range(3, 1 << width):
+        size = s.bit_count()
+        if size >= 2 and _best_split_count(masks, s, size) * den < num * size:
+            return s
+    return None
+
+
+def loop_restricted_masks(columns: tuple[int, ...], members: tuple[int, ...]) -> list[int]:
+    """Gather each column's member bits one by one, then fold, dedupe and sort."""
+    width = len(members)
+    full = (1 << width) - 1
+    out = set()
+    for col in columns:
+        m = 0
+        for k, h in enumerate(members):
+            m |= ((col >> h) & 1) << k
+        m = min(m, m ^ full)
+        if m:
+            out.add(m)
+    return sorted(out)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -187,9 +188,59 @@ class TestAnalyzeRunVerify:
         assert err.startswith("ERROR PersistenceError: malformed analysis report")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "doctor",
+        [
+            lambda doc: doc["hypotheses"][0].pop("id"),
+            lambda doc: doc.update({"tests": {"id": "t0"}}),
+            lambda doc: doc["tests"].__setitem__(0, doc["tests"][0]["id"]),
+        ],
+        ids=["hypothesis-without-id", "tests-an-object", "test-a-bare-string"],
+    )
+    def test_run_malformed_instance_exit_2(self, dj_instance, capsys, doctor):
+        instance_path, _ = dj_instance
+        doc = json.loads(instance_path.read_text())
+        doctor(doc)
+        instance_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "run", "--in", str(instance_path))
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR MalformedInstance: ")
+        assert err.count("\n") == 1
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", "--in", str(tmp_path / "nope.json"))
         assert code == 2 and err.startswith("ERROR ")
+
+
+class TestGoldenReports:
+    """Report bytes pinned by sha256, so a kernel change that drifts fails here.
+
+    One instance repeats kernel inputs across most of its edges, one samples
+    edges past a lowered exhaustive limit, and one solves the coherence game.
+    """
+
+    @pytest.mark.parametrize(
+        "family, params, flags, sha256",
+        [
+            ("disjunction", ["d=6", "m=2"], [],
+             "c62404b16947f73da740b44a81983eb5f31f1c6623ba3b5d392879b4c2cf2648"),
+            ("monotone_cnf", ["d=5", "m=2", "l=2"], ["--limit", "5", "--samples", "2000", "--seed", "7"],
+             "5c5ab1b474f64bf44c254375cea4d7208032c14a3c88734746d7c47341d2634b"),
+            ("convex_polygon", ["m=8", "balanced=false"], [],
+             "440dd15aaeb3d6e3e9d40ff7b8b356f14ae209d75faac11fecc9c0bcd0098b16"),
+        ],
+        ids=["disjunction-d6-m2", "cnf-d5-m2-l2-sampled", "polygon-m8"],
+    )
+    def test_analyze_report_digest(self, tmp_path, capsys, family, params, flags, sha256):
+        instance_path = tmp_path / "golden.instance.json"
+        report_path = tmp_path / "golden.report.json"
+        params = [arg for param in params for arg in ("--param", param)]
+        assert run_cli(capsys, "gen", "--family", family, *params, "--out", str(instance_path))[0] == 0
+        code, _, _ = run_cli(
+            capsys, "analyze", "--in", str(instance_path), *flags, "--out", str(report_path)
+        )
+        assert code == 0
+        assert hashlib.sha256(report_path.read_bytes()).hexdigest() == sha256
 
 
 class TestSmallCommands:

@@ -1,4 +1,4 @@
-"""Subset kernels: agreement with a naive oracle."""
+"""Subset kernels: agreement with a naive oracle and with the reference loops."""
 
 from __future__ import annotations
 
@@ -6,6 +6,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import oracles
+from splitfinder import kernels
+from splitfinder.analysis import _restricted_masks
+from splitfinder.core import validate_instance
 from splitfinder.kernels import (
     batch_min_split,
     find_split_below,
@@ -77,3 +81,123 @@ def test_batch_min_split_ignores_small_subsets():
     num, den, witness = batch_min_split(masks, [0b01, 0b10, 0b11])
     assert (num, den) == (1, 2)
     assert witness is None  # the only real subset splits exactly 1/2
+
+
+# ---------------------------------------------------------------------------
+# Bit-exact parity with the reference loops in oracles.py
+
+
+def random_masks(rng: random.Random, width: int, count: int) -> list[int]:
+    return prepare_masks([rng.getrandbits(width) for _ in range(count)], width)
+
+
+def test_min_subset_split_matches_reference_loop():
+    rng = random.Random(31)
+    for _ in range(150):
+        width = rng.randint(2, 9)
+        masks = random_masks(rng, width, rng.randint(0, 12))
+        assert min_subset_split(masks, width) == oracles.loop_min_subset_split(masks, width)
+
+
+def test_batch_min_split_matches_reference_loop():
+    rng = random.Random(37)
+    for _ in range(150):
+        width = rng.randint(2, 40)
+        masks = random_masks(rng, width, rng.randint(0, 12))
+        subsets = [rng.getrandbits(width) for _ in range(rng.randint(0, 60))]
+        assert batch_min_split(masks, subsets) == oracles.loop_batch_min_split(masks, subsets)
+
+
+def test_find_split_below_matches_reference_loop():
+    rng = random.Random(41)
+    for _ in range(150):
+        width = rng.randint(2, 9)
+        masks = random_masks(rng, width, rng.randint(0, 12))
+        num, den, _ = min_subset_split(masks, width)
+        thresholds = [
+            Fraction(num, den),
+            Fraction(num, den) + Fraction(1, 10**30),  # exact beyond float precision
+            Fraction(rng.randint(0, 7), rng.randint(1, 14)),
+        ]
+        for t in thresholds:
+            got = find_split_below(masks, width, t.numerator, t.denominator)
+            assert got == oracles.loop_find_split_below(masks, width, t.numerator, t.denominator)
+
+
+def test_empty_masks_split_nothing():
+    assert min_subset_split([], 5) == oracles.loop_min_subset_split([], 5) == (0, 2, 3)
+    subsets = [0b1, 0b110, 0b111]
+    assert batch_min_split([], subsets) == oracles.loop_batch_min_split([], subsets) == (0, 2, 0b110)
+    assert find_split_below([], 5, 1, 3) == oracles.loop_find_split_below([], 5, 1, 3) == 3
+
+
+def test_results_do_not_depend_on_block_boundaries(monkeypatch):
+    rng = random.Random(43)
+    cases = []
+    for _ in range(40):
+        width = rng.randint(5, 9)
+        masks = random_masks(rng, width, rng.randint(1, 12))
+        subsets = [rng.getrandbits(width) for _ in range(50)]
+        cases.append((width, masks, subsets))
+    for cells in (1, 7, 16):
+        monkeypatch.setattr(kernels, "BLOCK_CELLS", cells)
+        for width, masks, subsets in cases:
+            assert kernels._block_rows(len(masks), 1) < 1 << width  # several blocks
+            assert min_subset_split(masks, width) == oracles.loop_min_subset_split(masks, width)
+            assert batch_min_split(masks, subsets) == oracles.loop_batch_min_split(masks, subsets)
+            num, den, _ = oracles.loop_min_subset_split(masks, width)
+            above = Fraction(num, den) + Fraction(1, 1000)
+            assert find_split_below(masks, width, above.numerator, above.denominator) == (
+                oracles.loop_find_split_below(masks, width, above.numerator, above.denominator)
+            )
+
+
+def test_many_masks_span_several_default_blocks():
+    rng = random.Random(47)
+    width = 11
+    masks = random_masks(rng, width, 300)
+    assert kernels._block_rows(len(masks), 1) < 1 << width
+    assert min_subset_split(masks, width) == oracles.loop_min_subset_split(masks, width)
+    t = Fraction(2, 5)
+    assert find_split_below(masks, width, t.numerator, t.denominator) == (
+        oracles.loop_find_split_below(masks, width, t.numerator, t.denominator)
+    )
+
+
+def test_batch_min_split_wider_than_one_word():
+    rng = random.Random(53)
+    for width in (64, 65, 100, 128, 129, 200):
+        for _ in range(8):
+            masks = random_masks(rng, width, rng.randint(0, 20))
+            # Sparse subsets make splits below 1/2 likely, so witnesses matter.
+            subsets = [
+                sum(1 << b for b in rng.sample(range(width), rng.randint(1, 6)))
+                for _ in range(80)
+            ]
+            assert batch_min_split(masks, subsets) == oracles.loop_batch_min_split(masks, subsets)
+
+
+def synthetic_instance(rng: random.Random, n: int, m_tests: int):
+    rows: set[str] = set()
+    while len(rows) < n:
+        rows.add("".join(rng.choice("01") for _ in range(m_tests)))
+    return validate_instance({
+        "tests": [{"id": f"t{x}"} for x in range(m_tests)],
+        "hypotheses": [{"id": f"h{i}", "outcomes": row} for i, row in enumerate(sorted(rows))],
+    })
+
+
+def test_restricted_masks_match_bit_by_bit_loop():
+    rng = random.Random(59)
+    instance = synthetic_instance(rng, n=90, m_tests=40)
+    assert instance.outcome_matrix.shape == (40, 90)
+    for size in (2, 3, 17, 63, 64, 65, 70, 90):
+        for _ in range(3):
+            members = tuple(sorted(rng.sample(range(instance.n), size)))
+            expected = oracles.loop_restricted_masks(instance.columns, members)
+            assert _restricted_masks(instance, members) == expected
+            raw = [
+                sum(((col >> h) & 1) << k for k, h in enumerate(members))
+                for col in instance.columns
+            ]
+            assert expected == prepare_masks(raw, size)
