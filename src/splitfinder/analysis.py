@@ -564,6 +564,8 @@ def subset_split_audit(
     """Brute-force check that every subset of >= 2 hypotheses has a beta-split.
 
     Enumerates all 2^n subsets, so it is capped; beta <= 0 passes vacuously.
+    A failing audit's witness is the first subset, in ascending bitmask
+    order, that attains the minimum split.
     """
     if instance.n > n_cap:
         raise InstanceTooLarge(
@@ -573,13 +575,13 @@ def subset_split_audit(
     if beta <= 0:
         return SubsetSplitAudit(True, beta, None, 0)
     n = instance.n
-    masks = kernels.prepare_masks(instance.columns, n)
-    witness = kernels.find_split_below(masks, n, beta.numerator, beta.denominator)
     checked = (1 << n) - n - 1
-    if witness is None:
+    num, den, witness = kernels.min_subset_split(kernels.prepare_masks(instance.columns, n), n)
+    if not checked or Fraction(num, den) >= beta:
         return SubsetSplitAudit(True, beta, None, checked)
-    members = tuple(h for h in range(n) if (witness >> h) & 1)
-    return SubsetSplitAudit(False, beta, members, checked)
+    # With no witness every subset splits at exactly 1/2, so only a beta above
+    # 1/2 gets here, and the first subset, {0, 1}, already falls short of it.
+    return SubsetSplitAudit(False, beta, _decode_subset(witness or 0b11, range(n)), checked)
 
 
 def neighborly_edge_audit(
@@ -606,17 +608,14 @@ def neighborly_edge_audit(
             if (cols[i] ^ cols[j]).bit_count() > k:
                 continue
             for a, b in ((i, j), (j, i)):
-                ds = delta_set(instance, a, b)
-                if ds.size <= 1:
+                size = delta_set(instance, a, b).size
+                if size <= 1:
                     continue
-                if ds.size > exhaustive_limit:
+                if size > exhaustive_limit:
                     skipped += 1
                     continue
-                members = ds.member_indices()
-                masks = _restricted_masks(instance, members)
-                num, den, _ = _memo_min_split(memo, masks, ds.size)
+                value = edge_alpha(instance, a, b, exhaustive_limit, _memo=memo).edge_value
                 checked += 1
-                value = Fraction(num, den)
                 if value < threshold:
                     failures.append((a, b, value))
     return NeighborlyEdgeAudit(not failures, k, checked, skipped, tuple(failures))

@@ -107,11 +107,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_run(args) -> int:
     instance = _load_instance(args.infile)
-    if args.oracle == "interactive":
-        transcript = engine.interactive_session(instance, sys.stdin, sys.stdout)
-        if args.out:
-            persistence.write_report(transcript, args.out)
-        return EXIT_OK
     if args.oracle == "all":
         stats = engine.run_all_oracles(instance)
         if args.out:
@@ -123,7 +118,7 @@ def cmd_run(args) -> int:
         return EXIT_OK
     index = instance.hypothesis_index.get(args.oracle)
     if index is None:
-        raise UsageError(f"unknown oracle {args.oracle!r}; use a hypothesis id, 'all', or 'interactive'")
+        raise UsageError(f"unknown oracle {args.oracle!r}; use a hypothesis id or 'all'")
     transcript = engine.run_gbs(
         instance, engine.hypothesis_oracle(instance, index), args.oracle
     )
@@ -185,7 +180,9 @@ def cmd_entropy(args) -> int:
 
 def cmd_interactive(args) -> int:
     instance = _load_instance(args.infile)
-    engine.interactive_session(instance, sys.stdin, sys.stdout)
+    transcript = engine.interactive_session(instance, sys.stdin, sys.stdout)
+    if args.out:
+        persistence.write_report(transcript, args.out)
     return EXIT_OK
 
 
@@ -254,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = commands.add_parser("run", help="run the query loop against oracles")
     run.add_argument("--in", dest="infile", required=True)
     run.add_argument("--oracle", default="all",
-                     help="hypothesis id, 'all' for an exhaustive sweep, or 'interactive'")
+                     help="hypothesis id, or 'all' for an exhaustive sweep")
     run.add_argument("--out", default=None)
     run.set_defaults(func=cmd_run)
 
@@ -276,6 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     interactive = commands.add_parser("interactive", help="play the hidden hypothesis over stdin/stdout")
     interactive.add_argument("--in", dest="infile", required=True)
+    interactive.add_argument("--out", default=None)
     interactive.set_defaults(func=cmd_interactive)
 
     sweep = commands.add_parser("sweep", help="batch gen+analyze+run over a parameter grid")

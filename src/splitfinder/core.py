@@ -213,15 +213,11 @@ def validate_instance(raw: Mapping[str, Any]) -> Instance:
         meta = entry.get("meta")
         hypotheses.append(HypothesisRecord(hid, outcomes, dict(meta) if meta else None))
 
-    _check_meta_dimensions(tests, hypotheses)
+    _check_meta(tests, hypotheses)
 
-    rows = tuple(int(h.outcomes[::-1], 2) for h in hypotheses)
-    columns = []
-    for x in range(m_tests):
-        col = 0
-        for i, row in enumerate(rows):
-            col |= ((row >> x) & 1) << i
-        columns.append(col)
+    outcome_rows = [h.outcomes for h in hypotheses]
+    rows = tuple(int(row[::-1], 2) for row in outcome_rows)
+    columns = tuple(int("".join(col)[::-1], 2) for col in zip(*outcome_rows))
 
     return Instance(
         name=str(raw.get("name", "")),
@@ -229,7 +225,7 @@ def validate_instance(raw: Mapping[str, Any]) -> Instance:
         params=dict(raw.get("params") or {}),
         tests=tuple(tests),
         hypotheses=tuple(hypotheses),
-        columns=tuple(columns),
+        columns=columns,
         rows=rows,
     )
 
@@ -250,12 +246,22 @@ def _records(raw: Mapping[str, Any], key: str) -> list:
     return entries
 
 
-def _check_meta_dimensions(tests, hypotheses) -> None:
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_meta(tests, hypotheses) -> None:
+    """Coordinates are int lists of one dimension; cycle indices are ints."""
     dim = None
     for rec in (*tests, *hypotheses):
-        coords = (rec.meta or {}).get("coords")
-        if coords is None:
+        meta = rec.meta or {}
+        if "cycle_index" in meta and not _is_int(meta["cycle_index"]):
+            raise InvalidMeta(f"record {rec.id!r}: cycle_index must be an integer")
+        if "coords" not in meta:
             continue
+        coords = meta["coords"]
+        if not isinstance(coords, list) or not all(_is_int(c) for c in coords):
+            raise InvalidMeta(f"record {rec.id!r}: coords must be a list of integers")
         if dim is None:
             dim = len(coords)
         elif len(coords) != dim:

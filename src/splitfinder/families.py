@@ -16,8 +16,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-import numpy as np
-
 from .core import Instance, validate_instance
 
 
@@ -86,9 +84,8 @@ def gen_convex_polygon(m_points: int, balanced: bool) -> Instance:
     hypotheses = []
     for start in range(m):
         for length in lengths:
-            outcomes = "".join(
-                "1" if (v - start) % m < length else "0" for v in range(m)
-            )
+            arc = "1" * length + "0" * (m - length)
+            outcomes = arc[m - start :] + arc[: m - start]  # rotated to begin at start
             hypotheses.append(
                 {
                     "id": f"arc{start}+{length}",
@@ -110,26 +107,30 @@ def gen_convex_polygon(m_points: int, balanced: bool) -> Instance:
 # Monotone disjunctions and CNF formulas over bit-vector tests
 
 
-def _bitstring_tests(d: int) -> list[dict]:
-    return [{"id": "".join(bits)} for bits in itertools.product("01", repeat=d)]
+def _hypercube(d: int) -> tuple[list[dict], list[int]]:
+    """The 2^d bit-string tests in lexicographic id order, and one int mask per
+    test whose bit v-1 is variable v (character v-1 of the id)."""
+    ids = [format(k, f"0{d}b") for k in range(1 << d)]
+    return [{"id": i} for i in ids], [int(i[::-1], 2) for i in ids]
+
+
+def _var_mask(variables) -> int:
+    return sum(1 << (v - 1) for v in variables)
 
 
 def gen_disjunction(d: int, m: int) -> Instance:
     """Monotone disjunctions of at most m of d variables; tests are all 2^d inputs."""
     if not 1 <= m <= d:
         raise BadParams(f"disjunction needs 1 <= m <= d, got d={d}, m={m}")
-    tests = _bitstring_tests(d)
+    tests, test_masks = _hypercube(d)
     hypotheses = []
     for size in range(1, m + 1):
         for variables in itertools.combinations(range(1, d + 1), size):
-            outcomes = "".join(
-                "1" if any(t["id"][v - 1] == "1" for v in variables) else "0"
-                for t in tests
-            )
+            var_mask = _var_mask(variables)
             hypotheses.append(
                 {
                     "id": "|".join(f"x{v}" for v in variables),
-                    "outcomes": outcomes,
+                    "outcomes": "".join("1" if t & var_mask else "0" for t in test_masks),
                     "meta": {"vars": list(variables)},
                 }
             )
@@ -167,21 +168,18 @@ def gen_monotone_cnf(d: int, m: int, l: int) -> Instance:
     """Conjunctions of l variable-disjoint disjunctions of exactly m variables."""
     if m < 1 or l < 1 or l * m > d:
         raise BadParams(f"monotone CNF needs m,l >= 1 and l*m <= d, got d={d}, m={m}, l={l}")
-    tests = _bitstring_tests(d)
+    tests, test_masks = _hypercube(d)
     hypotheses = []
     for clauses in _disjoint_clause_sets(d, m, l):
-        outcomes = "".join(
-            "1"
-            if all(any(t["id"][v - 1] == "1" for v in clause) for clause in clauses)
-            else "0"
-            for t in tests
-        )
+        clause_masks = [_var_mask(clause) for clause in clauses]
         hypotheses.append(
             {
                 "id": "&".join(
                     "(" + "|".join(f"x{v}" for v in clause) + ")" for clause in clauses
                 ),
-                "outcomes": outcomes,
+                "outcomes": "".join(
+                    "1" if all(t & c for c in clause_masks) else "0" for t in test_masks
+                ),
                 "meta": {"clauses": [list(c) for c in clauses]},
             }
         )
@@ -384,9 +382,7 @@ def gen_discrete_linear(d: int, r: Fraction | int | str) -> Instance:
     if not feasible_b:
         raise EmptyFamily(f"no (w, b) satisfies the constraints at d={d}, r={r}")
 
-    test_bits = list(itertools.product((0, 1), repeat=d))
-    x_matrix = np.array(test_bits, dtype=np.int64)
-
+    tests, test_masks = _hypercube(d)
     hypotheses = []
     seen_rows: dict[str, None] = {}
     for w in itertools.product((-1, 0, 1), repeat=d):
@@ -395,7 +391,9 @@ def gen_discrete_linear(d: int, r: Fraction | int | str) -> Instance:
         bs = feasible_b.get((plus, minus))
         if not bs:
             continue
-        dots = x_matrix @ np.array(w, dtype=np.int64)
+        w_plus = sum(1 << i for i, wi in enumerate(w) if wi > 0)
+        w_minus = sum(1 << i for i, wi in enumerate(w) if wi < 0)
+        dots = [(t & w_plus).bit_count() - (t & w_minus).bit_count() for t in test_masks]
         for b in bs:
             outcomes = "".join("1" if v > b else "0" for v in dots)
             if outcomes in seen_rows:
@@ -412,7 +410,6 @@ def gen_discrete_linear(d: int, r: Fraction | int | str) -> Instance:
     if not hypotheses:
         raise EmptyFamily(f"no (w, b) satisfies the constraints at d={d}, r={r}")
 
-    tests = [{"id": "".join(str(bit) for bit in bits)} for bits in test_bits]
     alpha = Fraction(1, max(16, 8 * r))
     params = {
         "d": d,
@@ -432,21 +429,15 @@ def gen_linear_kcase(d: int) -> Instance:
     if d % 4 != 0 or d < 4:
         raise BadParams(f"linear_kcase needs d divisible by 4, got {d}")
     b = d // 4 - 1
-    test_bits = list(itertools.product((0, 1), repeat=d))
-    test_masks = [
-        sum(bit << i for i, bit in enumerate(bits)) for bits in test_bits
-    ]
+    tests, test_masks = _hypercube(d)
     hypotheses = []
     for ones in itertools.combinations(range(d), d // 2):
         w_mask = sum(1 << i for i in ones)
-        outcomes = "".join(
-            "1" if (w_mask & t).bit_count() > b else "0" for t in test_masks
-        )
+        outcomes = "".join("1" if (w_mask & t).bit_count() > b else "0" for t in test_masks)
         w = [1 if i in ones else 0 for i in range(d)]
         hypotheses.append(
             {"id": _weight_id(tuple(w), b), "outcomes": outcomes, "meta": {"w": w, "b": b}}
         )
-    tests = [{"id": "".join(str(bit) for bit in bits)} for bits in test_bits]
     params = {"d": d, "b": b, "edge_preset": "l1"}
     return _build(f"linear_kcase_d{d}", "linear_kcase", params, tests, hypotheses)
 
@@ -464,18 +455,15 @@ def gen_counterexample_disjunction(m: int) -> Instance:
     if m < 2:
         raise BadParams(f"cx_disjunction needs m >= 2, got {m}")
     d = m + 1
-    tests = _bitstring_tests(d)
+    tests, test_masks = _hypercube(d)
     hypotheses = []
     for omitted in range(1, d + 1):
         variables = [v for v in range(1, d + 1) if v != omitted]
-        outcomes = "".join(
-            "1" if any(t["id"][v - 1] == "1" for v in variables) else "0"
-            for t in tests
-        )
+        var_mask = _var_mask(variables)
         hypotheses.append(
             {
                 "id": "|".join(f"x{v}" for v in variables),
-                "outcomes": outcomes,
+                "outcomes": "".join("1" if t & var_mask else "0" for t in test_masks),
                 "meta": {"vars": variables, "omitted": omitted},
             }
         )

@@ -5,7 +5,7 @@ at least two members count, and the "best split" of S is ``max over masks of
 min(|S & m|, |S| - |S & m|)``, taken as a fraction of ``|S|`` (0 when there
 are no masks).
 
-All three kernels run on one block helper, ``_block_best``: a block of
+Both kernels run on one block helper, ``_block_best``: a block of
 subsets, as rows of little-endian ``uint64`` words, is ANDed against every
 mask at once, ``np.bitwise_count`` gives the per-mask counts, and the folded
 counts are maximized over the masks.  Blocks hold about ``BLOCK_CELLS``
@@ -133,26 +133,6 @@ def min_subset_split(masks: Sequence[int], width: int) -> tuple[int, int, int | 
     words = _word_count(width)
     blocks = _subset_blocks(width, _block_rows(len(masks), words))
     return _min_over_blocks(blocks, _words(masks, words))
-
-
-def find_split_below(
-    masks: Sequence[int], width: int, num: int, den: int
-) -> int | None:
-    """First subset (>= 2 members) whose best split is strictly below num/den."""
-    words = _word_count(width)
-    mask_words = _words(masks, words)
-    # For integer best: best * den < num * size  <=>  best < ceil(num * size / den).
-    # Limits are clipped to [0, size + 1], which never changes the comparison.
-    limits = np.array(
-        [min(max(-(-num * size // den), 0), size + 1) for size in range(64 * words + 1)],
-        dtype=np.int64,
-    )
-    for start, block in _subset_blocks(width, _block_rows(len(masks), words)):
-        best, sizes = _block_best(block, mask_words)
-        hits = (sizes >= 2) & (best < limits[sizes])
-        if hits.any():
-            return start + int(hits.argmax())
-    return None
 
 
 def batch_min_split(

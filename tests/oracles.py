@@ -170,14 +170,6 @@ def loop_batch_min_split(masks: list[int], subsets: list[int]) -> tuple[int, int
     return best_num, best_den, witness
 
 
-def loop_find_split_below(masks: list[int], width: int, num: int, den: int) -> int | None:
-    for s in range(3, 1 << width):
-        size = s.bit_count()
-        if size >= 2 and _best_split_count(masks, s, size) * den < num * size:
-            return s
-    return None
-
-
 def loop_restricted_masks(columns: tuple[int, ...], members: tuple[int, ...]) -> list[int]:
     """Gather each column's member bits one by one, then fold, dedupe and sort."""
     width = len(members)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -378,6 +379,32 @@ class TestSubsetSplitAudit:
     def test_cap_is_enforced(self, pentagon):
         with pytest.raises(InstanceTooLarge):
             subset_split_audit(pentagon, Fraction(1, 4), n_cap=15)
+
+    def test_threshold_is_the_minimum_split(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            m_tests = rng.randint(1, 5)
+            rows = sorted({
+                "".join(rng.choice("01") for _ in range(m_tests)) for _ in range(rng.randint(2, 7))
+            })
+            inst = validate_instance({
+                "tests": [{"id": f"t{x}"} for x in range(m_tests)],
+                "hypotheses": [{"id": f"h{i}", "outcomes": row} for i, row in enumerate(rows)],
+            })
+            n = len(rows)
+            minimum = oracles.min_subset_split(rows, list(range(n)))
+            assert subset_split_audit(inst, minimum).passed
+            audit = subset_split_audit(inst, minimum + Fraction(1, 1000))
+            assert audit.passed == (n == 1)
+            if n == 1:
+                continue
+            # The witness attains the minimum, and no smaller bitmask does.
+            assert oracles.best_split(rows, list(audit.witness))[1] == minimum
+            first = sum(1 << h for h in audit.witness)
+            for subset in range(3, first):
+                members = [h for h in range(n) if (subset >> h) & 1]
+                if len(members) >= 2:
+                    assert oracles.best_split(rows, members)[1] > minimum
 
 
 class TestNeighborlyEdgeAudit:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import sys
 import pytest
 
 from splitfinder.cli import main
+from splitfinder.core import validate_instance
+from splitfinder.persistence import write_instance
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +134,16 @@ class TestAnalyzeRunVerify:
         assert doc["kind"] == "transcript"
         assert doc["identified"] == "x1"
 
+    def test_interactive_is_an_ordinary_hypothesis_id(self, tmp_path, capsys):
+        path = tmp_path / "named.instance.json"
+        write_instance(validate_instance({
+            "tests": [{"id": "t0"}, {"id": "t1"}],
+            "hypotheses": [{"id": "interactive", "outcomes": "01"}, {"id": "other", "outcomes": "10"}],
+        }), str(path))
+        code, out, err = run_cli(capsys, "run", "--in", str(path), "--oracle", "interactive")
+        assert (code, err) == (0, "")
+        assert out == "oracle=interactive queries=1 identified=interactive\n"
+
     def test_run_unknown_oracle_exit_2(self, dj_instance, capsys):
         instance_path, _ = dj_instance
         code, _, err = run_cli(
@@ -205,6 +218,28 @@ class TestAnalyzeRunVerify:
         code, out, err = run_cli(capsys, "run", "--in", str(instance_path))
         assert code == 2 and out == ""
         assert err.startswith("ERROR MalformedInstance: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "family, params, doctor",
+        [
+            ("box_localization", ["r=1"], lambda doc: doc["tests"][0]["meta"].update({"coords": 5})),
+            ("box_localization", ["r=1"], lambda doc: doc["tests"][0]["meta"].update({"coords": ["a"]})),
+            ("convex_polygon", ["m=5"], lambda doc: doc["tests"][0]["meta"].update({"cycle_index": "x"})),
+            ("convex_polygon", ["m=5"], lambda doc: doc["tests"][0]["meta"].update({"cycle_index": True})),
+        ],
+        ids=["coords-a-number", "coords-not-integers", "cycle-index-a-string", "cycle-index-a-bool"],
+    )
+    def test_analyze_bad_meta_exit_2(self, tmp_path, capsys, family, params, doctor):
+        path = tmp_path / "doctored.instance.json"
+        params = [arg for param in params for arg in ("--param", param)]
+        assert run_cli(capsys, "gen", "--family", family, *params, "--out", str(path))[0] == 0
+        doc = json.loads(path.read_text())
+        doctor(doc)
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "analyze", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("ERROR InvalidMeta: ")
         assert err.count("\n") == 1
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
@@ -316,3 +351,17 @@ class TestInteractiveSubprocess:
         lines = proc.stdout.strip().splitlines()
         assert lines[0].startswith("QUERY ")
         assert lines[-1].startswith("IDENTIFIED ")
+
+    def test_out_writes_the_session_transcript(self, tmp_path, capsys, monkeypatch):
+        instance_path = tmp_path / "dj31.instance.json"
+        out_path = tmp_path / "session.transcript.json"
+        assert run_cli(capsys, "gen", "--family", "disjunction", "--param", "d=3",
+                       "--param", "m=1", "--out", str(instance_path))[0] == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1\n0\n1\n0\n"))
+        code, out, _ = run_cli(capsys, "interactive", "--in", str(instance_path),
+                               "--out", str(out_path))
+        assert code == 0
+        doc = json.loads(out_path.read_text())
+        assert doc["kind"] == "transcript" and doc["oracle_id"] == "interactive"
+        assert out.splitlines()[-1] == f"IDENTIFIED {doc['identified']}"
+        assert len(doc["steps"]) == out.count("QUERY ")

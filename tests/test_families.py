@@ -28,6 +28,7 @@ from splitfinder.families import (
     gen_monotone_cnf,
     gen_shape_localization,
 )
+from splitfinder.persistence import instance_digest
 
 
 def multinomial(d: int, parts: list[int]) -> int:
@@ -308,3 +309,35 @@ class TestDeterminismAndDispatch:
             families.generate("disjunction", {"d": "4"})
         with pytest.raises(BadParams):
             families.generate("disjunction", {"d": "x", "m": "1"})
+
+
+@pytest.mark.parametrize(
+    "family, params, digest",
+    [
+        ("convex_polygon", {"m": "9", "balanced": "false"},
+         "31804db9cf12f359de09fa9a4363499ed999994865d779dea3920e0b43e176ec"),
+        ("convex_polygon", {"m": "9"},
+         "97c9128328411e80ecfefe7c3bc54e4dd34bb68bd6ad531c6227685015914ed2"),
+        ("disjunction", {"d": "6", "m": "2"},
+         "e91fd2515f2993e8839b2c80a4ea9e74283ad0741af7841a323b7a762b66b118"),
+        ("monotone_cnf", {"d": "6", "m": "2", "l": "2"},
+         "1e301b76f9476647120f9a7e658245a700a3addd18496b6769d8c3b967f37cdd"),
+        ("box_localization", {"r": "1,2"},
+         "66252309ec49d649387ab4e804ccc79e398403d87ca7804683707b8bde0ecae8"),
+        ("shape_localization", {"d": "2", "l1_radius": "2"},
+         "bfe7482f0322f4ff063680394a23535f6adde8d4536bf9fab4879afb7539615c"),
+        ("discrete_linear", {"d": "6", "r": "2"},
+         "e552eecdbde8b19853d759bf92034fbfe1a3624624b48c8bccd7995bce10b2fb"),
+        ("linear_kcase", {"d": "8"},
+         "d0630ae0f3d116c3a452bb4e6cd6ae84490363c312e707ea847a8ea6cc3d6f15"),
+        ("cx_disjunction", {"m": "3"},
+         "53593672d622d8cf253ffe98a9dac5b3a9365f04f1f523cc53525819b9b07200"),
+        ("cx_plus", {"d": "2", "l": "2"},
+         "47ff1e749aa01be65ba9a4d45fe17eb107e721addba98dec7ba1dab5cdf425fb"),
+    ],
+    ids=["polygon-m9-all", "polygon-m9-balanced", "disjunction-d6-m2", "cnf-d6-m2-l2", "box-r1x2",
+         "shape-d2-l1r2", "linear-d6-r2", "kcase-d8", "cx-disjunction-m3", "cx-plus-d2-l2"],
+)
+def test_generated_instance_digest(family, params, digest):
+    """Instance bytes pinned per family, so a generator rewrite that drifts fails here."""
+    assert instance_digest(families.generate(family, params)) == digest

@@ -10,12 +10,7 @@ import oracles
 from splitfinder import kernels
 from splitfinder.analysis import _restricted_masks
 from splitfinder.core import validate_instance
-from splitfinder.kernels import (
-    batch_min_split,
-    find_split_below,
-    min_subset_split,
-    prepare_masks,
-)
+from splitfinder.kernels import batch_min_split, min_subset_split, prepare_masks
 
 
 def naive_min_subset_split(masks: list[int], width: int) -> tuple[Fraction, int | None]:
@@ -50,23 +45,6 @@ def test_min_subset_split_matches_naive():
         num, den, _ = min_subset_split(masks, width)
         expected, _ = naive_min_subset_split(masks, width)
         assert Fraction(num, den) == expected
-
-
-def test_find_split_below_consistent_with_min():
-    rng = random.Random(23)
-    for _ in range(120):
-        masks, width = random_case(rng)
-        num, den, _ = min_subset_split(masks, width)
-        minimum = Fraction(num, den)
-        # Strictly below the minimum: nothing to find.
-        assert find_split_below(masks, width, num, den) is None
-        # Just above it: the minimizing subset (or an earlier one) appears.
-        above = minimum + Fraction(1, 1000)
-        found = find_split_below(masks, width, above.numerator, above.denominator)
-        assert found is not None
-        size = found.bit_count()
-        top = max((min((found & m).bit_count(), size - (found & m).bit_count()) for m in masks), default=0)
-        assert Fraction(top, size) < above
 
 
 def test_prepare_masks_folds_complements_and_constants():
@@ -108,27 +86,10 @@ def test_batch_min_split_matches_reference_loop():
         assert batch_min_split(masks, subsets) == oracles.loop_batch_min_split(masks, subsets)
 
 
-def test_find_split_below_matches_reference_loop():
-    rng = random.Random(41)
-    for _ in range(150):
-        width = rng.randint(2, 9)
-        masks = random_masks(rng, width, rng.randint(0, 12))
-        num, den, _ = min_subset_split(masks, width)
-        thresholds = [
-            Fraction(num, den),
-            Fraction(num, den) + Fraction(1, 10**30),  # exact beyond float precision
-            Fraction(rng.randint(0, 7), rng.randint(1, 14)),
-        ]
-        for t in thresholds:
-            got = find_split_below(masks, width, t.numerator, t.denominator)
-            assert got == oracles.loop_find_split_below(masks, width, t.numerator, t.denominator)
-
-
 def test_empty_masks_split_nothing():
     assert min_subset_split([], 5) == oracles.loop_min_subset_split([], 5) == (0, 2, 3)
     subsets = [0b1, 0b110, 0b111]
     assert batch_min_split([], subsets) == oracles.loop_batch_min_split([], subsets) == (0, 2, 0b110)
-    assert find_split_below([], 5, 1, 3) == oracles.loop_find_split_below([], 5, 1, 3) == 3
 
 
 def test_results_do_not_depend_on_block_boundaries(monkeypatch):
@@ -145,11 +106,6 @@ def test_results_do_not_depend_on_block_boundaries(monkeypatch):
             assert kernels._block_rows(len(masks), 1) < 1 << width  # several blocks
             assert min_subset_split(masks, width) == oracles.loop_min_subset_split(masks, width)
             assert batch_min_split(masks, subsets) == oracles.loop_batch_min_split(masks, subsets)
-            num, den, _ = oracles.loop_min_subset_split(masks, width)
-            above = Fraction(num, den) + Fraction(1, 1000)
-            assert find_split_below(masks, width, above.numerator, above.denominator) == (
-                oracles.loop_find_split_below(masks, width, above.numerator, above.denominator)
-            )
 
 
 def test_many_masks_span_several_default_blocks():
@@ -158,10 +114,6 @@ def test_many_masks_span_several_default_blocks():
     masks = random_masks(rng, width, 300)
     assert kernels._block_rows(len(masks), 1) < 1 << width
     assert min_subset_split(masks, width) == oracles.loop_min_subset_split(masks, width)
-    t = Fraction(2, 5)
-    assert find_split_below(masks, width, t.numerator, t.denominator) == (
-        oracles.loop_find_split_below(masks, width, t.numerator, t.denominator)
-    )
 
 
 def test_batch_min_split_wider_than_one_word():
