@@ -1,24 +1,38 @@
-"""Exact zero-sum matrix game solver (rational simplex).
+"""Exact zero-sum matrix game solver (fraction-free integer simplex).
 
-Solves max_p min_j (p^T A)_j over row distributions p using the classic
-reduction to a packing LP: after shifting A positive, ``max 1'w subject to
-A w <= 1, w >= 0`` has optimum 1/v, and the optimal row strategy falls out
-of the dual values on the slack columns.  Everything is Fraction
-arithmetic, so the value and strategy are exact; Bland's rule guarantees
-termination.  Sized for desk-scale games (hundreds of rows/columns).
+Solves max_p min_j (p^T A)_j over row distributions p through the packing
+LP of the game shifted positive: ``max 1'w subject to A w <= 1, w >= 0``
+has optimum 1/v.  The tableau is kept in integers: the packing columns and
+their objective are scaled by the lcm of the matrix's denominators, and each
+pivot on ``p`` updates every other row as ``(p*v - f*r) // d`` with ``d`` the
+previous pivot, which always divides exactly (Bareiss, "Sylvester's identity
+and multistep integer-preserving Gaussian elimination", Math. Comp. 1968).
+Bland's rule picks the entering column and the ratio test compares by
+cross-multiplication, so the pivots are those a rational tableau would make
+and the simplex terminates.
+
+Both players' optimal mixed strategies come out of the final tableau: the
+row player's from the duals on the slack columns, and the column player's
+(the dual certificate) from the basic packing variables.  Sized for the
+desk-scale games ``analysis.coherence`` builds: tens of rows and at most a
+few hundred columns.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
 def matrix_game_value(
     matrix: list[list[int | Fraction]],
-) -> tuple[Fraction, list[Fraction]]:
-    """Value and one optimal row-player mixed strategy of a matrix game.
+) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """Value and one optimal mixed strategy for each player of a matrix game.
 
-    The row player maximizes; entries may be any rationals.
+    The row player maximizes; entries may be any rationals.  Returns
+    ``(value, row_strategy, column_strategy)``: the row strategy holds every
+    column to at least the value, the column strategy holds every row to at
+    most the value.
     """
     rows = len(matrix)
     if rows == 0:
@@ -28,57 +42,63 @@ def matrix_game_value(
         raise ValueError("game matrix must be rectangular and nonempty")
 
     shift = 1 - min(Fraction(v) for row in matrix for v in row)
-    a = [[Fraction(v) + shift for v in row] for row in matrix]
+    shifted = [[Fraction(v) + shift for v in row] for row in matrix]
+    scale = math.lcm(*(v.denominator for row in shifted for v in row))
 
-    # Tableau: columns 0..cols-1 are the packing variables, cols..cols+rows-1
-    # slacks, last column the right-hand side.  Objective row holds z_j - c_j.
+    # Packing variable j is stored as w_j / scale, so its column is
+    # scale * A[:, j] and its objective coefficient is scale; the slack
+    # columns and the right-hand side keep their unit entries.  Columns
+    # 0..cols-1 are the packing variables, cols..cols+rows-1 the slacks, the
+    # last one the right-hand side.  The true tableau is the integer one
+    # divided by `det`, which stays positive.
     width = cols + rows
-    tableau = [a[i] + [Fraction(int(i == j)) for j in range(rows)] + [Fraction(1)] for i in range(rows)]
-    obj = [Fraction(-1)] * cols + [Fraction(0)] * rows + [Fraction(0)]
+    tableau = [
+        [int(v * scale) for v in row] + [int(i == j) for j in range(rows)] + [1]
+        for i, row in enumerate(shifted)
+    ]
+    obj = [-scale] * cols + [0] * rows + [0]
     basis = [cols + i for i in range(rows)]
+    det = 1
 
     while True:
         entering = next((j for j in range(width) if obj[j] < 0), None)
         if entering is None:
             break
         leaving = None
-        best_ratio = None
-        for i in range(rows):
-            coeff = tableau[i][entering]
+        for i, row in enumerate(tableau):
+            coeff = row[entering]
             if coeff <= 0:
                 continue
-            ratio = tableau[i][width] / coeff
-            if (
-                best_ratio is None
-                or ratio < best_ratio
-                or (ratio == best_ratio and basis[i] < basis[leaving])
-            ):
-                best_ratio = ratio
+            if leaving is None:
+                leaving = i
+                continue
+            best = tableau[leaving]
+            # rhs_i / coeff_i against rhs_best / coeff_best, both coefficients positive
+            left, right = row[width] * best[entering], best[width] * coeff
+            if left < right or (left == right and basis[i] < basis[leaving]):
                 leaving = i
         if leaving is None:
             raise RuntimeError("unbounded packing LP; game matrix was not shifted positive")
-        _pivot(tableau, obj, leaving, entering)
+        pivot_row = tableau[leaving]
+        pivot = pivot_row[entering]
+        for i, row in enumerate(tableau):
+            if i != leaving:
+                tableau[i] = _eliminate(row, pivot_row, pivot, row[entering], det)
+        obj = _eliminate(obj, pivot_row, pivot, obj[entering], det)
+        det = pivot
         basis[leaving] = entering
 
-    total = obj[width]  # optimum of the packing LP = 1/shifted value
+    total = obj[width]  # det times the packing optimum, which is 1/shifted value
     if total <= 0:
         raise RuntimeError("degenerate packing optimum; shift failed")
-    value = 1 / total - shift
-    strategy = [obj[cols + i] / total for i in range(rows)]
-    return value, strategy
+    value = Fraction(det, total) - shift
+    row_strategy = [Fraction(obj[cols + i], total) for i in range(rows)]
+    column_strategy = [Fraction(0)] * cols
+    for i, j in enumerate(basis):
+        if j < cols:
+            column_strategy[j] = Fraction(scale * tableau[i][width], total)
+    return value, row_strategy, column_strategy
 
 
-def _pivot(tableau, obj, leaving: int, entering: int) -> None:
-    row = tableau[leaving]
-    pivot = row[entering]
-    tableau[leaving] = [v / pivot for v in row]
-    row = tableau[leaving]
-    for i, other in enumerate(tableau):
-        if i == leaving or other[entering] == 0:
-            continue
-        factor = other[entering]
-        tableau[i] = [v - factor * r for v, r in zip(other, row)]
-    factor = obj[entering]
-    if factor != 0:
-        for j, r in enumerate(row):
-            obj[j] -= factor * r
+def _eliminate(row: list[int], pivot_row: list[int], pivot: int, factor: int, det: int) -> list[int]:
+    return [(pivot * v - factor * r) // det for v, r in zip(row, pivot_row)]

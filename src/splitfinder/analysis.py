@@ -185,6 +185,13 @@ def coherence(instance: Instance) -> CoherenceCertificate:
     on each achieves the global maximum 1/2 directly.  Otherwise the value
     is solved as an exact matrix game; either way the reported value is
     re-verified against the certificate by direct summation.
+
+    In the game the tests are rows and each (hypothesis, desired outcome)
+    response is a 0/1 payoff column.  A column that is >= another entrywise
+    never helps the minimizer, so only the minimal columns are solved; that
+    keeps the value and the set of optimal test distributions.  The solver's
+    optimal response mix is checked too: no test may score above the value
+    against it, which proves the value optimal, not only achievable.
     """
     full = instance.full_mask
     all_one = next((x for x, c in enumerate(instance.columns) if c == full), None)
@@ -198,34 +205,77 @@ def coherence(instance: Instance) -> CoherenceCertificate:
     distinct: dict[int, int] = {}
     for x, col in enumerate(instance.columns):
         distinct.setdefault(col, x)
-    col_bits = list(distinct)
-    reps = [distinct[c] for c in col_bits]
+    reps = list(distinct.values())
 
-    n = instance.n
-    strategies: dict[tuple[int, ...], None] = {}
-    for h in range(n):
-        for desired in (1, 0):
-            payoff = tuple(
-                1 if ((bits >> h) & 1) == desired else 0 for bits in col_bits
-            )
-            strategies.setdefault(payoff, None)
-    matrix = [list(row) for row in zip(*strategies)]
+    # Payoff column of each response as a mask over game rows (bit i = row i
+    # pays 1), first-seen (hypothesis, desired) kept for the dual check.
+    all_rows = (1 << len(reps)) - 1
+    responses: dict[int, tuple[int, int]] = {}
+    for h, row in enumerate(instance.rows):
+        ones = sum(1 << i for i, x in enumerate(reps) if (row >> x) & 1)
+        responses.setdefault(ones, (h, 1))
+        responses.setdefault(all_rows ^ ones, (h, 0))
+    kept = _minimal_masks(list(responses))
+    matrix = [[(mask >> i) & 1 for mask in kept] for i in range(len(reps))]
 
-    value, weights = matrix_game_value(matrix)
+    value, weights, mix = matrix_game_value(matrix)
     dist = {reps[i]: w for i, w in enumerate(weights) if w != 0}
     achieved = _achieved_value(instance, dist)
-    assert achieved == value, "game value must match its own certificate"
+    if achieved != value:
+        raise RuntimeError(f"game value {value} is not achieved by its strategy ({achieved})")
+    response_mix = {responses[mask]: q for mask, q in zip(kept, mix) if q != 0}
+    bound = _best_test_score(instance, response_mix)
+    if bound != value:
+        raise RuntimeError(f"game value {value} is not optimal: the response mix allows {bound}")
     return CoherenceCertificate(dist, achieved)
 
 
+def _minimal_masks(masks: list[int]) -> list[int]:
+    """The masks with no other mask of the list as a proper subset, in input order.
+
+    Masks are distinct.  Visiting them by ascending popcount means every
+    proper subset of a mask was visited, and kept or dropped for a kept
+    subset of its own, before the mask itself.
+    """
+    kept: list[int] = []
+    for mask in sorted(masks, key=int.bit_count):
+        if all(k & mask != k for k in kept):
+            kept.append(mask)
+    minimal = set(kept)
+    return [mask for mask in masks if mask in minimal]
+
+
+def _best_test_score(
+    instance: Instance, response_mix: Mapping[tuple[int, int], Fraction]
+) -> Fraction:
+    """Highest payoff any test earns against a mix of (hypothesis, desired) responses.
+
+    A test earns a response's weight when the hypothesis's outcome on it is
+    the desired one.  No distribution over tests can beat this score, so it
+    bounds coherence from above.
+    """
+    den, nums = _over_common_denominator(response_mix)
+    rows = instance.rows
+    best = max(
+        sum(q for (h, desired), q in nums.items() if (rows[h] >> x) & 1 == desired)
+        for x in range(instance.m_tests)
+    )
+    return Fraction(best, den)
+
+
 def _achieved_value(instance: Instance, dist: Mapping[int, Fraction]) -> Fraction:
-    worst = Fraction(1, 2)
+    den, nums = _over_common_denominator(dist)
+    worst = den
     for row in instance.rows:
-        expected = sum(
-            (w for x, w in dist.items() if (row >> x) & 1), Fraction(0)
-        )
-        worst = min(worst, expected, 1 - expected)
-    return worst
+        expected = sum(w for x, w in nums.items() if (row >> x) & 1)
+        worst = min(worst, expected, den - expected)
+    return min(Fraction(1, 2), Fraction(worst, den))
+
+
+def _over_common_denominator(weights: Mapping) -> tuple[int, dict]:
+    """(den, integer numerators over den) of a mapping of Fractions, for exact int sums."""
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    return den, {k: w.numerator * (den // w.denominator) for k, w in weights.items()}
 
 
 def verify_certificate(

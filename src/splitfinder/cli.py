@@ -137,6 +137,14 @@ def cmd_verify(args) -> int:
     if document.get("instance_digest") != digest:
         raise UsageError("report was produced for a different instance (digest mismatch)")
     report = persistence.report_from_document(document, instance)
+    try:  # weights that are not a distribution raise NotADistribution: bad input, exit 2
+        achieved = analysis.verify_certificate(instance, report.coherence)
+    except analysis.OverstatedCertificate as exc:
+        print(f"FAIL coherence_certificate: {exc}")
+        _err(VerificationFailed(f"coherence_certificate violated: {exc}"))
+        return EXIT_VERIFY_FAILED
+    claimed = _fraction(report.coherence.value)
+    print(f"PASS coherence_certificate: claimed={claimed} achieved={_fraction(achieved)}")
     stats = engine.run_all_oracles(instance)
     verdict = analysis.verify_bounds(instance, report, stats, optimal_cap=args.cap)
     for check in verdict.checks:
@@ -255,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None)
     run.set_defaults(func=cmd_run)
 
-    verify = commands.add_parser("verify", help="check empirical costs against a report's bounds")
+    verify = commands.add_parser(
+        "verify", help="re-check a report's coherence certificate and its bounds against exhaustive runs"
+    )
     verify.add_argument("--in", dest="infile", required=True)
     verify.add_argument("--report", required=True)
     verify.add_argument("--cap", type=int, default=analysis.DEFAULT_OPTIMAL_CAP,

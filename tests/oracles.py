@@ -4,9 +4,11 @@ Everything here works from plain outcome strings, sets, and Fractions, with
 no bitsets and none of the library's indexing or kernels, so a library bug
 cannot hide in its own oracle.
 
-The one exception is the last section: plain-Python loops over int bitsets
-that define what the vectorized subset kernels and mask restriction must
-return, witnesses and unreduced ``(num, den)`` pairs included.
+Two sections are references rather than independent oracles: the rational
+tableau simplex that the integer game solver must match pivot for pivot,
+and plain-Python loops over int bitsets that define what the vectorized
+subset kernels and mask restriction must return, witnesses and unreduced
+``(num, den)`` pairs included.
 """
 
 from __future__ import annotations
@@ -131,6 +133,74 @@ def count_arcs_containing(m: int, lengths: range, vertex: int, excluded: int) ->
             if vertex in arc and excluded not in arc:
                 count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# Reference game solver: a Fraction tableau on the unreduced coherence game
+
+
+def fraction_matrix_game_value(matrix: list[list]) -> tuple[Fraction, list[Fraction]]:
+    """Value and row strategy by a rational-tableau simplex with Bland's rule.
+
+    The packing LP ``max 1'w, A w <= 1, w >= 0`` of the game shifted
+    positive has optimum 1/v; the row strategy is the slack duals over that
+    optimum.  Entering: first negative reduced cost; leaving: least ratio,
+    ties to the smaller basic index.
+    """
+    rows, cols = len(matrix), len(matrix[0])
+    shift = 1 - min(Fraction(v) for row in matrix for v in row)
+    width = cols + rows
+    tableau = [
+        [Fraction(v) + shift for v in row] + [Fraction(int(i == j)) for j in range(rows)] + [Fraction(1)]
+        for i, row in enumerate(matrix)
+    ]
+    obj = [Fraction(-1)] * cols + [Fraction(0)] * (rows + 1)
+    basis = [cols + i for i in range(rows)]
+    while True:
+        entering = next((j for j in range(width) if obj[j] < 0), None)
+        if entering is None:
+            break
+        leaving, best_ratio = None, None
+        for i in range(rows):
+            coeff = tableau[i][entering]
+            if coeff <= 0:
+                continue
+            ratio = tableau[i][width] / coeff
+            if best_ratio is None or ratio < best_ratio or (
+                ratio == best_ratio and basis[i] < basis[leaving]
+            ):
+                best_ratio, leaving = ratio, i
+        pivot_row = [v / tableau[leaving][entering] for v in tableau[leaving]]
+        tableau[leaving] = pivot_row
+        for i in range(rows):
+            if i != leaving:
+                factor = tableau[i][entering]
+                tableau[i] = [v - factor * r for v, r in zip(tableau[i], pivot_row)]
+        factor = obj[entering]
+        obj = [v - factor * r for v, r in zip(obj, pivot_row)]
+        basis[leaving] = entering
+    total = obj[width]
+    return 1 / total - shift, [obj[cols + i] / total for i in range(rows)]
+
+
+def unreduced_coherence(rows: list[str]) -> tuple[Fraction, dict[int, Fraction]]:
+    """Coherence game over every distinct (hypothesis, desired) payoff column.
+
+    Rows are the distinct test columns (first test of each kept), columns
+    every distinct payoff vector in first-seen order; returns the value and
+    the test distribution, solved by ``fraction_matrix_game_value``.
+    """
+    first_test: dict[str, int] = {}
+    for x in range(len(rows[0])):
+        first_test.setdefault("".join(row[x] for row in rows), x)
+    reps = list(first_test.values())
+    payoffs: dict[tuple[int, ...], None] = {}
+    for row in rows:
+        for desired in "10":
+            payoffs.setdefault(tuple(int(row[x] == desired) for x in reps), None)
+    matrix = [list(game_row) for game_row in zip(*payoffs)]
+    value, strategy = fraction_matrix_game_value(matrix)
+    return value, {reps[i]: w for i, w in enumerate(strategy) if w != 0}
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,48 @@ class TestAnalyzeRunVerify:
         assert "FAIL worst_case<=split_worst" in out
         assert "ERROR VerificationFailed" in err
 
+    @pytest.fixture()
+    def polygon_report(self, tmp_path, capsys):
+        instance_path = tmp_path / "polygon.instance.json"
+        report_path = tmp_path / "polygon.report.json"
+        run_cli(capsys, "gen", "--family", "convex_polygon",
+                "--param", "m=8", "--param", "balanced=false", "--out", str(instance_path))
+        assert run_cli(capsys, "analyze", "--in", str(instance_path), "--out", str(report_path))[0] == 0
+        return instance_path, report_path
+
+    def test_verify_rechecks_the_coherence_certificate(self, polygon_report, capsys):
+        instance_path, report_path = polygon_report
+        code, out, err = run_cli(
+            capsys, "verify", "--in", str(instance_path), "--report", str(report_path)
+        )
+        assert code == 0 and err == ""
+        assert "PASS coherence_certificate: claimed=1/8 achieved=1/8\n" in out
+
+    def test_verify_overstated_certificate_exit_1(self, polygon_report, capsys):
+        # A point mass on one test achieves 0, not the claimed 1/2.
+        instance_path, report_path = polygon_report
+        doc = json.loads(report_path.read_text())
+        doc["coherence"] = {"distribution": {"p0": "1"}, "value": "1/2"}
+        report_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "verify", "--in", str(instance_path), "--report", str(report_path)
+        )
+        assert code == 1
+        assert out == "FAIL coherence_certificate: certificate claims 1/2, achieves 0\n"
+        assert err.startswith("ERROR VerificationFailed: coherence_certificate violated")
+        assert err.count("\n") == 1
+
+    def test_verify_certificate_not_a_distribution_exit_2(self, polygon_report, capsys):
+        instance_path, report_path = polygon_report
+        doc = json.loads(report_path.read_text())
+        doc["coherence"]["distribution"] = {"p0": "1", "p1": "2"}
+        report_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "verify", "--in", str(instance_path), "--report", str(report_path)
+        )
+        assert code == 2 and out == ""
+        assert err == "ERROR NotADistribution: weights must sum to 1\n"
+
     @pytest.mark.parametrize(
         "doctor",
         [
@@ -251,7 +293,8 @@ class TestGoldenReports:
     """Report bytes pinned by sha256, so a kernel change that drifts fails here.
 
     One instance repeats kernel inputs across most of its edges, one samples
-    edges past a lowered exhaustive limit, and one solves the coherence game.
+    edges past a lowered exhaustive limit, and the last four have no all-0 and
+    all-1 test pair, so their coherence comes from solving the game.
     """
 
     @pytest.mark.parametrize(
@@ -263,8 +306,15 @@ class TestGoldenReports:
              "5c5ab1b474f64bf44c254375cea4d7208032c14a3c88734746d7c47341d2634b"),
             ("convex_polygon", ["m=8", "balanced=false"], [],
              "440dd15aaeb3d6e3e9d40ff7b8b356f14ae209d75faac11fecc9c0bcd0098b16"),
+            ("convex_polygon", ["m=16", "balanced=false"], [],
+             "276e50461b9b454f241077c30799b2fb93c59817ebd2917ee69a5b8e3d813748"),
+            ("discrete_linear", ["d=4", "r=3"], [],
+             "66f5a4f740184c53aa44be263576cf072bb32490e8b11bc1e45df56c54c15e5e"),
+            ("discrete_linear", ["d=5", "r=2"], [],
+             "4db99f2fd81c85be74fa47661618caddde58bd57266cdc98e64612cde5dbc5c7"),
         ],
-        ids=["disjunction-d6-m2", "cnf-d5-m2-l2-sampled", "polygon-m8"],
+        ids=["disjunction-d6-m2", "cnf-d5-m2-l2-sampled", "polygon-m8",
+             "polygon-m16", "linear-d4-r3", "linear-d5-r2"],
     )
     def test_analyze_report_digest(self, tmp_path, capsys, family, params, flags, sha256):
         instance_path = tmp_path / "golden.instance.json"
