@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from ._simplex import matrix_game_value
-from .core import Instance, delta_set
+from .core import Instance, InstanceTooLarge, delta_set
 from .engine import CostStats
 
 VERIFIED_EXHAUSTIVE = "verified_exhaustive"
@@ -33,10 +33,6 @@ DEFAULT_EXHAUSTIVE_LIMIT = 18
 DEFAULT_SAMPLES = 10_000
 DEFAULT_OPTIMAL_CAP = 12
 DEFAULT_AUDIT_CAP = 15
-
-
-class InstanceTooLarge(RuntimeError):
-    """An exhaustive computation was asked for beyond its size cap."""
 
 
 class NotADistribution(ValueError):
@@ -102,10 +98,10 @@ class AnalysisReport:
 @dataclass(frozen=True)
 class BoundCheck:
     name: str
-    bound: float | None  # None = unbounded, passes vacuously
-    observed: float
+    bound: float | Fraction | None  # None = unbounded, passes vacuously
+    observed: float | Fraction  # exact checks compare and report Fractions
     passed: bool
-    margin: float | None
+    margin: float | Fraction | None
 
 
 @dataclass(frozen=True)
@@ -141,17 +137,14 @@ def min_k(instance: Instance) -> tuple[int, tuple[tuple[int, int, int], ...]]:
 
     Computed as the bottleneck of a minimum-bottleneck spanning tree over
     pairwise disagreement counts; returns (k, spanning edges as
-    (weight, i, j) triples).
+    (weight, i, j) triples).  Kruskal visits the pairs in ascending
+    (weight, i, j) order, one weight level at a time and only the levels
+    some pair has, so the tree is the one a sort of every pair would give.
     """
     m = instance.m_tests
     if m == 1:
         return 0, ()
-    cols = instance.columns
-    edges = sorted(
-        ((cols[i] ^ cols[j]).bit_count(), i, j)
-        for i in range(m)
-        for j in range(i + 1, m)
-    )
+    weights = _pair_weights(instance)
     parent = list(range(m))
 
     def find(a: int) -> int:
@@ -161,17 +154,42 @@ def min_k(instance: Instance) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         return a
 
     picked: list[tuple[int, int, int]] = []
-    k = 0
-    for weight, i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        parent[ri] = rj
-        picked.append((weight, i, j))
-        k = weight  # edges arrive in ascending order
-        if len(picked) == m - 1:
-            break
-    return k, tuple(picked)
+    weight = int(weights.min())
+    while weight <= instance.n:
+        rows, cols = np.nonzero(weights == weight)  # row-major, so (i, j) ascending
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            ri, rj = find(i), find(j)
+            if ri == rj:
+                continue
+            parent[ri] = rj
+            picked.append((weight, i, j))
+            if len(picked) == m - 1:
+                return weight, tuple(picked)
+        weight = int(weights.min(where=weights > weight, initial=instance.n + 1))
+    raise RuntimeError("unreachable: every test pair disagrees on at most n hypotheses")
+
+
+def _pair_weights(instance: Instance) -> np.ndarray:
+    """Disagreement count of every test pair i < j; n + 1 on and below the diagonal.
+
+    Rows are filled in blocks of about ``kernels.BLOCK_CELLS`` cells; a block
+    of rows from ``lo`` XORs its packed test columns with those of tests
+    ``lo`` onward only, and popcounts.
+    """
+    m, n = instance.m_tests, instance.n
+    words = kernels._word_count(n)
+    packed = kernels._words(instance.columns, words)
+    weights = np.empty((m, m), dtype=np.min_scalar_type(n + 1))
+    rows = max(1, kernels.BLOCK_CELLS // (m * words))
+    index = np.arange(m)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        counts = np.bitwise_count(packed[lo:hi, None, :] ^ packed[lo:])
+        block = weights[lo:hi, lo:]
+        block[:] = counts.sum(axis=2) if words > 1 else counts[:, :, 0]
+        block[index[lo:] <= index[lo:hi, None]] = n + 1
+        weights[lo:hi, :lo] = n + 1
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +746,13 @@ def verify_bounds(
     stats: CostStats,
     optimal_cap: int = DEFAULT_OPTIMAL_CAP,
 ) -> BoundsVerdict:
-    """Compare exhaustive engine results against the report's bounds."""
+    """Compare exhaustive engine results against the report's bounds.
+
+    Besides the query-cost bounds, the least split GBS chose at any node of
+    its decision tree must be at least the report's beta, exactly: the
+    per-step guarantee the split bounds rest on, checked on every version
+    space GBS reaches, at any n.
+    """
 
     def check(name: str, bound: float | None, observed: float) -> BoundCheck:
         if bound is None:
@@ -750,6 +774,17 @@ def verify_bounds(
                 float(optimal),
                 optimal <= stats.worst_case,
                 worst - optimal,
+            )
+        )
+    chosen = stats.min_chosen_split
+    if chosen is not None:  # None: n = 1, so GBS chose no split at all
+        checks.append(
+            BoundCheck(
+                "min_chosen_split>=beta",
+                report.beta,
+                chosen,
+                chosen >= report.beta,
+                chosen - report.beta,
             )
         )
     conditional = any(e.status != VERIFIED_EXHAUSTIVE for e in report.edges)

@@ -54,12 +54,16 @@ def _load_instance(path: str) -> Instance:
     return persistence.read_instance(path)
 
 
-def _format_bound(value: float | None) -> str:
-    return "unbounded" if value is None else f"{value:.12g}"
-
-
 def _fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
+
+
+def _number(value: float | Fraction) -> str:
+    return _fraction(value) if isinstance(value, Fraction) else f"{value:.12g}"
+
+
+def _format_bound(value: float | Fraction | None) -> str:
+    return "unbounded" if value is None else _number(value)
 
 
 def _analyze(instance: Instance, args) -> analysis.AnalysisReport:
@@ -150,13 +154,13 @@ def cmd_verify(args) -> int:
     for check in verdict.checks:
         status = "PASS" if check.passed else "FAIL"
         bound = _format_bound(check.bound)
-        margin = "" if check.margin is None else f" margin={check.margin:.12g}"
-        print(f"{status} {check.name}: observed={check.observed:.12g} bound={bound}{margin}")
+        margin = "" if check.margin is None else f" margin={_number(check.margin)}"
+        print(f"{status} {check.name}: observed={_number(check.observed)} bound={bound}{margin}")
     if verdict.conditional:
         print("NOTE bounds are conditional: some edges were not exhaustively verified")
     if not verdict.all_passed:
         worst = next(c for c in verdict.checks if not c.passed)
-        margin = "" if worst.margin is None else f" by {-worst.margin:.12g}"
+        margin = "" if worst.margin is None else f" by {_number(-worst.margin)}"
         _err(VerificationFailed(f"{worst.name} violated{margin}"))
         return EXIT_VERIFY_FAILED
     return EXIT_OK

@@ -50,6 +50,11 @@ class MalformedInstance(InstanceError):
     """The document does not have the shape of an instance."""
 
 
+class InstanceTooLarge(RuntimeError):
+    """A size limit was hit: an instance too large to generate, or an
+    exhaustive computation asked for beyond its cap."""
+
+
 class EmptyVersionSpace(ValueError):
     """Raised when an operation requires a nonempty version space."""
 

@@ -1,18 +1,29 @@
-"""Greedy bisection runs against simulated, scripted, or interactive oracles.
+"""Greedy bisection: one run against an oracle, or the whole decision tree.
 
 The loop is the textbook one: pick the test whose positive fraction over the
 current version space is closest to 1/2 (ties to the lowest test index, so
 runs are bit-for-bit reproducible), query, restrict, stop at a singleton.
+`run_gbs` runs it against one simulated, scripted or interactive oracle.
+
+Query costs over every hidden hypothesis come from `gbs_tree`, which builds
+the same greedy decision tree once, level by level: every node of a depth is
+split in one numpy pass, so each node is visited once instead of once per
+hypothesis below it.  Its leaf depths equal the `run_gbs` query counts, and
+it also reports the least split any node chose, the per-step quantity that
+the split bounds assume is at least beta.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO
 
+import numpy as np
+
+from . import kernels
 from .core import Instance, best_split_test, full_space, restrict
 
 
@@ -47,6 +58,15 @@ class CostStats:
     worst_case: int
     average: Fraction
     per_oracle: dict[str, int]
+    # Least split chosen at any internal node (None when n = 1).  Not
+    # serialized, so it takes no part in equality either.
+    min_chosen_split: Fraction | None = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class GbsTree:
+    depths: tuple[int, ...]  # per hypothesis: queries until it is identified
+    min_chosen_split: Fraction | None  # None when there is no internal node
 
 
 AnswerSource = Callable[[int], int]
@@ -113,18 +133,69 @@ def run_gbs(
     return Transcript(oracle_id, tuple(steps), identified)
 
 
+def gbs_tree(instance: Instance) -> GbsTree:
+    """Build the greedy decision tree of `run_gbs` once, one depth at a time.
+
+    The live hypotheses (those in a node of >= 2 members) are kept grouped
+    by node, so every node is one contiguous run.  Per depth, the ones per
+    (node, test) are summed with ``np.add.reduceat`` and folded to
+    ``min(ones, size - ones)``; ``argmax`` then takes the first maximum,
+    which is `best_split_test`'s lowest-index tie rule.  Each member moves
+    to the child its outcome on the chosen test names, and a child of one
+    member is a leaf at the next depth.  Node ids are positions within one
+    depth, so they stay below n however deep the tree grows.
+    """
+    n = instance.n
+    if n == 1:
+        return GbsTree((0,), None)
+    outcomes = instance.outcome_matrix.T  # hypotheses x tests
+    dtype = np.min_scalar_type(n)  # every count is at most n
+    depths = np.zeros(n, dtype=np.int64)
+    members = np.arange(n)
+    starts = np.zeros(1, dtype=np.intp)  # first member of each node
+    chosen_splits, node_sizes = [], []
+    depth = 0
+    while members.size:
+        sizes = np.diff(starts, append=members.size)
+        ones = np.add.reduceat(outcomes[members], starts, axis=0, dtype=dtype)
+        np.minimum(ones, sizes.astype(dtype)[:, None] - ones, out=ones)
+        tests = ones.argmax(axis=1)
+        best = ones[np.arange(starts.size), tests]
+        if not best.all():
+            size = int(sizes[best == 0][0])
+            raise QueryBudgetExceeded(
+                f"no test splits a version space of {size} hypotheses at depth"
+                f" {depth} of {instance.name or 'instance'}"
+            )
+        chosen_splits.append(best)
+        node_sizes.append(sizes)
+        answers = outcomes[members, np.repeat(tests, sizes)]
+        child = 2 * np.repeat(np.arange(starts.size), sizes) + answers
+        order = np.argsort(child, kind="stable")
+        members, child = members[order], child[order]
+        child_starts = np.flatnonzero(np.diff(child, prepend=-1))
+        child_sizes = np.diff(child_starts, append=members.size)
+        depth += 1
+        live = np.repeat(child_sizes > 1, child_sizes)
+        depths[members[~live]] = depth
+        members = members[live]
+        kept = child_sizes[child_sizes > 1]
+        starts = np.cumsum(kept) - kept
+    num, den, _ = kernels._first_min(
+        np.concatenate(chosen_splits).astype(np.int64), np.concatenate(node_sizes)
+    )
+    return GbsTree(tuple(depths.tolist()), Fraction(num, den))
+
+
 def run_all_oracles(instance: Instance) -> CostStats:
-    """Run once per hypothesis as the hidden truth and aggregate exactly."""
-    transcripts = [
-        run_gbs(instance, hypothesis_oracle(instance, h), instance.hypotheses[h].id)
-        for h in range(instance.n)
-    ]
-    per_oracle = {t.oracle_id: t.query_count for t in transcripts}
-    counts = [t.query_count for t in transcripts]
+    """Query counts with each hypothesis as the hidden truth, from one `gbs_tree`."""
+    tree = gbs_tree(instance)
+    counts = tree.depths
     return CostStats(
         worst_case=max(counts),
         average=Fraction(sum(counts), len(counts)),
-        per_oracle=per_oracle,
+        per_oracle={h.id: c for h, c in zip(instance.hypotheses, counts)},
+        min_chosen_split=tree.min_chosen_split,
     )
 
 

@@ -14,9 +14,14 @@ bit string, hypotheses by their canonical metadata encoding).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from .core import Instance, validate_instance
+from .core import Instance, InstanceTooLarge, validate_instance
+
+# Most outcome characters (tests x hypotheses) a generator may build.  It is
+# checked from the parameters alone, before anything is materialized.
+MAX_OUTCOMES = 1 << 26
 
 
 class BadParams(ValueError):
@@ -45,6 +50,23 @@ def _fraction_str(value: Fraction) -> str:
 
 def _coord_id(coords: tuple[int, ...]) -> str:
     return ",".join(str(c) for c in coords)
+
+
+def _check_size(family: str, tests: int, hypotheses: int) -> None:
+    if tests * hypotheses > MAX_OUTCOMES:
+        raise InstanceTooLarge(
+            f"{family}: {tests} tests x {hypotheses} hypotheses exceeds the limit of"
+            f" {MAX_OUTCOMES} outcomes"
+        )
+
+
+def _cube_tests(family: str, d: int) -> int:
+    """2^d, the test count of a hypercube family, refused before it is even formed."""
+    if d >= MAX_OUTCOMES.bit_length():
+        raise InstanceTooLarge(
+            f"{family}: d={d} means 2^{d} tests, over the limit of {MAX_OUTCOMES} outcomes"
+        )
+    return 1 << d
 
 
 def _build(name, family, params, tests, hypotheses) -> Instance:
@@ -79,6 +101,7 @@ def gen_convex_polygon(m_points: int, balanced: bool) -> Instance:
         lengths = range(lo, m - lo + 1)
     else:
         lengths = range(1, m)
+    _check_size("convex_polygon", m, m * len(lengths))
 
     tests = [{"id": f"p{i}", "meta": {"cycle_index": i}} for i in range(m)]
     hypotheses = []
@@ -122,6 +145,8 @@ def gen_disjunction(d: int, m: int) -> Instance:
     """Monotone disjunctions of at most m of d variables; tests are all 2^d inputs."""
     if not 1 <= m <= d:
         raise BadParams(f"disjunction needs 1 <= m <= d, got d={d}, m={m}")
+    cube = _cube_tests("disjunction", d)
+    _check_size("disjunction", cube, sum(math.comb(d, size) for size in range(1, m + 1)))
     tests, test_masks = _hypercube(d)
     hypotheses = []
     for size in range(1, m + 1):
@@ -168,6 +193,9 @@ def gen_monotone_cnf(d: int, m: int, l: int) -> Instance:
     """Conjunctions of l variable-disjoint disjunctions of exactly m variables."""
     if m < 1 or l < 1 or l * m > d:
         raise BadParams(f"monotone CNF needs m,l >= 1 and l*m <= d, got d={d}, m={m}, l={l}")
+    cube = _cube_tests("monotone_cnf", d)
+    clause_sets = math.prod(math.comb(d - i * m, m) for i in range(l)) // math.factorial(l)
+    _check_size("monotone_cnf", cube, clause_sets)
     tests, test_masks = _hypercube(d)
     hypotheses = []
     for clauses in _disjoint_clause_sets(d, m, l):
@@ -264,6 +292,11 @@ def gen_box_localization(
     center = tuple(int(c) for c in (center or (0,) * d))
     if len(center) != d:
         raise BadParams("center dimension must match radii")
+    _check_size(
+        "box_localization",
+        math.prod(4 * r + 3 for r in radii),
+        math.prod(2 * r + 1 for r in radii),
+    )
 
     hyp_points = [
         tuple(c + o for c, o in zip(center, off)) for off in box_offsets(radii)
@@ -365,6 +398,7 @@ def gen_discrete_linear(d: int, r: Fraction | int | str) -> Instance:
     r = Fraction(r)
     if d < 1 or r <= 0:
         raise BadParams(f"discrete linear needs d >= 1 and r > 0, got d={d}, r={r}")
+    cube = _cube_tests("discrete_linear", d)
     margin = Fraction(d, 8)
 
     feasible_b: dict[tuple[int, int], list[int]] = {}
@@ -381,6 +415,12 @@ def gen_discrete_linear(d: int, r: Fraction | int | str) -> Instance:
 
     if not feasible_b:
         raise EmptyFamily(f"no (w, b) satisfies the constraints at d={d}, r={r}")
+    # Every feasible (w, b) builds its outcome row before duplicates are dropped.
+    candidates = sum(
+        math.comb(d, plus) * math.comb(d - plus, minus) * len(bs)
+        for (plus, minus), bs in feasible_b.items()
+    )
+    _check_size("discrete_linear", cube, candidates)
 
     tests, test_masks = _hypercube(d)
     hypotheses = []
@@ -428,6 +468,7 @@ def gen_linear_kcase(d: int) -> Instance:
     """Half-ones weight vectors at threshold d/4 - 1 (the high-disagreement case)."""
     if d % 4 != 0 or d < 4:
         raise BadParams(f"linear_kcase needs d divisible by 4, got {d}")
+    _check_size("linear_kcase", _cube_tests("linear_kcase", d), math.comb(d, d // 2))
     b = d // 4 - 1
     tests, test_masks = _hypercube(d)
     hypotheses = []
@@ -455,6 +496,7 @@ def gen_counterexample_disjunction(m: int) -> Instance:
     if m < 2:
         raise BadParams(f"cx_disjunction needs m >= 2, got {m}")
     d = m + 1
+    _check_size("cx_disjunction", _cube_tests("cx_disjunction", d), d)
     tests, test_masks = _hypercube(d)
     hypotheses = []
     for omitted in range(1, d + 1):
@@ -481,6 +523,8 @@ def gen_counterexample_plus(d: int, l: int) -> Instance:
     """
     if d < 2 or l < 1:
         raise BadParams(f"cx_plus needs d >= 2 and l >= 1, got d={d}, l={l}")
+    # Tests: the origin and 2(2l+1) points per axis; hypotheses: the 2d arm tips.
+    _check_size("cx_plus", 1 + 2 * d * (2 * l + 1), 2 * d)
     offsets = plus_offsets(d, l)
     tips = []
     for i in range(d):

@@ -7,8 +7,8 @@ cannot hide in its own oracle.
 Two sections are references rather than independent oracles: the rational
 tableau simplex that the integer game solver must match pivot for pivot,
 and plain-Python loops over int bitsets that define what the vectorized
-subset kernels and mask restriction must return, witnesses and unreduced
-``(num, den)`` pairs included.
+subset kernels, mask restriction and ``min_k`` must return, witnesses and
+unreduced ``(num, den)`` pairs included.
 """
 
 from __future__ import annotations
@@ -253,3 +253,35 @@ def loop_restricted_masks(columns: tuple[int, ...], members: tuple[int, ...]) ->
         if m:
             out.add(m)
     return sorted(out)
+
+
+def loop_min_k(columns: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """Kruskal over every test pair, sorted as (weight, i, j) tuples."""
+    m = len(columns)
+    if m == 1:
+        return 0, ()
+    edges = sorted(
+        ((columns[i] ^ columns[j]).bit_count(), i, j)
+        for i in range(m)
+        for j in range(i + 1, m)
+    )
+    parent = list(range(m))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    picked: list[tuple[int, int, int]] = []
+    k = 0
+    for weight, i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            continue
+        parent[ri] = rj
+        picked.append((weight, i, j))
+        k = weight
+        if len(picked) == m - 1:
+            break
+    return k, tuple(picked)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from splitfinder import analysis, engine, families
+from splitfinder import analysis, engine, families, kernels
 from splitfinder.analysis import (
     DIAG_DISCONNECTED,
     DIAG_UNVERIFIED,
@@ -78,6 +79,37 @@ class TestMinK:
         k, witness = min_k(box_d2r11)
         assert max(w for w, _, _ in witness) == k
         assert len(witness) == box_d2r11.m_tests - 1
+
+    def test_matches_the_sorted_pair_loop_on_families(self):
+        for inst in (
+            families.gen_disjunction(7, 2),  # n = 28: one word per column
+            families.gen_convex_polygon(9, balanced=False),  # n = 72: two words
+            families.gen_monotone_cnf(6, 2, 2),
+            families.gen_box_localization((2, 1)),
+            families.gen_discrete_linear(4, 3),
+            families.gen_counterexample_plus(2, 2),
+        ):
+            assert min_k(inst) == oracles.loop_min_k(inst.columns)
+
+    def test_matches_the_sorted_pair_loop_on_random_columns(self):
+        # Few hypotheses make many tied weights and repeated columns.
+        rng = random.Random(61)
+        for _ in range(60):
+            n = rng.choice([1, 2, 3, 5, 8, 63, 64, 65, 130])
+            m = rng.randint(1, 30)
+            rows = {format(rng.getrandbits(m), f"0{m}b") for _ in range(n)}
+            inst = validate_instance({
+                "tests": [{"id": f"t{x}"} for x in range(m)],
+                "hypotheses": [{"id": f"h{i}", "outcomes": r} for i, r in enumerate(sorted(rows))],
+            })
+            assert min_k(inst) == oracles.loop_min_k(inst.columns)
+
+    @pytest.mark.parametrize("cells", [1, 7, 16])
+    def test_results_do_not_depend_on_block_boundaries(self, monkeypatch, cells):
+        cases = (families.gen_disjunction(5, 2), families.gen_convex_polygon(9, balanced=False))
+        monkeypatch.setattr(kernels, "BLOCK_CELLS", cells)
+        for inst in cases:
+            assert min_k(inst) == oracles.loop_min_k(inst.columns)
 
 
 class TestCoherence:
@@ -459,6 +491,17 @@ class TestAnalyzeAndVerify:
         assert not verdict.all_passed
         failed = [c for c in verdict.checks if not c.passed]
         assert failed and all(c.margin < 0 for c in failed)
+
+    def test_least_chosen_split_is_checked_exactly_against_beta(self, disjunction_d4m2):
+        report = analyze_instance(disjunction_d4m2)
+        stats = engine.run_all_oracles(disjunction_d4m2)
+        assert stats.min_chosen_split == Fraction(1, 3)
+        for beta, passed in ((Fraction(1, 3), True), (Fraction(1, 3) + Fraction(1, 10**30), False)):
+            doctored = dataclasses.replace(report, beta=beta)
+            by_name = {c.name: c for c in verify_bounds(disjunction_d4m2, doctored, stats).checks}
+            check = by_name["min_chosen_split>=beta"]
+            assert (check.passed, check.observed, check.bound) == (passed, Fraction(1, 3), beta)
+            assert check.margin == Fraction(1, 3) - beta
 
     def test_conditional_flag_with_sampled_edges(self, disjunction_d4m2):
         report = analyze_instance(disjunction_d4m2, exhaustive_limit=0, samples=20)

@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -70,6 +71,32 @@ class TestGen:
         )
         assert code == 2
         assert "ERROR EmptyFamily" in err
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("disjunction", ["d=40", "m=1"]),
+            ("monotone_cnf", ["d=60", "m=1", "l=1"]),
+            ("linear_kcase", ["d=1000000000"]),
+            ("discrete_linear", ["d=1000000", "r=2"]),
+            ("cx_disjunction", ["m=40"]),
+            ("convex_polygon", ["m=100000"]),
+            ("box_localization", ["r=100000,100000"]),
+            ("cx_plus", ["d=100000", "l=100000"]),
+        ],
+        ids=["disjunction", "cnf", "kcase", "linear", "cx-disjunction", "polygon", "box", "cx-plus"],
+    )
+    def test_oversized_params_exit_3_before_building(self, tmp_path, capsys, family, params):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "gen", "--family", family,
+            *[arg for param in params for arg in ("--param", param)],
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err.startswith("ERROR InstanceTooLarge: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.json").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -177,6 +204,46 @@ class TestAnalyzeRunVerify:
         assert code == 1
         assert "FAIL worst_case<=split_worst" in out
         assert "ERROR VerificationFailed" in err
+
+    def test_verify_checks_the_least_chosen_split_exactly(self, dj_instance, tmp_path, capsys):
+        instance_path, _ = dj_instance
+        report_path = tmp_path / "dj.report.json"
+        run_cli(capsys, "analyze", "--in", str(instance_path), "--out", str(report_path))
+        code, out, _ = run_cli(
+            capsys, "verify", "--in", str(instance_path), "--report", str(report_path)
+        )
+        assert code == 0
+        assert "PASS min_chosen_split>=beta: observed=1/3 bound=1/5 margin=2/15\n" in out
+
+    def test_verify_doctored_beta_exit_1(self, dj_instance, tmp_path, capsys):
+        instance_path, _ = dj_instance
+        report_path = tmp_path / "dj.report.json"
+        run_cli(capsys, "analyze", "--in", str(instance_path), "--out", str(report_path))
+        doc = json.loads(report_path.read_text())
+        doc["beta"] = "1/2"
+        report_path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--in", str(instance_path), "--report", str(report_path)
+        )
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            "FAIL min_chosen_split>=beta: observed=1/3 bound=1/2 margin=-1/6"
+        ]
+        assert err == "ERROR VerificationFailed: min_chosen_split>=beta violated by 1/6\n"
+
+    def test_verify_single_hypothesis_has_no_chosen_split(self, tmp_path, capsys):
+        instance_path = tmp_path / "one.instance.json"
+        report_path = tmp_path / "one.report.json"
+        write_instance(validate_instance({
+            "tests": [{"id": "t"}], "hypotheses": [{"id": "only", "outcomes": "1"}],
+        }), str(instance_path))
+        run_cli(capsys, "analyze", "--in", str(instance_path), "--out", str(report_path))
+        code, out, _ = run_cli(
+            capsys, "verify", "--in", str(instance_path), "--report", str(report_path)
+        )
+        assert code == 0
+        assert "PASS worst_case<=split_worst: observed=0 bound=0 margin=0\n" in out
+        assert "min_chosen_split" not in out
 
     @pytest.fixture()
     def polygon_report(self, tmp_path, capsys):
@@ -326,6 +393,33 @@ class TestGoldenReports:
         )
         assert code == 0
         assert hashlib.sha256(report_path.read_bytes()).hexdigest() == sha256
+
+
+class TestGoldenRuns:
+    """`run --oracle all` output pinned by sha256, recorded with the per-oracle loop."""
+
+    @pytest.mark.parametrize(
+        "family, params, stdout, sha256",
+        [
+            ("convex_polygon", ["m=16", "balanced=false"],
+             "oracles=240 worst_case=15 average=333/40 (8.325)\n",
+             "1489b3ec6dd79d6a2e62f9de15e95f7fc51caea942bc81b9348b94d94aef0ed3"),
+            ("box_localization", ["r=3,3"],
+             "oracles=49 worst_case=6 average=279/49 (5.69387755102)\n",
+             "2465ea0bca7f89471b00a1c0b738ef18b810a516f714164085d240fa900ea58a"),
+        ],
+        ids=["polygon-m16", "box-r3-3"],
+    )
+    def test_run_all_digest(self, tmp_path, capsys, family, params, stdout, sha256):
+        instance_path = tmp_path / "golden.instance.json"
+        out_path = tmp_path / "golden.stats.json"
+        params = [arg for param in params for arg in ("--param", param)]
+        assert run_cli(capsys, "gen", "--family", family, *params, "--out", str(instance_path))[0] == 0
+        code, out, _ = run_cli(
+            capsys, "run", "--in", str(instance_path), "--oracle", "all", "--out", str(out_path)
+        )
+        assert (code, out) == (0, stdout)
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == sha256
 
 
 class TestSmallCommands:

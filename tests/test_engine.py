@@ -8,13 +8,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from splitfinder import engine
+from splitfinder import engine, families
 from splitfinder.core import VersionSpace, full_space, restrict, validate_instance
 from splitfinder.engine import (
     InconsistentOracle,
     QueryBudgetExceeded,
+    gbs_tree,
     hypothesis_oracle,
     interactive_session,
     run_all_oracles,
@@ -124,6 +127,120 @@ class TestRunAllOracles:
         assert stats.worst_case == max(stats.per_oracle.values())
         assert stats.average == Fraction(sum(stats.per_oracle.values()), pentagon.n)
         assert stats.average <= stats.worst_case
+
+    def test_per_oracle_counts_are_the_loop_counts(self, disjunction_d6m2):
+        inst = disjunction_d6m2
+        stats = run_all_oracles(inst)
+        counts, least = loop_reference(inst)
+        assert list(stats.per_oracle.values()) == list(counts)
+        assert list(stats.per_oracle) == [h.id for h in inst.hypotheses]
+        assert stats.min_chosen_split == least
+
+
+def instance_of(rows):
+    return validate_instance(
+        {
+            "tests": [{"id": f"t{x}"} for x in range(len(rows[0]))],
+            "hypotheses": [{"id": f"h{i}", "outcomes": row} for i, row in enumerate(rows)],
+        }
+    )
+
+
+def peel_instance(n):
+    """Hypothesis i < n - 1 answers 1 only on test i; the last answers 0 everywhere.
+
+    Every test splits off one hypothesis, so GBS peels them off one per query
+    and the tree is n - 1 deep.
+    """
+    rows = ["".join("1" if x == i else "0" for x in range(n - 1)) for i in range(n)]
+    return instance_of(rows)
+
+
+def loop_reference(instance):
+    """Per-hypothesis query counts and the least chosen split, from `run_gbs` runs.
+
+    A step that leaves r of p hypotheses chose a test splitting p into r and
+    p - r, so its split is min(r, p - r) / p.
+    """
+    counts, least = [], None
+    for h in range(instance.n):
+        transcript = run_gbs(instance, hypothesis_oracle(instance, h))
+        counts.append(transcript.query_count)
+        before = instance.n
+        for step in transcript.steps:
+            split = Fraction(min(step.remaining, before - step.remaining), before)
+            least = split if least is None else min(least, split)
+            before = step.remaining
+    return tuple(counts), least
+
+
+SMALL_FAMILY_INSTANCES = {
+    "convex_polygon": lambda: families.gen_convex_polygon(7, balanced=False),
+    "disjunction": lambda: families.gen_disjunction(5, 2),
+    "monotone_cnf": lambda: families.gen_monotone_cnf(5, 2, 2),
+    "box_localization": lambda: families.gen_box_localization((1, 2)),
+    "shape_localization": lambda: families.gen_shape_localization(families.l1_ball_offsets(2, 2)),
+    "discrete_linear": lambda: families.gen_discrete_linear(4, 3),
+    "linear_kcase": lambda: families.gen_linear_kcase(4),
+    "cx_disjunction": lambda: families.gen_counterexample_disjunction(4),
+    "cx_plus": lambda: families.gen_counterexample_plus(2, 2),
+}
+
+
+@st.composite
+def identifiable_instances(draw):
+    m_tests = draw(st.integers(min_value=1, max_value=8))
+    rows = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=(1 << m_tests) - 1),
+            min_size=1,
+            max_size=40,
+            unique=True,
+        )
+    )
+    return instance_of([format(value, f"0{m_tests}b") for value in rows])
+
+
+class TestGbsTree:
+    def test_covers_every_family(self):
+        assert set(SMALL_FAMILY_INSTANCES) == set(families.FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(SMALL_FAMILY_INSTANCES))
+    def test_matches_the_loop_on_every_family(self, family):
+        inst = SMALL_FAMILY_INSTANCES[family]()
+        tree = gbs_tree(inst)
+        assert (tree.depths, tree.min_chosen_split) == loop_reference(inst)
+
+    @settings(max_examples=80, deadline=None)
+    @given(identifiable_instances())
+    def test_matches_the_loop_on_random_instances(self, inst):
+        tree = gbs_tree(inst)
+        assert (tree.depths, tree.min_chosen_split) == loop_reference(inst)
+
+    def test_peel_deeper_than_62_levels(self):
+        # Labels of the form 2 * parent + answer would overflow int64 here.
+        inst = peel_instance(70)
+        tree = gbs_tree(inst)
+        assert max(tree.depths) == 69
+        assert (tree.depths, tree.min_chosen_split) == loop_reference(inst)
+        assert tree.min_chosen_split == Fraction(1, 70)
+
+    def test_single_hypothesis_is_a_leaf_at_depth_zero(self):
+        inst = instance_of(["1"])
+        assert gbs_tree(inst) == engine.GbsTree((0,), None)
+        stats = run_all_oracles(inst)
+        assert (stats.worst_case, stats.average, stats.min_chosen_split) == (0, 0, None)
+
+    def test_two_hypotheses(self):
+        tree = gbs_tree(pair_instance())
+        assert tree == engine.GbsTree((1, 1), Fraction(1, 2))
+
+    def test_unsplittable_node_raises_budget_exceeded(self):
+        # Validation forbids duplicate rows, so give h1 and h2 the same row
+        # directly: after the first split no test tells them apart.
+        inst = dataclasses.replace(instance_of(["00", "01", "11"]), columns=(0b110, 0b110), rows=(0, 3, 3))
+        with pytest.raises(QueryBudgetExceeded, match="no test splits a version space of 2"):
+            gbs_tree(inst)
 
 
 class TestInteractiveSession:

@@ -302,6 +302,50 @@ class TestDeterminismAndDispatch:
         )
         assert inst.n == 5
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("convex_polygon", {"m": "9", "balanced": "false"}),
+            ("convex_polygon", {"m": "10"}),
+            ("disjunction", {"d": "6", "m": "3"}),
+            ("monotone_cnf", {"d": "7", "m": "2", "l": "3"}),
+            ("box_localization", {"r": "1,2"}),
+            ("discrete_linear", {"d": "5", "r": "2"}),
+            ("linear_kcase", {"d": "8"}),
+            ("cx_disjunction", {"m": "4"}),
+            ("cx_plus", {"d": "3", "l": "2"}),
+        ],
+    )
+    def test_size_check_counts_what_is_built(self, monkeypatch, family, params):
+        # The size limit is checked on counts from the parameters alone;
+        # they must be the built instance's sizes (discrete_linear counts
+        # rows before duplicates are dropped, so it may only overcount).
+        checked = []
+        original = families._check_size
+
+        def record(name, tests, hypotheses):
+            checked.append((tests, hypotheses))
+            original(name, tests, hypotheses)
+
+        monkeypatch.setattr(families, "_check_size", record)
+        inst = families.generate(family, params)
+        [(tests, hypotheses)] = checked
+        assert tests == inst.m_tests
+        if family == "discrete_linear":
+            assert hypotheses >= inst.n
+        else:
+            assert hypotheses == inst.n
+
+    def test_hypercube_size_is_refused_before_two_to_the_d_is_formed(self):
+        limit_d = families.MAX_OUTCOMES.bit_length() - 1  # 2^limit_d == MAX_OUTCOMES
+        assert families._cube_tests("disjunction", limit_d) == families.MAX_OUTCOMES
+        with pytest.raises(families.InstanceTooLarge, match=f"d={limit_d + 1} means"):
+            families._cube_tests("disjunction", limit_d + 1)
+
+    def test_size_limit_admits_the_largest_benchmark_instances(self):
+        assert families.generate("disjunction", {"d": "12", "m": "3"}).n == 298
+        assert families.generate("convex_polygon", {"m": "80", "balanced": "false"}).n == 6320
+
     def test_generate_rejects_unknown(self):
         with pytest.raises(BadParams):
             families.generate("mystery", {})
