@@ -1,23 +1,19 @@
 """splitfinder: a desk-scale laboratory for greedy binary hypothesis search.
 
-Builds finite test/hypothesis instances, runs the greedy splitting loop
-against every possible oracle, computes the structural constants that
-govern its query cost (neighborliness, coherence, edge split certificates),
-and verifies the derived worst/average-case bounds exhaustively.
+Builds finite test/hypothesis instances, runs the greedy splitting rule
+(one numpy step, `engine.best_split_test`) against one oracle or, as a
+decision tree, against every possible oracle, computes the structural
+constants that govern its query cost (neighborliness, coherence, edge split
+certificates), and verifies the derived worst/average-case bounds
+exhaustively.
 """
 
 from .core import (
     DeltaSet,
     HypothesisRecord,
     Instance,
-    SplitValue,
     TestRecord,
-    VersionSpace,
-    best_split_test,
     delta_set,
-    full_space,
-    restrict,
-    split_probability,
     validate_instance,
 )
 from .engine import CostStats, Transcript, run_all_oracles, run_gbs
@@ -50,27 +46,21 @@ __all__ = [
     "EdgeReport",
     "HypothesisRecord",
     "Instance",
-    "SplitValue",
     "TestRecord",
     "Transcript",
-    "VersionSpace",
     "alpha_star",
     "analyze_instance",
-    "best_split_test",
     "beta_of",
     "binary_entropy",
     "coherence",
     "compute_bounds",
     "delta_set",
     "edge_alpha",
-    "full_space",
     "min_k",
     "neighborly_edge_audit",
     "optimal_worst_case",
-    "restrict",
     "run_all_oracles",
     "run_gbs",
-    "split_probability",
     "subset_split_audit",
     "validate_instance",
     "verify_bounds",

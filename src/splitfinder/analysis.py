@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from ._simplex import matrix_game_value
 from .core import Instance, InstanceTooLarge, delta_set
-from .engine import CostStats
+from .engine import CostStats, QueryBudgetExceeded
 
 VERIFIED_EXHAUSTIVE = "verified_exhaustive"
 FALSIFIED_WITNESS = "falsified_witness"
@@ -217,7 +217,9 @@ def coherence(instance: Instance) -> CoherenceCertificate:
     if all_one is not None and all_zero is not None:
         half = Fraction(1, 2)
         cert = CoherenceCertificate({all_one: half, all_zero: half}, half)
-        assert _achieved_value(instance, cert.distribution) == half
+        achieved = _achieved_value(instance, cert.distribution)
+        if achieved != half:
+            raise RuntimeError(f"value 1/2 is not achieved by the all-0/all-1 pair ({achieved})")
         return cert
 
     distinct: dict[int, int] = {}
@@ -320,7 +322,12 @@ def verify_certificate(
 
 
 def _restricted_masks(instance: Instance, members: Sequence[int]) -> list[int]:
-    """Test columns restricted to `members` (bit k = members[k]), as prepare_masks gives them."""
+    """Test columns restricted to `members` (bit k = members[k]), canonicalized.
+
+    A mask and its complement split every subset alike, so each is replaced
+    by the smaller of the two; zeros are dropped and the distinct masks
+    come back sorted.
+    """
     width = len(members)
     bits = instance.outcome_matrix[:, list(members)]
     # A row and its complement differ in the top bit; the one without it is smaller.
@@ -593,7 +600,7 @@ def optimal_worst_case(instance: Instance, n_cap: int = DEFAULT_OPTIMAL_CAP) -> 
         raise InstanceTooLarge(
             f"optimal_worst_case capped at n <= {n_cap}, instance has n = {instance.n}"
         )
-    cols = kernels.prepare_masks(instance.columns, instance.n)
+    cols = _restricted_masks(instance, range(instance.n))
     memo: dict[int, int] = {}
 
     def cost(v: int) -> int:
@@ -619,7 +626,8 @@ def optimal_worst_case(instance: Instance, n_cap: int = DEFAULT_OPTIMAL_CAP) -> 
                 best = depth
                 if best == lower:
                     break
-        assert best is not None, "identifiable instance must admit a split"
+        if best is None:
+            raise QueryBudgetExceeded(f"no test splits a version space of {size} hypotheses")
         memo[v] = best
         return best
 
@@ -644,7 +652,7 @@ def subset_split_audit(
         return SubsetSplitAudit(True, beta, None, 0)
     n = instance.n
     checked = (1 << n) - n - 1
-    num, den, witness = kernels.min_subset_split(kernels.prepare_masks(instance.columns, n), n)
+    num, den, witness = kernels.min_subset_split(_restricted_masks(instance, range(n)), n)
     if not checked or Fraction(num, den) >= beta:
         return SubsetSplitAudit(True, beta, None, checked)
     # With no witness every subset splits at exactly 1/2, so only a beta above

@@ -1,17 +1,17 @@
-"""Instance data model and exact version-space arithmetic.
+"""Instance data model, validation and delta sets.
 
 An instance is a finite binary outcome matrix: every hypothesis answers 0 or
 1 on every test, and no two hypotheses share an outcome row (identifiability).
-Outcomes are stored twice — per-test column bitsets over hypotheses and
-per-hypothesis row bitsets over tests — so split counting and restriction are
-single word-parallel set operations.  Every probability here is an exact
-`fractions.Fraction`; floats only appear downstream in bound formulas.
+The outcomes are kept as the validated '0'/'1' strings, as per-test column
+bitsets over hypotheses (`columns`), as per-hypothesis row bitsets over
+tests (`rows`) and, unpacked on first use, as a tests x hypotheses numpy
+bool matrix (`outcome_matrix`), which the greedy step and the edge kernels
+read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Any, Mapping
 
@@ -53,10 +53,6 @@ class MalformedInstance(InstanceError):
 class InstanceTooLarge(RuntimeError):
     """A size limit was hit: an instance too large to generate, or an
     exhaustive computation asked for beyond its cap."""
-
-
-class EmptyVersionSpace(ValueError):
-    """Raised when an operation requires a nonempty version space."""
 
 
 @dataclass(frozen=True)
@@ -114,37 +110,6 @@ class Instance:
 
     def outcome(self, hypothesis: int, test: int) -> int:
         return (self.rows[hypothesis] >> test) & 1
-
-
-@dataclass(frozen=True)
-class VersionSpace:
-    """A subset of hypothesis indices, encoded as a bitset."""
-
-    instance: Instance
-    members: int
-
-    @property
-    def size(self) -> int:
-        return self.members.bit_count()
-
-    def member_indices(self) -> tuple[int, ...]:
-        return _bits(self.members)
-
-    def member_ids(self) -> tuple[str, ...]:
-        hyps = self.instance.hypotheses
-        return tuple(hyps[i].id for i in self.member_indices())
-
-
-@dataclass(frozen=True)
-class SplitValue:
-    """Fraction of the version space answering 1, and the induced split constant."""
-
-    p_one: Fraction
-    split: Fraction
-
-    @classmethod
-    def from_p_one(cls, p_one: Fraction) -> SplitValue:
-        return cls(p_one, min(p_one, 1 - p_one))
 
 
 @dataclass(frozen=True)
@@ -273,48 +238,6 @@ def _check_meta(tests, hypotheses) -> None:
             raise InvalidMeta(
                 f"record {rec.id!r}: coords dimension {len(coords)} != {dim}"
             )
-
-
-def full_space(instance: Instance) -> VersionSpace:
-    return VersionSpace(instance, instance.full_mask)
-
-
-def split_probability(space: VersionSpace, x: int) -> SplitValue:
-    """Exact fraction of the version space answering 1 on test x."""
-    if space.members == 0:
-        raise EmptyVersionSpace("split_probability on empty version space")
-    size = space.size
-    ones = (space.members & space.instance.columns[x]).bit_count()
-    return SplitValue.from_p_one(Fraction(ones, size))
-
-
-def best_split_test(space: VersionSpace) -> tuple[int, SplitValue]:
-    """Test whose positive fraction is closest to 1/2; ties go to the lowest index."""
-    if space.members == 0:
-        raise EmptyVersionSpace("best_split_test on empty version space")
-    members = space.members
-    size = space.size
-    best_x = 0
-    best_count = -1
-    for x, col in enumerate(space.instance.columns):
-        ones = (members & col).bit_count()
-        smaller = min(ones, size - ones)
-        if smaller > best_count:
-            best_count = smaller
-            best_x = x
-            if 2 * smaller == size:
-                break  # perfect split; no later test can do better
-    return best_x, split_probability(space, best_x)
-
-
-def restrict(space: VersionSpace, x: int, y: int) -> VersionSpace:
-    """Keep the hypotheses answering y on test x.  May be empty; caller checks."""
-    col = space.instance.columns[x]
-    if y:
-        members = space.members & col
-    else:
-        members = space.members & ~col & space.instance.full_mask
-    return VersionSpace(space.instance, members)
 
 
 def delta_set(instance: Instance, x: int, x_prime: int) -> DeltaSet:

@@ -1,22 +1,25 @@
 """Greedy bisection: one run against an oracle, or the whole decision tree.
 
-The loop is the textbook one: pick the test whose positive fraction over the
-current version space is closest to 1/2 (ties to the lowest test index, so
-runs are bit-for-bit reproducible), query, restrict, stop at a singleton.
-`run_gbs` runs it against one simulated, scripted or interactive oracle.
+The rule is the textbook one: query the test whose positive fraction over
+the live version space is closest to 1/2, with ties to the lowest test index
+so runs are bit-for-bit reproducible.  `best_split_test` is its only
+implementation.  It takes a batch of nodes, each a contiguous run of
+members, and picks every node's test in one numpy pass.
 
-Query costs over every hidden hypothesis come from `gbs_tree`, which builds
-the same greedy decision tree once, level by level: every node of a depth is
-split in one numpy pass, so each node is visited once instead of once per
-hypothesis below it.  Its leaf depths equal the `run_gbs` query counts, and
-it also reports the least split any node chose, the per-step quantity that
-the split bounds assume is at least beta.
+`run_gbs` calls it on a single node per query, then keeps the members that
+fit the answer (`restrict`), until one hypothesis remains; it serves one
+simulated, scripted or interactive oracle.  Query costs over every hidden
+hypothesis come from `gbs_tree`, which calls it once per depth on every
+live node, so each node is visited once instead of once per hypothesis
+below it.  Its leaf depths equal the `run_gbs` query counts, and it also
+reports the least split any node chose, the per-step quantity that the
+split bounds assume is at least beta.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO
@@ -24,15 +27,19 @@ from typing import IO
 import numpy as np
 
 from . import kernels
-from .core import Instance, best_split_test, full_space, restrict
+from .core import Instance
 
 
 class InconsistentOracle(ValueError):
-    """The answer stream emptied the version space (no hypothesis fits)."""
+    """The answer stream broke off or gave something other than 0 or 1."""
 
 
 class QueryBudgetExceeded(RuntimeError):
-    """The run exceeded its query cap; on a valid instance this is a bug."""
+    """No test splits a live version space of >= 2 hypotheses.
+
+    Identifiability rules this out on a validated instance, so it signals a
+    bug, not a long run; the CLI exits 3 on it.
+    """
 
 
 @dataclass(frozen=True)
@@ -91,82 +98,76 @@ def scripted_oracle(answers: Iterable[int]) -> AnswerSource:
     return answer
 
 
-def run_gbs(
-    instance: Instance,
-    answer: AnswerSource,
-    oracle_id: str = "oracle",
-    budget: int | None = None,
-) -> Transcript:
-    """Run the greedy splitting loop until one hypothesis remains.
+def best_split_test(
+    outcomes: np.ndarray, members: np.ndarray, starts: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The greedy step for every node: its first test with the largest split.
 
-    The budget (default n) is a safety cap: any identifiable instance
-    resolves in fewer steps, so hitting it signals an engine bug rather
-    than a long run.
+    ``outcomes`` is the hypotheses x tests bool matrix; ``members`` lists
+    hypothesis rows grouped by node, and node i is the run that begins at
+    ``starts[i]``.  The ones per (node, test) are summed with
+    ``np.add.reduceat`` and folded to ``min(ones, size - ones)``; ``argmax``
+    takes the first maximum, so ties go to the lowest test index.  Returns
+    per node the chosen test, its split count and the node size.
     """
-    if budget is None:
-        budget = instance.n
-    space = full_space(instance)
+    sizes = np.diff(starts, append=len(members))
+    dtype = np.min_scalar_type(outcomes.shape[0])  # every count is at most n
+    ones = np.add.reduceat(outcomes[members], starts, axis=0, dtype=dtype)
+    np.minimum(ones, sizes.astype(dtype)[:, None] - ones, out=ones)
+    tests = ones.argmax(axis=1)
+    best = ones[np.arange(len(starts)), tests]
+    if not best.all():
+        size = int(sizes[best == 0][0])
+        raise QueryBudgetExceeded(f"no test splits a version space of {size} hypotheses")
+    return tests, best, sizes
+
+
+def restrict(outcomes: np.ndarray, members: np.ndarray, x: int, y: int) -> np.ndarray:
+    """The members that answer y on test x."""
+    return members[outcomes[members, x] == y]
+
+
+def run_gbs(instance: Instance, answer: AnswerSource, oracle_id: str = "oracle") -> Transcript:
+    """Query the greedy test of the live version space until one hypothesis remains.
+
+    Every chosen test splits the space, so each answer keeps at least one
+    hypothesis and the run ends within n - 1 queries.
+    """
+    outcomes = instance.outcome_matrix.T  # hypotheses x tests
+    members = np.arange(instance.n)
     steps: list[Step] = []
-    queried: set[int] = set()
-    while space.size > 1:
-        if len(steps) >= budget:
-            raise QueryBudgetExceeded(
-                f"{oracle_id}: exceeded {budget} queries on {instance.name or 'instance'}"
-            )
-        x, _ = best_split_test(space)
-        # A repeated query would have split 0 while some test splits > 0,
-        # so the argmax can never pick one; asserted rather than prevented.
-        assert x not in queried, f"selected already-queried test {x}"
-        queried.add(x)
+    while members.size > 1:
+        tests, _, _ = best_split_test(outcomes, members, [0])
+        x = int(tests[0])
         y = int(answer(x))
         if y not in (0, 1):
             raise InconsistentOracle(f"oracle answered {y!r}, expected 0 or 1")
-        nxt = restrict(space, x, y)
-        if nxt.members == 0:
-            raise InconsistentOracle(
-                f"answer {y} on test {instance.tests[x].id!r} at step "
-                f"{len(steps) + 1} contradicts every remaining hypothesis"
-            )
-        space = nxt
-        steps.append(Step(instance.tests[x].id, y, space.size))
-    identified = instance.hypotheses[space.member_indices()[0]].id
-    return Transcript(oracle_id, tuple(steps), identified)
+        members = restrict(outcomes, members, x, y)
+        steps.append(Step(instance.tests[x].id, y, members.size))
+    return Transcript(oracle_id, tuple(steps), instance.hypotheses[members[0]].id)
 
 
 def gbs_tree(instance: Instance) -> GbsTree:
     """Build the greedy decision tree of `run_gbs` once, one depth at a time.
 
     The live hypotheses (those in a node of >= 2 members) are kept grouped
-    by node, so every node is one contiguous run.  Per depth, the ones per
-    (node, test) are summed with ``np.add.reduceat`` and folded to
-    ``min(ones, size - ones)``; ``argmax`` then takes the first maximum,
-    which is `best_split_test`'s lowest-index tie rule.  Each member moves
-    to the child its outcome on the chosen test names, and a child of one
-    member is a leaf at the next depth.  Node ids are positions within one
-    depth, so they stay below n however deep the tree grows.
+    by node, so every node is one contiguous run and one `best_split_test`
+    call chooses the tests of a whole depth.  Each member moves to the child
+    its outcome on the chosen test names, and a child of one member is a
+    leaf at the next depth.  Node ids are positions within one depth, so
+    they stay below n however deep the tree grows.
     """
     n = instance.n
     if n == 1:
         return GbsTree((0,), None)
     outcomes = instance.outcome_matrix.T  # hypotheses x tests
-    dtype = np.min_scalar_type(n)  # every count is at most n
     depths = np.zeros(n, dtype=np.int64)
     members = np.arange(n)
     starts = np.zeros(1, dtype=np.intp)  # first member of each node
     chosen_splits, node_sizes = [], []
     depth = 0
     while members.size:
-        sizes = np.diff(starts, append=members.size)
-        ones = np.add.reduceat(outcomes[members], starts, axis=0, dtype=dtype)
-        np.minimum(ones, sizes.astype(dtype)[:, None] - ones, out=ones)
-        tests = ones.argmax(axis=1)
-        best = ones[np.arange(starts.size), tests]
-        if not best.all():
-            size = int(sizes[best == 0][0])
-            raise QueryBudgetExceeded(
-                f"no test splits a version space of {size} hypotheses at depth"
-                f" {depth} of {instance.name or 'instance'}"
-            )
+        tests, best, sizes = best_split_test(outcomes, members, starts)
         chosen_splits.append(best)
         node_sizes.append(sizes)
         answers = outcomes[members, np.repeat(tests, sizes)]

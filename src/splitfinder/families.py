@@ -243,6 +243,21 @@ def l1_ball_offsets(d: int, radius: int) -> list[tuple[int, ...]]:
     return pts
 
 
+def _check_l1_ball(d: int, radius: int) -> None:
+    """Refuse an L1-ball shape instance too large to build, before its offsets exist.
+
+    Its test grid holds (4r+3)^d points: at least 3^d, so d >= 17 is refused
+    without forming the power.  The ball holds sum_k 2^k C(d,k) C(r,k) points.
+    """
+    if d >= 17:  # 3^17 > MAX_OUTCOMES
+        raise InstanceTooLarge(
+            f"shape_localization: d={d} means at least 3^{d} tests, over the limit of"
+            f" {MAX_OUTCOMES} outcomes"
+        )
+    ball = sum(2**k * math.comb(d, k) * math.comb(radius, k) for k in range(min(d, radius) + 1))
+    _check_size("shape_localization", (4 * radius + 3) ** d, ball)
+
+
 def plus_offsets(d: int, l: int) -> list[tuple[int, ...]]:
     """Axis segments of radius l through the origin (a 'plus' in d dimensions)."""
     pts = {tuple([0] * d)}
@@ -365,6 +380,7 @@ def gen_shape_localization(
         )
         for i in range(d)
     ]
+    _check_size("shape_localization", math.prod(map(len, test_ranges)), len(hyp_points))
     test_points = [tuple(p) for p in itertools.product(*test_ranges)]
     params = {
         "offsets": [list(p) for p in offsets],
@@ -619,7 +635,9 @@ def generate(family: str, params: dict) -> Instance:
         if "offsets" in params:
             offsets = _parse_offsets(str(params["offsets"]))
         elif "l1_radius" in params:
-            offsets = l1_ball_offsets(_as_int(params, "d"), _as_int(params, "l1_radius"))
+            d, radius = _as_int(params, "d"), _as_int(params, "l1_radius")
+            _check_l1_ball(d, radius)
+            offsets = l1_ball_offsets(d, radius)
         else:
             raise BadParams("shape_localization needs offsets=... or d= and l1_radius=")
         center = _as_int_list(params, "center") if "center" in params else None

@@ -32,22 +32,6 @@ BACKEND = "numpy"
 BLOCK_CELLS = 1 << 16
 
 
-def prepare_masks(masks: Iterable[int], width: int) -> list[int]:
-    """Canonicalize masks: clip to width, fold complements, dedupe, drop constants.
-
-    A mask and its complement induce the same split on every subset, so only
-    the lexicographically smaller of the pair is kept.
-    """
-    full = (1 << width) - 1
-    out = set()
-    for m in masks:
-        m &= full
-        m = min(m, m ^ full)
-        if m:
-            out.add(m)
-    return sorted(out)
-
-
 def _word_count(width: int) -> int:
     return max(1, -(-width // 64))
 

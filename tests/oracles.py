@@ -7,8 +7,8 @@ cannot hide in its own oracle.
 Two sections are references rather than independent oracles: the rational
 tableau simplex that the integer game solver must match pivot for pivot,
 and plain-Python loops over int bitsets that define what the vectorized
-subset kernels, mask restriction and ``min_k`` must return, witnesses and
-unreduced ``(num, den)`` pairs included.
+subset kernels, mask restriction (``prepare_masks``) and ``min_k`` must
+return, witnesses and unreduced ``(num, den)`` pairs included.
 """
 
 from __future__ import annotations
@@ -35,6 +35,33 @@ def best_split(rows: list[str], members: list[int]) -> tuple[int, Fraction]:
         if value > best_value:
             best_x, best_value = x, value
     return best_x, best_value
+
+
+def greedy_tree(rows: list[str]) -> tuple[list[tuple[tuple[int, int, int], ...]], Fraction | None]:
+    """The greedy decision tree, grown recursively from `best_split`.
+
+    Returns, per hypothesis, its query path as (test, answer, hypotheses
+    left) steps, so its depth is the path length, and the least split any
+    node chose (None with a single hypothesis).  A node no test splits
+    raises ValueError.
+    """
+    paths: dict[int, tuple[tuple[int, int, int], ...]] = {}
+    least: list[Fraction] = []
+
+    def grow(members: list[int], path: tuple[tuple[int, int, int], ...]) -> None:
+        if len(members) == 1:
+            paths[members[0]] = path
+            return
+        x, value = best_split(rows, members)
+        if value == 0:
+            raise ValueError(f"no test splits {members}")
+        least.append(value)
+        for answer in (0, 1):
+            child = [h for h in members if rows[h][x] == str(answer)]
+            grow(child, path + ((x, answer, len(child)),))
+
+    grow(list(range(len(rows))), ())
+    return [paths[h] for h in range(len(rows))], min(least, default=None)
 
 
 def delta_members(rows: list[str], x: int, x_prime: int) -> list[int]:
@@ -205,6 +232,18 @@ def unreduced_coherence(rows: list[str]) -> tuple[Fraction, dict[int, Fraction]]
 
 # ---------------------------------------------------------------------------
 # Bit-exact reference loops for ``splitfinder.kernels`` and mask restriction
+
+
+def prepare_masks(masks: list[int], width: int) -> list[int]:
+    """Clip to width, keep the smaller of each mask and its complement, drop zeros, sort."""
+    full = (1 << width) - 1
+    out = set()
+    for m in masks:
+        m &= full
+        m = min(m, m ^ full)
+        if m:
+            out.add(m)
+    return sorted(out)
 
 
 def _best_split_count(masks: list[int], s: int, size: int) -> int:

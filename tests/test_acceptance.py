@@ -12,6 +12,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -29,7 +30,6 @@ from splitfinder.analysis import (
     verify_bounds,
     verify_certificate,
 )
-from splitfinder.core import best_split_test, full_space, restrict
 
 
 @contextlib.contextmanager
@@ -119,15 +119,11 @@ def test_criterion_4_box_localization():
 
 def test_criterion_5_counterexample_certificates():
     with criterion(5, "counterexample certificates", 1.0):
-        cx3 = families.gen_counterexample_disjunction(3)
-        _, value = best_split_test(full_space(cx3))
-        assert value.split == Fraction(1, 4)
-        assert value.split < Fraction(1, 3)
-
-        plus = families.gen_counterexample_plus(2, 2)
-        _, value = best_split_test(full_space(plus))
-        assert value.split == Fraction(1, 4)
-        assert value.split < Fraction(1, 3)
+        for inst in (families.gen_counterexample_disjunction(3), families.gen_counterexample_plus(2, 2)):
+            _, best, sizes = engine.best_split_test(inst.outcome_matrix.T, np.arange(inst.n), [0])
+            value = Fraction(int(best[0]), int(sizes[0]))
+            assert value == Fraction(1, 4)
+            assert value < Fraction(1, 3)
 
 
 def test_criterion_6_subset_split_audits():
@@ -206,20 +202,20 @@ def test_criterion_9_headless_property_suites(tmp_path):
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
-        # Transcript replay soundness against core.restrict.
+        # Transcript replay soundness against engine.restrict.
+        outcomes, everyone = inst.outcome_matrix.T, np.arange(inst.n)
         for h in range(inst.n):
             transcript = engine.run_gbs(inst, engine.hypothesis_oracle(inst, h))
-            space = full_space(inst)
+            members = everyone
             for step in transcript.steps:
-                space = restrict(space, inst.test_index[step.test_id], step.outcome)
-                assert space.size == step.remaining
-            assert space.size == 1
+                members = engine.restrict(outcomes, members, inst.test_index[step.test_id], step.outcome)
+                assert members.size == step.remaining
+            assert members.tolist() == [h]
 
         # Restrict partition identity on assorted spaces.
-        space = full_space(inst)
         for x in range(inst.m_tests):
-            ones, zeros = restrict(space, x, 1), restrict(space, x, 0)
-            assert ones.size + zeros.size == space.size
+            ones, zeros = engine.restrict(outcomes, everyone, x, 1), engine.restrict(outcomes, everyone, x, 0)
+            assert sorted(ones.tolist() + zeros.tolist()) == everyone.tolist()
 
         # Certificates never overstate.
         for probe in (inst, families.gen_convex_polygon(5, True)):

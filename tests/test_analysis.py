@@ -388,6 +388,17 @@ class TestOptimalWorstCase:
         for inst in (disjunction_d3m1, cx_plus_d2l2):
             assert optimal_worst_case(inst) >= math.ceil(math.log2(inst.n))
 
+    def test_unsplittable_space_raises_budget_exceeded(self):
+        # h1 and h2 share a row, set directly since validation forbids it:
+        # once h0 is split off, no test tells them apart.
+        inst = validate_instance(
+            {"tests": [{"id": "t0"}, {"id": "t1"}],
+             "hypotheses": [{"id": f"h{i}", "outcomes": row} for i, row in enumerate(["00", "01", "11"])]}
+        )
+        inst = dataclasses.replace(inst, columns=(0b110, 0b110), rows=(0, 3, 3))
+        with pytest.raises(engine.QueryBudgetExceeded, match="no test splits a version space of 2"):
+            optimal_worst_case(inst)
+
 
 class TestSubsetSplitAudit:
     def test_disjunction_passes_at_quarter(self, disjunction_d3m1):

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from splitfinder import families
 from splitfinder.cli import main
 from splitfinder.core import validate_instance
 from splitfinder.persistence import write_instance
@@ -83,8 +84,13 @@ class TestGen:
             ("convex_polygon", ["m=100000"]),
             ("box_localization", ["r=100000,100000"]),
             ("cx_plus", ["d=100000", "l=100000"]),
+            ("shape_localization", ["d=20", "l1_radius=3"]),
+            ("shape_localization", ["d=6", "l1_radius=40"]),
+            ("shape_localization",
+             ["offsets=" + ";".join(",".join(map(str, p)) for p in families.plus_offsets(6, 20))]),
         ],
-        ids=["disjunction", "cnf", "kcase", "linear", "cx-disjunction", "polygon", "box", "cx-plus"],
+        ids=["disjunction", "cnf", "kcase", "linear", "cx-disjunction", "polygon", "box", "cx-plus",
+             "shape-l1-d20", "shape-l1-r40", "shape-plus-arm20"],
     )
     def test_oversized_params_exit_3_before_building(self, tmp_path, capsys, family, params):
         start = time.perf_counter()
@@ -420,6 +426,51 @@ class TestGoldenRuns:
         )
         assert (code, out) == (0, stdout)
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == sha256
+
+
+class TestGoldenSingleRuns:
+    """`run --oracle ID --out` and `interactive --out` bytes pinned by sha256.
+
+    Recorded with the earlier int-bitset loop, so the numpy greedy step must
+    ask the same questions in the same order.  The interactive answers
+    alternate 1, 0, 1, ...; the stdout digest covers every QUERY line.
+    """
+
+    @pytest.mark.parametrize(
+        "family, params, oracle, stdout, run_sha256, session_sha256, transcript_sha256",
+        [
+            ("convex_polygon", ["m=8", "balanced=false"], "arc4+1",
+             "oracle=arc4+1 queries=7 identified=arc4+1\n",
+             "59a7245165c363a2be257cc552d6fbabe8d37c9cefe11992376ca15d87c84b60",
+             "6d788141554bed911f8c00e98cdd7fd09b960231c29543422d664a866d604b94",
+             "0ccbe871b1e750c41810ef9a576c6fe2e3fdbe9e582ad6e7e322e13bd658313d"),
+            ("disjunction", ["d=6", "m=2"], "x1|x6",
+             "oracle=x1|x6 queries=5 identified=x1|x6\n",
+             "d9db4d3a74aca25520978994f7d1a4c3ef53201b1849fe3441c999ec31e95d39",
+             "620506637bd9adb35a61f670baff4d51a7dd6d6277f2c7947dbc3414d7e822b0",
+             "a92153f51964de11afbc6ec0e6de19ced95ebe8740e29508a4b88f35d91ece2e"),
+        ],
+        ids=["polygon-m8", "disjunction-d6-m2"],
+    )
+    def test_single_oracle_and_interactive_digests(
+        self, tmp_path, capsys, monkeypatch, family, params, oracle, stdout,
+        run_sha256, session_sha256, transcript_sha256,
+    ):
+        instance_path = tmp_path / "golden.instance.json"
+        params = [arg for param in params for arg in ("--param", param)]
+        assert run_cli(capsys, "gen", "--family", family, *params, "--out", str(instance_path))[0] == 0
+        run_path = tmp_path / "run.transcript.json"
+        code, out, _ = run_cli(
+            capsys, "run", "--in", str(instance_path), "--oracle", oracle, "--out", str(run_path)
+        )
+        assert (code, out) == (0, stdout)
+        assert hashlib.sha256(run_path.read_bytes()).hexdigest() == run_sha256
+        session_path = tmp_path / "session.transcript.json"
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1\n0\n" * 64))
+        code, out, _ = run_cli(capsys, "interactive", "--in", str(instance_path), "--out", str(session_path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == session_sha256
+        assert hashlib.sha256(session_path.read_bytes()).hexdigest() == transcript_sha256
 
 
 class TestSmallCommands:

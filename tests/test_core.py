@@ -1,31 +1,26 @@
-"""Instance validation and version-space arithmetic."""
+"""Instance validation, delta sets, and the arithmetic of the greedy split step."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from splitfinder import core
 from splitfinder.core import (
     DuplicateId,
     DuplicateOutcomeRow,
     EmptyInstance,
-    EmptyVersionSpace,
     InvalidMeta,
     InvalidOutcome,
     RowLengthMismatch,
-    VersionSpace,
-    best_split_test,
     delta_set,
-    full_space,
-    restrict,
-    split_probability,
     validate_instance,
 )
+from splitfinder.engine import QueryBudgetExceeded, best_split_test, restrict
 
 
 def make_doc(rows: list[str], name: str = "adhoc") -> dict:
@@ -53,6 +48,23 @@ def small_instances(draw):
     )
     strings = [format(value, f"0{m_tests}b")[::-1] for value in rows]
     return validate_instance(make_doc(strings))
+
+
+def everyone(inst) -> np.ndarray:
+    return np.arange(inst.n)
+
+
+def best_split(inst, members) -> tuple[int, Fraction]:
+    """The greedy step on one node: its test and that test's split fraction."""
+    tests, best, sizes = best_split_test(inst.outcome_matrix.T, np.asarray(members), [0])
+    return int(tests[0]), Fraction(int(best[0]), int(sizes[0]))
+
+
+def split_of_test(inst, members, x) -> Fraction:
+    """The split fraction of test x alone, through the greedy step."""
+    outcomes = inst.outcome_matrix.T[:, [x]]
+    _, best, sizes = best_split_test(outcomes, np.asarray(members), [0])
+    return Fraction(int(best[0]), int(sizes[0]))
 
 
 class TestValidateInstance:
@@ -124,44 +136,39 @@ class TestSplitProbability:
     def test_disjunction_single_bit_test(self, disjunction_d3m1):
         inst = disjunction_d3m1
         x = inst.test_index["100"]
-        value = split_probability(full_space(inst), x)
+        ones = restrict(inst.outcome_matrix.T, everyone(inst), x, 1).size
         # Oracle: only x1 fires on assignment 100.
         rows = [h.outcomes for h in inst.hypotheses]
         assert oracles.p_one_of(rows, [0, 1, 2], x) == Fraction(1, 3)
-        assert value.p_one == Fraction(1, 3)
-        assert value.split == Fraction(1, 3)
+        assert Fraction(ones, inst.n) == Fraction(1, 3)
+        assert split_of_test(inst, everyone(inst), x) == Fraction(1, 3)
 
     def test_constant_column_splits_zero(self, disjunction_d3m1):
         inst = disjunction_d3m1
         x = inst.test_index["000"]
-        assert split_probability(full_space(inst), x).split == 0
+        rows = [h.outcomes for h in inst.hypotheses]
+        assert oracles.split_of(rows, [0, 1, 2], x) == 0
+        with pytest.raises(QueryBudgetExceeded, match="no test splits a version space of 3"):
+            split_of_test(inst, everyone(inst), x)
 
     def test_pair_with_distinguishing_test(self):
         inst = validate_instance(make_doc(["01", "10"]))
-        assert split_probability(full_space(inst), 0).split == Fraction(1, 2)
-
-    def test_empty_space_raises(self, disjunction_d3m1):
-        with pytest.raises(EmptyVersionSpace):
-            split_probability(VersionSpace(disjunction_d3m1, 0), 0)
+        assert split_of_test(inst, everyone(inst), 0) == Fraction(1, 2)
 
 
 class TestBestSplitTest:
     def test_prefers_half_split(self):
-        # Columns with splits {0, 1/3, 1/2} over three hypotheses... built
-        # as rows: t0 constant, t1 isolates h0, t2 absent; use 4 hypotheses
-        # so a perfect half split exists.
-        inst = validate_instance(make_doc(["000", "011", "101", "110"]))
+        # t0 and t2 each split off one of the 4 hypotheses; t1 halves them
+        # and must win over the lower index.
+        inst = validate_instance(make_doc(["100", "000", "010", "011"]))
         rows = [h.outcomes for h in inst.hypotheses]
-        x, value = best_split_test(full_space(inst))
-        ox, ov = oracles.best_split(rows, [0, 1, 2, 3])
-        assert (x, value.split) == (ox, ov)
-        assert value.split == Fraction(1, 2)
+        x, value = best_split(inst, everyone(inst))
+        assert (x, value) == oracles.best_split(rows, [0, 1, 2, 3])
+        assert (x, value) == (1, Fraction(1, 2))
 
-    def test_singleton_space_returns_lowest_index(self, disjunction_d3m1):
-        space = VersionSpace(disjunction_d3m1, 0b001)
-        x, value = best_split_test(space)
-        assert x == 0
-        assert value.split == 0
+    def test_singleton_space_has_no_split(self, disjunction_d3m1):
+        with pytest.raises(QueryBudgetExceeded, match="no test splits a version space of 1"):
+            best_split(disjunction_d3m1, [0])
 
     def test_tie_breaks_to_lowest_index(self):
         # Tests 0 and 1 are constant; tests 2, 3, 5 all achieve the best
@@ -175,34 +182,43 @@ class TestBestSplitTest:
             ],
         }
         inst = validate_instance(doc)
-        sp = full_space(inst)
-        splits = [split_probability(sp, x).split for x in range(6)]
+        rows = [h.outcomes for h in inst.hypotheses]
+        splits = [oracles.split_of(rows, [0, 1, 2], x) for x in range(6)]
         assert splits[2] == splits[5] == Fraction(1, 3) == max(splits)
-        x, _ = best_split_test(sp)
-        assert x == 2
+        assert best_split(inst, everyone(inst)) == (2, Fraction(1, 3))
 
     def test_identifiability_floor(self, disjunction_d4m2):
         # For |V| >= 2 some test must split off at least one hypothesis.
-        space = full_space(disjunction_d4m2)
-        _, value = best_split_test(space)
-        assert value.split >= Fraction(1, space.size)
+        _, value = best_split(disjunction_d4m2, everyone(disjunction_d4m2))
+        assert value >= Fraction(1, disjunction_d4m2.n)
+
+    def test_nodes_of_one_call_are_chosen_independently(self, disjunction_d4m2):
+        inst = disjunction_d4m2
+        nodes = [[0, 3, 4, 9], [1, 2], [5, 6, 7, 8]]
+        members = np.array([h for node in nodes for h in node])
+        starts = [0, 4, 6]
+        tests, best, sizes = best_split_test(inst.outcome_matrix.T, members, starts)
+        rows = [h.outcomes for h in inst.hypotheses]
+        for i, node in enumerate(nodes):
+            x, value = oracles.best_split(rows, node)
+            assert (int(tests[i]), Fraction(int(best[i]), int(sizes[i]))) == (x, value)
+            assert best_split(inst, node) == (x, value)
 
 
 class TestRestrict:
     def test_positive_side_size(self, pentagon):
-        space = full_space(pentagon)
-        value = split_probability(space, 0)
-        kept = restrict(space, 0, 1)
-        assert kept.size == value.p_one * space.size
+        rows = [h.outcomes for h in pentagon.hypotheses]
+        kept = restrict(pentagon.outcome_matrix.T, everyone(pentagon), 0, 1)
+        assert kept.size == oracles.p_one_of(rows, list(range(pentagon.n)), 0) * pentagon.n
 
     def test_contradiction_empties(self, pentagon):
-        space = full_space(pentagon)
-        assert restrict(restrict(space, 0, 0), 0, 1).members == 0
+        outcomes = pentagon.outcome_matrix.T
+        assert restrict(outcomes, restrict(outcomes, everyone(pentagon), 0, 0), 0, 1).size == 0
 
     def test_disjunction_restrict_example(self, disjunction_d3m1):
         inst = disjunction_d3m1
-        kept = restrict(full_space(inst), inst.test_index["100"], 1)
-        assert kept.member_ids() == ("x1",)
+        kept = restrict(inst.outcome_matrix.T, everyone(inst), inst.test_index["100"], 1)
+        assert [inst.hypotheses[h].id for h in kept] == ["x1"]
 
 
 class TestDeltaSet:
@@ -232,40 +248,47 @@ class TestDeltaSet:
             assert fwd.members | bwd.members == disagree
 
 
+def member_subset(inst, data) -> np.ndarray:
+    mask = data.draw(st.integers(min_value=1, max_value=inst.full_mask))
+    return np.array([h for h in range(inst.n) if (mask >> h) & 1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_instances(), st.data())
 def test_restrict_partitions_every_space(inst, data):
     x = data.draw(st.integers(min_value=0, max_value=inst.m_tests - 1))
-    members = data.draw(st.integers(min_value=1, max_value=inst.full_mask))
-    space = VersionSpace(inst, members)
-    ones = restrict(space, x, 1)
-    zeros = restrict(space, x, 0)
-    assert ones.members & zeros.members == 0
-    assert ones.members | zeros.members == space.members
-    assert ones.size + zeros.size == space.size
+    members = member_subset(inst, data)
+    ones = restrict(inst.outcome_matrix.T, members, x, 1)
+    zeros = restrict(inst.outcome_matrix.T, members, x, 0)
+    assert set(ones.tolist()).isdisjoint(zeros.tolist())
+    assert sorted(ones.tolist() + zeros.tolist()) == members.tolist()
+    assert ones.size + zeros.size == members.size
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_instances(), st.data())
 def test_split_range_and_definition(inst, data):
     x = data.draw(st.integers(min_value=0, max_value=inst.m_tests - 1))
-    members = data.draw(st.integers(min_value=1, max_value=inst.full_mask))
-    value = split_probability(VersionSpace(inst, members), x)
-    assert 0 <= value.split <= Fraction(1, 2)
-    assert value.split == min(value.p_one, 1 - value.p_one)
+    members = member_subset(inst, data)
     rows = [h.outcomes for h in inst.hypotheses]
-    idx = [h for h in range(inst.n) if (members >> h) & 1]
-    assert value.p_one == oracles.p_one_of(rows, idx, x)
+    p_one = oracles.p_one_of(rows, members.tolist(), x)
+    assert Fraction(restrict(inst.outcome_matrix.T, members, x, 1).size, members.size) == p_one
+    if 0 < p_one < 1:
+        split = split_of_test(inst, members, x)
+        assert 0 < split <= Fraction(1, 2)
+        assert split == min(p_one, 1 - p_one) == oracles.split_of(rows, members.tolist(), x)
+    else:
+        with pytest.raises(QueryBudgetExceeded):
+            split_of_test(inst, members, x)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_instances())
 def test_best_split_beats_identifiability_floor(inst):
-    space = full_space(inst)
-    if space.size < 2:
+    if inst.n < 2:
         return
-    _, value = best_split_test(space)
-    assert value.split >= Fraction(1, space.size)
+    _, value = best_split(inst, everyone(inst))
+    assert value >= Fraction(1, inst.n)
 
 
 @settings(max_examples=40, deadline=None)

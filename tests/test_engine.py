@@ -7,19 +7,22 @@ import io
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from splitfinder import engine, families
-from splitfinder.core import VersionSpace, full_space, restrict, validate_instance
+from splitfinder.core import validate_instance
 from splitfinder.engine import (
     InconsistentOracle,
     QueryBudgetExceeded,
+    Step,
     gbs_tree,
     hypothesis_oracle,
     interactive_session,
+    restrict,
     run_all_oracles,
     run_gbs,
     scripted_oracle,
@@ -84,17 +87,21 @@ class TestRunGbs:
         assert first == second
 
     def test_replay_reproduces_recorded_sizes(self, pentagon):
+        outcomes = pentagon.outcome_matrix.T
         for h in (0, 5, 13):
             tr = run_gbs(pentagon, hypothesis_oracle(pentagon, h))
-            space = full_space(pentagon)
+            members = np.arange(pentagon.n)
             for step in tr.steps:
-                space = restrict(space, pentagon.test_index[step.test_id], step.outcome)
-                assert space.size == step.remaining
-            assert pentagon.hypotheses[space.member_indices()[0]].id == tr.identified
+                members = restrict(outcomes, members, pentagon.test_index[step.test_id], step.outcome)
+                assert members.size == step.remaining
+            assert pentagon.hypotheses[members[0]].id == tr.identified
 
-    def test_budget_cap_raises(self, disjunction_d3m1):
-        with pytest.raises(QueryBudgetExceeded):
-            run_gbs(disjunction_d3m1, hypothesis_oracle(disjunction_d3m1, 0), budget=0)
+    def test_unsplittable_space_raises_budget_exceeded(self):
+        # The tree's duplicate-row instance: after the first query, h1 and h2
+        # remain and no test tells them apart.
+        inst = duplicate_row_instance()
+        with pytest.raises(QueryBudgetExceeded, match="no test splits a version space of 2"):
+            run_gbs(inst, hypothesis_oracle(inst, 1))
 
     def test_any_answer_stream_identifies_something(self, disjunction_d4m2):
         # The greedy loop only asks tests that split the live version space,
@@ -107,11 +114,11 @@ class TestRunGbs:
             assert tr.identified in inst.hypothesis_index
 
     def test_scripted_oracle_exhaustion(self, disjunction_d4m2):
-        with pytest.raises(InconsistentOracle):
+        with pytest.raises(InconsistentOracle, match="scripted oracle ran out of answers"):
             run_gbs(disjunction_d4m2, scripted_oracle([1]))
 
     def test_non_binary_answer_rejected(self, disjunction_d4m2):
-        with pytest.raises(InconsistentOracle):
+        with pytest.raises(InconsistentOracle, match="oracle answered 2, expected 0 or 1"):
             run_gbs(disjunction_d4m2, scripted_oracle([2, 0, 0]))
 
 
@@ -131,8 +138,8 @@ class TestRunAllOracles:
     def test_per_oracle_counts_are_the_loop_counts(self, disjunction_d6m2):
         inst = disjunction_d6m2
         stats = run_all_oracles(inst)
-        counts, least = loop_reference(inst)
-        assert list(stats.per_oracle.values()) == list(counts)
+        paths, least = oracles.greedy_tree([h.outcomes for h in inst.hypotheses])
+        assert list(stats.per_oracle.values()) == [len(path) for path in paths]
         assert list(stats.per_oracle) == [h.id for h in inst.hypotheses]
         assert stats.min_chosen_split == least
 
@@ -156,22 +163,21 @@ def peel_instance(n):
     return instance_of(rows)
 
 
-def loop_reference(instance):
-    """Per-hypothesis query counts and the least chosen split, from `run_gbs` runs.
+def duplicate_row_instance():
+    """h1 and h2 share a row: validation forbids that, so it is set directly."""
+    return dataclasses.replace(instance_of(["00", "01", "11"]), columns=(0b110, 0b110), rows=(0, 3, 3))
 
-    A step that leaves r of p hypotheses chose a test splitting p into r and
-    p - r, so its split is min(r, p - r) / p.
-    """
-    counts, least = [], None
-    for h in range(instance.n):
-        transcript = run_gbs(instance, hypothesis_oracle(instance, h))
-        counts.append(transcript.query_count)
-        before = instance.n
-        for step in transcript.steps:
-            split = Fraction(min(step.remaining, before - step.remaining), before)
-            least = split if least is None else min(least, split)
-            before = step.remaining
-    return tuple(counts), least
+
+def assert_matches_reference(inst):
+    """`run_gbs` transcripts and `gbs_tree` equal the recursive string-oracle tree."""
+    paths, least = oracles.greedy_tree([h.outcomes for h in inst.hypotheses])
+    tree = gbs_tree(inst)
+    assert tree.depths == tuple(len(path) for path in paths)
+    assert tree.min_chosen_split == least
+    for h, path in enumerate(paths):
+        transcript = run_gbs(inst, hypothesis_oracle(inst, h))
+        assert transcript.steps == tuple(Step(inst.tests[x].id, y, left) for x, y, left in path)
+        assert transcript.identified == inst.hypotheses[h].id
 
 
 SMALL_FAMILY_INSTANCES = {
@@ -207,23 +213,20 @@ class TestGbsTree:
 
     @pytest.mark.parametrize("family", sorted(SMALL_FAMILY_INSTANCES))
     def test_matches_the_loop_on_every_family(self, family):
-        inst = SMALL_FAMILY_INSTANCES[family]()
-        tree = gbs_tree(inst)
-        assert (tree.depths, tree.min_chosen_split) == loop_reference(inst)
+        assert_matches_reference(SMALL_FAMILY_INSTANCES[family]())
 
     @settings(max_examples=80, deadline=None)
     @given(identifiable_instances())
     def test_matches_the_loop_on_random_instances(self, inst):
-        tree = gbs_tree(inst)
-        assert (tree.depths, tree.min_chosen_split) == loop_reference(inst)
+        assert_matches_reference(inst)
 
     def test_peel_deeper_than_62_levels(self):
         # Labels of the form 2 * parent + answer would overflow int64 here.
         inst = peel_instance(70)
         tree = gbs_tree(inst)
         assert max(tree.depths) == 69
-        assert (tree.depths, tree.min_chosen_split) == loop_reference(inst)
         assert tree.min_chosen_split == Fraction(1, 70)
+        assert_matches_reference(inst)
 
     def test_single_hypothesis_is_a_leaf_at_depth_zero(self):
         inst = instance_of(["1"])
@@ -236,9 +239,8 @@ class TestGbsTree:
         assert tree == engine.GbsTree((1, 1), Fraction(1, 2))
 
     def test_unsplittable_node_raises_budget_exceeded(self):
-        # Validation forbids duplicate rows, so give h1 and h2 the same row
-        # directly: after the first split no test tells them apart.
-        inst = dataclasses.replace(instance_of(["00", "01", "11"]), columns=(0b110, 0b110), rows=(0, 3, 3))
+        # After the first split no test tells h1 and h2 apart.
+        inst = duplicate_row_instance()
         with pytest.raises(QueryBudgetExceeded, match="no test splits a version space of 2"):
             gbs_tree(inst)
 
@@ -271,19 +273,21 @@ class TestInteractiveSession:
         assert queries[0] == queries[1] == queries[2]
 
     def test_closed_channel_raises(self, disjunction_d4m2):
-        with pytest.raises(InconsistentOracle):
+        with pytest.raises(InconsistentOracle, match="answer channel closed mid-session"):
             self.run_with_answers(disjunction_d4m2, "")
 
-    def test_contradicting_answer_raises_like_run_gbs(self):
+    def test_unsplittable_space_raises_like_run_gbs(self):
         # Validation forbids duplicate rows, so build the instance directly:
-        # both hypotheses answer 0 and the answer 1 leaves nobody.
+        # both hypotheses answer 0 everywhere and no query can tell them apart.
         inst = dataclasses.replace(pair_instance(), columns=(0,), rows=(0, 0))
-        with pytest.raises(InconsistentOracle) as simulated:
+        with pytest.raises(QueryBudgetExceeded) as simulated:
             run_gbs(inst, scripted_oracle([1]))
-        with pytest.raises(InconsistentOracle) as interactive:
-            self.run_with_answers(inst, "1\n")
-        assert "contradicts every remaining hypothesis" in str(simulated.value)
+        writer = io.StringIO()
+        with pytest.raises(QueryBudgetExceeded) as interactive:
+            interactive_session(inst, io.StringIO("1\n"), writer)
+        assert str(simulated.value) == "no test splits a version space of 2 hypotheses"
         assert str(interactive.value) == str(simulated.value)
+        assert writer.getvalue() == ""  # nothing was asked
 
     def test_query_lines_carry_metadata(self, box_d1r2):
         reference = run_gbs(box_d1r2, hypothesis_oracle(box_d1r2, 0), "interactive")

@@ -6,12 +6,14 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
 from splitfinder import families
 from splitfinder.analysis import min_k
-from splitfinder.core import best_split_test, delta_set, full_space
+from splitfinder.core import delta_set
+from splitfinder.engine import best_split_test
 from splitfinder.families import (
     BadParams,
     EmptyFamily,
@@ -240,18 +242,24 @@ class TestLinearKcase:
             gen_linear_kcase(6)
 
 
+def root_split(inst) -> Fraction:
+    """The split fraction the greedy step chooses on the full version space."""
+    _, best, _ = best_split_test(inst.outcome_matrix.T, np.arange(inst.n), [0])
+    return Fraction(int(best[0]), inst.n)
+
+
 class TestCounterexamples:
     def test_disjunction_m3_split_exactly_quarter(self):
         inst = gen_counterexample_disjunction(3)
         assert inst.n == 4
-        _, value = best_split_test(full_space(inst))
-        assert value.split == Fraction(1, 4)
-        assert value.split < Fraction(1, 3)
+        value = root_split(inst)
+        assert value == Fraction(1, 4)
+        assert value < Fraction(1, 3)
 
     def test_disjunction_m2_split_third(self):
         inst = gen_counterexample_disjunction(2)
         assert inst.n == 3
-        assert best_split_test(full_space(inst))[1].split == Fraction(1, 3)
+        assert root_split(inst) == Fraction(1, 3)
 
     def test_plus_d2l2_split_exactly_quarter(self, cx_plus_d2l2):
         inst = cx_plus_d2l2
@@ -259,8 +267,7 @@ class TestCounterexamples:
         # Oracle sweep over the axis test region.
         rows = [h.outcomes for h in inst.hypotheses]
         assert oracles.best_split(rows, [0, 1, 2, 3])[1] == Fraction(1, 4)
-        _, value = best_split_test(full_space(inst))
-        assert value.split == Fraction(1, 4) < Fraction(1, 3)
+        assert root_split(inst) == Fraction(1, 4) < Fraction(1, 3)
 
     def test_plus_has_half_coherence_anchors(self, cx_plus_d2l2):
         full = cx_plus_d2l2.full_mask
@@ -314,6 +321,7 @@ class TestDeterminismAndDispatch:
             ("linear_kcase", {"d": "8"}),
             ("cx_disjunction", {"m": "4"}),
             ("cx_plus", {"d": "3", "l": "2"}),
+            ("shape_localization", {"offsets": "0,0;1,0;-1,0;0,1;0,-1;2,0;-2,0"}),
         ],
     )
     def test_size_check_counts_what_is_built(self, monkeypatch, family, params):
@@ -341,6 +349,28 @@ class TestDeterminismAndDispatch:
         assert families._cube_tests("disjunction", limit_d) == families.MAX_OUTCOMES
         with pytest.raises(families.InstanceTooLarge, match=f"d={limit_d + 1} means"):
             families._cube_tests("disjunction", limit_d + 1)
+
+    def test_l1_ball_is_counted_before_it_is_built(self, monkeypatch):
+        # Once from d and the radius, before any offset exists, and once
+        # more from the offsets; both counts are the built instance's sizes.
+        checked = []
+        original = families._check_size
+
+        def record(name, tests, hypotheses):
+            checked.append((tests, hypotheses))
+            original(name, tests, hypotheses)
+
+        monkeypatch.setattr(families, "_check_size", record)
+        for d, radius in [(1, 0), (1, 3), (2, 2), (3, 1), (3, 2), (4, 1)]:
+            checked.clear()
+            inst = families.generate("shape_localization", {"d": str(d), "l1_radius": str(radius)})
+            assert len(families.l1_ball_offsets(d, radius)) == inst.n
+            assert checked == [(inst.m_tests, inst.n)] * 2
+
+    def test_l1_ball_dimension_is_refused_before_three_to_the_d_is_formed(self):
+        assert 3**16 <= families.MAX_OUTCOMES < 3**17
+        with pytest.raises(families.InstanceTooLarge, match=r"d=17 means at least 3\^17 tests"):
+            families.generate("shape_localization", {"d": "17", "l1_radius": "0"})
 
     def test_size_limit_admits_the_largest_benchmark_instances(self):
         assert families.generate("disjunction", {"d": "12", "m": "3"}).n == 298

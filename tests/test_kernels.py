@@ -7,10 +7,11 @@ import random
 from fractions import Fraction
 
 import oracles
+from oracles import prepare_masks
 from splitfinder import kernels
 from splitfinder.analysis import _restricted_masks
 from splitfinder.core import validate_instance
-from splitfinder.kernels import batch_min_split, min_subset_split, prepare_masks
+from splitfinder.kernels import batch_min_split, min_subset_split
 
 
 def naive_min_subset_split(masks: list[int], width: int) -> tuple[Fraction, int | None]:
@@ -153,3 +154,4 @@ def test_restricted_masks_match_bit_by_bit_loop():
                 for col in instance.columns
             ]
             assert expected == prepare_masks(raw, size)
+    assert _restricted_masks(instance, range(instance.n)) == prepare_masks(list(instance.columns), instance.n)
