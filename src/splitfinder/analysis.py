@@ -177,8 +177,8 @@ def _pair_weights(instance: Instance) -> np.ndarray:
     ``lo`` onward only, and popcounts.
     """
     m, n = instance.m_tests, instance.n
-    words = kernels._word_count(n)
-    packed = kernels._words(instance.columns, words)
+    words = kernels._word_count(n, 64)
+    packed = kernels._words(instance.columns, words, 64)
     weights = np.empty((m, m), dtype=np.min_scalar_type(n + 1))
     rows = max(1, kernels.BLOCK_CELLS // (m * words))
     index = np.arange(m)
@@ -369,6 +369,28 @@ def _decode_subset(
     return tuple(members[k] for k in range(len(members)) if (subset >> k) & 1)
 
 
+def _sample_subsets(size: int, samples: int, seed: int) -> np.ndarray:
+    """``samples`` seeded random subsets of ``range(size)``, each with >= 2 members.
+
+    Rows of ``ceil(size / 32)`` little-endian uint32 words, equal to the
+    draws ``random.Random(seed).getrandbits(size)`` taken one at a time,
+    singletons and the empty set rejected and replaced by later draws.
+    """
+    rng = random.Random(seed)
+    words = -(-size // 32)
+    kept: list[np.ndarray] = [np.empty((0, words), dtype="<u4")]
+    have = 0
+    while have < samples:
+        n = samples - have
+        raw = rng.getrandbits(32 * words * n).to_bytes(4 * words * n, "little")
+        rows = np.frombuffer(bytearray(raw), dtype="<u4").reshape(n, words)
+        rows[:, -1] >>= 32 * words - size
+        rows = rows[np.bitwise_count(rows).sum(axis=1) >= 2]
+        kept.append(rows)
+        have += len(rows)
+    return np.concatenate(kept)
+
+
 def edge_alpha(
     instance: Instance,
     x: int,
@@ -387,6 +409,16 @@ def edge_alpha(
     1/2, rejecting singletons), which can falsify a candidate alpha but
     never verify one.  ``_memo`` shares exhaustive kernel results between
     the edges of one analysis.
+
+    The subsets are the draws of ``random.Random(seed).getrandbits(size)``
+    in order, made in one call: each draw uses one 32-bit generator output
+    per uint32 word, least significant first, with the last shifted right
+    to ``size`` bits, and ``getrandbits(32 * words * n)`` hands over the
+    same outputs in the same order.  The call's bytes are viewed as n word
+    rows, the last word of each row is shifted, and rows with fewer than two
+    members are dropped and drawn again from the same generator.
+    ``numpy.random`` is not used: importing it alone adds several MB of
+    resident memory.
     """
     ds = delta_set(instance, x, x_prime)
     size = ds.size
@@ -407,13 +439,7 @@ def edge_alpha(
             _decode_subset(wit, members),
             0,
         )
-    rng = random.Random(seed)
-    draws = [rng.getrandbits(size) for _ in range(samples)]
-    subsets = [s for s in draws if s.bit_count() >= 2]
-    while len(subsets) < samples:
-        s = rng.getrandbits(size)
-        if s.bit_count() >= 2:
-            subsets.append(s)
+    subsets = _sample_subsets(size, samples, seed)
     num, den, wit = kernels.batch_min_split(masks, subsets)
     value = Fraction(num, den)
     witness = _decode_subset(wit, members)

@@ -7,13 +7,15 @@ cannot hide in its own oracle.
 Two sections are references rather than independent oracles: the rational
 tableau simplex that the integer game solver must match pivot for pivot,
 and plain-Python loops over int bitsets that define what the vectorized
-subset kernels, mask restriction (``prepare_masks``) and ``min_k`` must
-return, witnesses and unreduced ``(num, den)`` pairs included.
+subset kernels, mask restriction (``prepare_masks``), ``min_k`` and the
+sampled-subset draw must return, witnesses and unreduced ``(num, den)``
+pairs included.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 
@@ -277,6 +279,18 @@ def loop_batch_min_split(masks: list[int], subsets: list[int]) -> tuple[int, int
         if best * best_den < best_num * size:
             best_num, best_den, witness = best, size, s
     return best_num, best_den, witness
+
+
+def loop_sample_subsets(seed: int, size: int, samples: int) -> list[int]:
+    """One ``getrandbits`` call per draw; draws with fewer than two members are replaced."""
+    rng = random.Random(seed)
+    draws = [rng.getrandbits(size) for _ in range(samples)]
+    subsets = [s for s in draws if s.bit_count() >= 2]
+    while len(subsets) < samples:
+        s = rng.getrandbits(size)
+        if s.bit_count() >= 2:
+            subsets.append(s)
+    return subsets
 
 
 def loop_restricted_masks(columns: tuple[int, ...], members: tuple[int, ...]) -> list[int]:

@@ -365,9 +365,11 @@ class TestAnalyzeRunVerify:
 class TestGoldenReports:
     """Report bytes pinned by sha256, so a kernel change that drifts fails here.
 
-    One instance repeats kernel inputs across most of its edges, one samples
-    edges past a lowered exhaustive limit, and the last four have no all-0 and
-    all-1 test pair, so their coherence comes from solving the game.
+    One instance repeats kernel inputs across most of its edges, three sample
+    edges past the exhaustive limit (cnf d5 below it lowered, widths under
+    32; cnf d7 at widths 20-28, one uint32 word; polygon m40 at widths up
+    to 39, two words), and four have no all-0 and all-1 test pair, so their
+    coherence comes from solving the game.
     """
 
     @pytest.mark.parametrize(
@@ -385,9 +387,14 @@ class TestGoldenReports:
              "66f5a4f740184c53aa44be263576cf072bb32490e8b11bc1e45df56c54c15e5e"),
             ("discrete_linear", ["d=5", "r=2"], [],
              "4db99f2fd81c85be74fa47661618caddde58bd57266cdc98e64612cde5dbc5c7"),
+            ("monotone_cnf", ["d=7", "m=2", "l=2"], ["--seed", "5"],
+             "fa0b649c428180b124e0eb24527c7177c51e23a27bd06e07a60aeca84896524e"),
+            ("convex_polygon", ["m=40", "balanced=false"], ["--seed", "5"],
+             "86e67c96a1995eba7c3672cb7203cecdffa7cb9d6988c05704764e928599b42e"),
         ],
         ids=["disjunction-d6-m2", "cnf-d5-m2-l2-sampled", "polygon-m8",
-             "polygon-m16", "linear-d4-r3", "linear-d5-r2"],
+             "polygon-m16", "linear-d4-r3", "linear-d5-r2",
+             "cnf-d7-m2-l2-sampled", "polygon-m40-sampled-two-words"],
     )
     def test_analyze_report_digest(self, tmp_path, capsys, family, params, flags, sha256):
         instance_path = tmp_path / "golden.instance.json"
@@ -399,6 +406,23 @@ class TestGoldenReports:
         )
         assert code == 0
         assert hashlib.sha256(report_path.read_bytes()).hexdigest() == sha256
+
+
+    def test_sampled_analyze_does_not_import_numpy_random(self, tmp_path):
+        # numpy.random alone adds several MB of resident memory to a run.
+        instance_path = tmp_path / "cnf.instance.json"
+        script = (
+            "import sys\n"
+            "from splitfinder.cli import main\n"
+            f"assert main(['gen', '--family', 'monotone_cnf', '--param', 'd=5', '--param', 'm=2',"
+            f" '--param', 'l=2', '--out', {str(instance_path)!r}]) == 0\n"
+            f"assert main(['analyze', '--in', {str(instance_path)!r}, '--limit', '5',"
+            f" '--samples', '200', '--out', {str(tmp_path / 'cnf.report.json')!r}]) == 0\n"
+            "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True False"
 
 
 class TestGoldenRuns:

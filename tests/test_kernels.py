@@ -6,12 +6,20 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import oracles
+import pytest
 from oracles import prepare_masks
 from splitfinder import kernels
-from splitfinder.analysis import _restricted_masks
+from splitfinder.analysis import _restricted_masks, _sample_subsets
 from splitfinder.core import validate_instance
-from splitfinder.kernels import batch_min_split, min_subset_split
+from splitfinder.kernels import min_subset_split
+
+
+def batch_min_split(masks: list[int], subsets: list[int]) -> tuple[int, int, int | None]:
+    """``kernels.batch_min_split`` on int subsets, packed as the word rows it takes."""
+    width = max(max(subsets, default=0).bit_length(), max(masks, default=0).bit_length())
+    return kernels.batch_min_split(masks, kernels._words(subsets, kernels._word_count(width)))
 
 
 def naive_min_subset_split(masks: list[int], width: int) -> tuple[Fraction, int | None]:
@@ -128,6 +136,35 @@ def test_batch_min_split_wider_than_one_word():
                 for _ in range(80)
             ]
             assert batch_min_split(masks, subsets) == oracles.loop_batch_min_split(masks, subsets)
+
+
+@pytest.mark.parametrize("width", [33, 64, 65, 97, 255, 256, 300])
+def test_batch_min_split_counts_do_not_overflow(width):
+    # Past 255 members a subset's size no longer fits the uint8 that one
+    # word's popcount comes in; near-full subsets make sizes that large.
+    # Masks inside the low byte make the full set the least split of them.
+    rng = random.Random(width)
+    full = (1 << width) - 1
+    dense = [full] + [full ^ sum(1 << b for b in rng.sample(range(8, width), rng.randint(1, 4))) for _ in range(30)]
+    sparse = [sum(1 << b for b in rng.sample(range(width), rng.randint(2, 6))) for _ in range(30)]
+    random_rows = [rng.getrandbits(width) for _ in range(30)]
+    for masks in (random_masks(rng, width, 12), random_masks(rng, 8, 6)):
+        for subsets in (dense, dense + sparse + random_rows, random_rows):
+            assert batch_min_split(masks, subsets) == oracles.loop_batch_min_split(masks, subsets)
+
+
+# ---------------------------------------------------------------------------
+# The one-call sampler draws what one getrandbits call per draw would
+
+
+@pytest.mark.parametrize("size", [*range(2, 71), 96, 97, 128, 130])
+def test_sample_subsets_match_one_draw_at_a_time(size):
+    for seed in (0, 1, 2**40 + 3):
+        for samples in (0, 1, 5, 100, 1000):
+            rows = _sample_subsets(size, samples, seed)
+            assert rows.dtype == np.dtype("<u4") and rows.shape == (samples, -(-size // 32))
+            decoded = [kernels._row_int(row) for row in rows]
+            assert decoded == oracles.loop_sample_subsets(seed, size, samples)
 
 
 def synthetic_instance(rng: random.Random, n: int, m_tests: int):
