@@ -9,7 +9,6 @@ exhaustively.
 """
 
 from .core import (
-    DeltaSet,
     HypothesisRecord,
     Instance,
     TestRecord,
@@ -42,7 +41,6 @@ __all__ = [
     "AnalysisReport",
     "CoherenceCertificate",
     "CostStats",
-    "DeltaSet",
     "EdgeReport",
     "HypothesisRecord",
     "Instance",

@@ -34,6 +34,8 @@ DEFAULT_SAMPLES = 10_000
 DEFAULT_OPTIMAL_CAP = 12
 DEFAULT_AUDIT_CAP = 15
 
+_BIT_WEIGHTS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
 
 class NotADistribution(ValueError):
     pass
@@ -169,16 +171,40 @@ def min_k(instance: Instance) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     raise RuntimeError("unreachable: every test pair disagrees on at most n hypotheses")
 
 
+def _packed_columns(bits: np.ndarray) -> np.ndarray:
+    """Each column of a 2-d bool array as one row of little-endian uint64 words.
+
+    Bit k of row j is ``bits[k, j]``; bits past the last row are zero.  Word
+    w of every column is one exact uint64 dot product of rows 64w onward with
+    the weights ``1 << k``, which numpy computes faster than ``np.packbits``
+    along the rows.
+    """
+    out = np.empty((bits.shape[1], kernels._word_count(len(bits), 64)), dtype="<u8")
+    for w in range(out.shape[1]):
+        chunk = bits[64 * w : 64 * (w + 1)]
+        out[:, w] = _BIT_WEIGHTS[: len(chunk)] @ chunk.astype(np.uint64)
+    return out
+
+
+def _column_ints(bits: np.ndarray) -> list[int]:
+    """Each column of a 2-d bool array as an int whose bit k is ``bits[k, j]``."""
+    words = _packed_columns(bits)
+    if words.shape[1] == 1:
+        return words[:, 0].tolist()
+    return [int.from_bytes(row.tobytes(), "little") for row in words]
+
+
 def _pair_weights(instance: Instance) -> np.ndarray:
     """Disagreement count of every test pair i < j; n + 1 on and below the diagonal.
 
-    Rows are filled in blocks of about ``kernels.BLOCK_CELLS`` cells; a block
-    of rows from ``lo`` XORs its packed test columns with those of tests
-    ``lo`` onward only, and popcounts.
+    Each test's outcome column is packed once into uint64 words
+    (``_packed_columns``).  Rows are filled in blocks of about
+    ``kernels.BLOCK_CELLS`` cells; a block of rows from ``lo`` XORs its
+    packed columns with those of tests ``lo`` onward only, and popcounts.
     """
     m, n = instance.m_tests, instance.n
-    words = kernels._word_count(n, 64)
-    packed = kernels._words(instance.columns, words, 64)
+    packed = _packed_columns(instance.outcomes)
+    words = packed.shape[1]
     weights = np.empty((m, m), dtype=np.min_scalar_type(n + 1))
     rows = max(1, kernels.BLOCK_CELLS // (m * words))
     index = np.arange(m)
@@ -211,19 +237,19 @@ def coherence(instance: Instance) -> CoherenceCertificate:
     optimal response mix is checked too: no test may score above the value
     against it, which proves the value optimal, not only achievable.
     """
-    full = instance.full_mask
-    all_one = next((x for x, c in enumerate(instance.columns) if c == full), None)
-    all_zero = next((x for x, c in enumerate(instance.columns) if c == 0), None)
-    if all_one is not None and all_zero is not None:
+    outcomes = instance.outcomes
+    all_one = np.flatnonzero(outcomes.all(axis=0))
+    all_zero = np.flatnonzero(~outcomes.any(axis=0))
+    if all_one.size and all_zero.size:
         half = Fraction(1, 2)
-        cert = CoherenceCertificate({all_one: half, all_zero: half}, half)
+        cert = CoherenceCertificate({int(all_one[0]): half, int(all_zero[0]): half}, half)
         achieved = _achieved_value(instance, cert.distribution)
         if achieved != half:
             raise RuntimeError(f"value 1/2 is not achieved by the all-0/all-1 pair ({achieved})")
         return cert
 
     distinct: dict[int, int] = {}
-    for x, col in enumerate(instance.columns):
+    for x, col in enumerate(_column_ints(outcomes)):
         distinct.setdefault(col, x)
     reps = list(distinct.values())
 
@@ -231,8 +257,7 @@ def coherence(instance: Instance) -> CoherenceCertificate:
     # pays 1), first-seen (hypothesis, desired) kept for the dual check.
     all_rows = (1 << len(reps)) - 1
     responses: dict[int, tuple[int, int]] = {}
-    for h, row in enumerate(instance.rows):
-        ones = sum(1 << i for i, x in enumerate(reps) if (row >> x) & 1)
+    for h, ones in enumerate(_column_ints(outcomes[:, reps].T)):
         responses.setdefault(ones, (h, 1))
         responses.setdefault(all_rows ^ ones, (h, 0))
     kept = _minimal_masks(list(responses))
@@ -275,19 +300,20 @@ def _best_test_score(
     bounds coherence from above.
     """
     den, nums = _over_common_denominator(response_mix)
-    rows = instance.rows
-    best = max(
-        sum(q for (h, desired), q in nums.items() if (rows[h] >> x) & 1 == desired)
-        for x in range(instance.m_tests)
-    )
+    hyps = [h for h, _ in nums]
+    desired = np.array([d for _, d in nums], dtype=bool)
+    earns = (instance.outcomes[hyps] == desired[:, None]).T.tolist()  # tests x responses
+    weights = list(nums.values())
+    best = max(sum(q for q, hit in zip(weights, row) if hit) for row in earns)
     return Fraction(best, den)
 
 
 def _achieved_value(instance: Instance, dist: Mapping[int, Fraction]) -> Fraction:
     den, nums = _over_common_denominator(dist)
+    weights = list(nums.values())
     worst = den
-    for row in instance.rows:
-        expected = sum(w for x, w in nums.items() if (row >> x) & 1)
+    for row in instance.outcomes[:, list(nums)].tolist():
+        expected = sum(w for w, hit in zip(weights, row) if hit)
         worst = min(worst, expected, den - expected)
     return min(Fraction(1, 2), Fraction(worst, den))
 
@@ -324,22 +350,14 @@ def verify_certificate(
 def _restricted_masks(instance: Instance, members: Sequence[int]) -> list[int]:
     """Test columns restricted to `members` (bit k = members[k]), canonicalized.
 
-    A mask and its complement split every subset alike, so each is replaced
-    by the smaller of the two; zeros are dropped and the distinct masks
-    come back sorted.
+    The members' rows of ``Instance.outcomes`` are gathered and packed per
+    test by ``_column_ints``.  A mask and its complement split every subset
+    alike, so each is replaced by the smaller of the two; zeros are dropped
+    and the distinct masks come back sorted.
     """
-    width = len(members)
-    bits = instance.outcome_matrix[:, list(members)]
-    # A row and its complement differ in the top bit; the one without it is smaller.
-    packed = np.packbits(bits ^ bits[:, -1:], axis=1, bitorder="little")
-    padded = np.zeros((bits.shape[0], -(-width // 64) * 8), dtype=np.uint8)
-    padded[:, : packed.shape[1]] = packed
-    words = padded.view("<u8")
-    if words.shape[1] == 1:
-        values = words[:, 0].tolist()
-    else:
-        values = [int.from_bytes(row.tobytes(), "little") for row in words]
-    out = set(values)
+    bits = instance.outcomes[list(members)]
+    # A column and its complement differ in the top bit; the one without it is smaller.
+    out = set(_column_ints(bits ^ bits[-1]))
     out.discard(0)
     return sorted(out)
 
@@ -420,13 +438,12 @@ def edge_alpha(
     ``numpy.random`` is not used: importing it alone adds several MB of
     resident memory.
     """
-    ds = delta_set(instance, x, x_prime)
-    size = ds.size
+    members = delta_set(instance, x, x_prime).tolist()
+    size = len(members)
     if size <= 1:
         return EdgeReport(
             x, x_prime, size, VERIFIED_EXHAUSTIVE, Fraction(1, 2), None, 0
         )
-    members = ds.member_indices()
     masks = _restricted_masks(instance, members)
     if size <= exhaustive_limit:
         num, den, wit = _memo_min_split({} if _memo is None else _memo, masks, size)
@@ -512,13 +529,13 @@ def candidate_edges(
         mode = "all"
     if mode != "all":
         raise ValueError(f"unknown edge mode {mode!r}")
-    m = instance.m_tests
-    pairs = [
-        (i, j)
-        for i in range(m)
-        for j in range(m)
-        if i != j and delta_set(instance, i, j).size <= exhaustive_limit
-    ]
+    # Row i of the packed columns, negated and ANDed with every row, counts
+    # the delta sets from test i to every test at once.
+    packed = _packed_columns(instance.outcomes)
+    pairs = []
+    for i, words in enumerate(packed):
+        sizes = np.bitwise_count(~words & packed).sum(axis=1, dtype=np.int64)
+        pairs.extend((i, j) for j in np.flatnonzero(sizes <= exhaustive_limit).tolist() if j != i)
     return "all", pairs
 
 
@@ -657,7 +674,7 @@ def optimal_worst_case(instance: Instance, n_cap: int = DEFAULT_OPTIMAL_CAP) -> 
         memo[v] = best
         return best
 
-    return cost(instance.full_mask)
+    return cost((1 << instance.n) - 1)
 
 
 def subset_split_audit(
@@ -699,27 +716,23 @@ def neighborly_edge_audit(
     if k < 1:
         return NeighborlyEdgeAudit(True, k, 0, 0, ())
     threshold = Fraction(1, k)
-    cols = instance.columns
-    m = instance.m_tests
     checked = 0
     skipped = 0
     failures: list[tuple[int, int, Fraction]] = []
     memo: dict = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (cols[i] ^ cols[j]).bit_count() > k:
+    rows, cols = np.nonzero(_pair_weights(instance) <= k)  # row-major, so (i, j) ascending
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        for a, b in ((i, j), (j, i)):
+            size = delta_set(instance, a, b).size
+            if size <= 1:
                 continue
-            for a, b in ((i, j), (j, i)):
-                size = delta_set(instance, a, b).size
-                if size <= 1:
-                    continue
-                if size > exhaustive_limit:
-                    skipped += 1
-                    continue
-                value = edge_alpha(instance, a, b, exhaustive_limit, _memo=memo).edge_value
-                checked += 1
-                if value < threshold:
-                    failures.append((a, b, value))
+            if size > exhaustive_limit:
+                skipped += 1
+                continue
+            value = edge_alpha(instance, a, b, exhaustive_limit, _memo=memo).edge_value
+            checked += 1
+            if value < threshold:
+                failures.append((a, b, value))
     return NeighborlyEdgeAudit(not failures, k, checked, skipped, tuple(failures))
 
 

@@ -45,6 +45,17 @@ def _parse_params(pairs: list[str] | None) -> dict[str, str]:
     return params
 
 
+def _count(text: str) -> int:
+    """argparse type of a count: an int >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _resolve_threads(_value: int | None) -> int:
     # Everything runs on one thread; only the benchmark's provenance reads this.
     return 1
@@ -237,9 +248,9 @@ def cmd_sweep(args) -> int:
 def _add_analysis_flags(sub) -> None:
     sub.add_argument("--edges", choices=["all", "l1"], default=None,
                      help="candidate edge set: family adjacency preset (l1) or all small pairs")
-    sub.add_argument("--limit", type=int, default=analysis.DEFAULT_EXHAUSTIVE_LIMIT,
+    sub.add_argument("--limit", type=_count, default=analysis.DEFAULT_EXHAUSTIVE_LIMIT,
                      help="max disagreement-set size enumerated exhaustively")
-    sub.add_argument("--samples", type=int, default=analysis.DEFAULT_SAMPLES,
+    sub.add_argument("--samples", type=_count, default=analysis.DEFAULT_SAMPLES,
                      help="random subsets probed per oversized edge")
     sub.add_argument("--seed", type=int, default=0, help="base seed for edge sampling")
 

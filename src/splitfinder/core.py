@@ -2,18 +2,18 @@
 
 An instance is a finite binary outcome matrix: every hypothesis answers 0 or
 1 on every test, and no two hypotheses share an outcome row (identifiability).
-The outcomes are kept as the validated '0'/'1' strings, as per-test column
-bitsets over hypotheses (`columns`), as per-hypothesis row bitsets over
-tests (`rows`) and, unpacked on first use, as a tests x hypotheses numpy
-bool matrix (`outcome_matrix`), which the greedy step and the edge kernels
-read.
+The outcomes are kept in two forms: the validated '0'/'1' strings, which
+decide equality and are what gets written, and `outcomes`, a read-only,
+C-contiguous hypotheses x tests bool array parsed from them once, which
+every computation reads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -77,8 +77,8 @@ class Instance:
     params: Mapping[str, Any]
     tests: tuple[TestRecord, ...]
     hypotheses: tuple[HypothesisRecord, ...]
-    columns: tuple[int, ...] = field(repr=False)  # per test, bitset over hypotheses
-    rows: tuple[int, ...] = field(repr=False)  # per hypothesis, bitset over tests
+    # Hypotheses x tests, read-only; the strings above already decide equality.
+    outcomes: np.ndarray = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -88,10 +88,6 @@ class Instance:
     def m_tests(self) -> int:
         return len(self.tests)
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
     @cached_property
     def test_index(self) -> dict[str, int]:
         return {t.id: i for i, t in enumerate(self.tests)}
@@ -99,42 +95,6 @@ class Instance:
     @cached_property
     def hypothesis_index(self) -> dict[str, int]:
         return {h.id: i for i, h in enumerate(self.hypotheses)}
-
-    @cached_property
-    def outcome_matrix(self) -> np.ndarray:
-        """Tests x hypotheses bool matrix, unpacked from `columns` on first use."""
-        nbytes = (self.n + 7) // 8
-        raw = b"".join(col.to_bytes(nbytes, "little") for col in self.columns)
-        packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.m_tests, nbytes)
-        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little").view(bool)
-
-    def outcome(self, hypothesis: int, test: int) -> int:
-        return (self.rows[hypothesis] >> test) & 1
-
-
-@dataclass(frozen=True)
-class DeltaSet:
-    """Hypotheses answering 0 on `from_test` and 1 on `to_test`."""
-
-    from_test: int
-    to_test: int
-    members: int
-
-    @property
-    def size(self) -> int:
-        return self.members.bit_count()
-
-    def member_indices(self) -> tuple[int, ...]:
-        return _bits(self.members)
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def validate_instance(raw: Mapping[str, Any]) -> Instance:
@@ -185,9 +145,11 @@ def validate_instance(raw: Mapping[str, Any]) -> Instance:
 
     _check_meta(tests, hypotheses)
 
-    outcome_rows = [h.outcomes for h in hypotheses]
-    rows = tuple(int(row[::-1], 2) for row in outcome_rows)
-    columns = tuple(int("".join(col)[::-1], 2) for col in zip(*outcome_rows))
+    # Encoded as one fixed-width byte string per row, then '0'/'1' -> 0/1 in place.
+    codes = np.array([h.outcomes for h in hypotheses], dtype=f"S{m_tests}").view(np.uint8)
+    codes -= ord("0")
+    matrix = codes.reshape(-1, m_tests).view(bool)
+    matrix.flags.writeable = False
 
     return Instance(
         name=str(raw.get("name", "")),
@@ -195,8 +157,7 @@ def validate_instance(raw: Mapping[str, Any]) -> Instance:
         params=dict(raw.get("params") or {}),
         tests=tuple(tests),
         hypotheses=tuple(hypotheses),
-        columns=columns,
-        rows=rows,
+        outcomes=matrix,
     )
 
 
@@ -240,7 +201,7 @@ def _check_meta(tests, hypotheses) -> None:
             )
 
 
-def delta_set(instance: Instance, x: int, x_prime: int) -> DeltaSet:
-    """Hypotheses answering 0 on x and 1 on x_prime."""
-    members = ~instance.columns[x] & instance.columns[x_prime] & instance.full_mask
-    return DeltaSet(x, x_prime, members)
+def delta_set(instance: Instance, x: int, x_prime: int) -> np.ndarray:
+    """Indices, ascending, of the hypotheses answering 0 on x and 1 on x_prime."""
+    outcomes = instance.outcomes
+    return np.flatnonzero(~outcomes[:, x] & outcomes[:, x_prime])

@@ -14,6 +14,9 @@ live node, so each node is visited once instead of once per hypothesis
 below it.  Its leaf depths equal the `run_gbs` query counts, and it also
 reports the least split any node chose, the per-step quantity that the
 split bounds assume is at least beta.
+
+Both read `Instance.outcomes`, the C-contiguous hypotheses x tests array,
+so gathering a node's members copies whole contiguous rows.
 """
 
 from __future__ import annotations
@@ -81,8 +84,8 @@ AnswerSource = Callable[[int], int]
 
 def hypothesis_oracle(instance: Instance, hypothesis: int) -> AnswerSource:
     """Answers every test the way one fixed hypothesis would."""
-    row = instance.rows[hypothesis]
-    return lambda x: (row >> x) & 1
+    row = instance.outcomes[hypothesis]
+    return lambda x: int(row[x])
 
 
 def scripted_oracle(answers: Iterable[int]) -> AnswerSource:
@@ -133,7 +136,7 @@ def run_gbs(instance: Instance, answer: AnswerSource, oracle_id: str = "oracle")
     Every chosen test splits the space, so each answer keeps at least one
     hypothesis and the run ends within n - 1 queries.
     """
-    outcomes = instance.outcome_matrix.T  # hypotheses x tests
+    outcomes = instance.outcomes
     members = np.arange(instance.n)
     steps: list[Step] = []
     while members.size > 1:
@@ -160,7 +163,7 @@ def gbs_tree(instance: Instance) -> GbsTree:
     n = instance.n
     if n == 1:
         return GbsTree((0,), None)
-    outcomes = instance.outcome_matrix.T  # hypotheses x tests
+    outcomes = instance.outcomes
     depths = np.zeros(n, dtype=np.int64)
     members = np.arange(n)
     starts = np.zeros(1, dtype=np.intp)  # first member of each node

@@ -9,7 +9,8 @@ tableau simplex that the integer game solver must match pivot for pivot,
 and plain-Python loops over int bitsets that define what the vectorized
 subset kernels, mask restriction (``prepare_masks``), ``min_k`` and the
 sampled-subset draw must return, witnesses and unreduced ``(num, den)``
-pairs included.
+pairs included.  Their int-bitset inputs come from ``columns_of``, which
+reads the outcome strings, not the library's outcome array.
 """
 
 from __future__ import annotations
@@ -291,6 +292,12 @@ def loop_sample_subsets(seed: int, size: int, samples: int) -> list[int]:
         if s.bit_count() >= 2:
             subsets.append(s)
     return subsets
+
+
+def columns_of(instance) -> tuple[int, ...]:
+    """Per test, the int whose bit h is hypothesis h's outcome, read from the strings."""
+    rows = [h.outcomes for h in instance.hypotheses]
+    return tuple(int("".join(col)[::-1], 2) for col in zip(*rows))
 
 
 def loop_restricted_masks(columns: tuple[int, ...], members: tuple[int, ...]) -> list[int]:

@@ -120,7 +120,7 @@ def test_criterion_4_box_localization():
 def test_criterion_5_counterexample_certificates():
     with criterion(5, "counterexample certificates", 1.0):
         for inst in (families.gen_counterexample_disjunction(3), families.gen_counterexample_plus(2, 2)):
-            _, best, sizes = engine.best_split_test(inst.outcome_matrix.T, np.arange(inst.n), [0])
+            _, best, sizes = engine.best_split_test(inst.outcomes, np.arange(inst.n), [0])
             value = Fraction(int(best[0]), int(sizes[0]))
             assert value == Fraction(1, 4)
             assert value < Fraction(1, 3)
@@ -203,7 +203,7 @@ def test_criterion_9_headless_property_suites(tmp_path):
         assert blobs[0] == blobs[1]
 
         # Transcript replay soundness against engine.restrict.
-        outcomes, everyone = inst.outcome_matrix.T, np.arange(inst.n)
+        outcomes, everyone = inst.outcomes, np.arange(inst.n)
         for h in range(inst.n):
             transcript = engine.run_gbs(inst, engine.hypothesis_oracle(inst, h))
             members = everyone

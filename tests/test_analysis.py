@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from splitfinder import analysis, engine, families, kernels
@@ -89,7 +93,7 @@ class TestMinK:
             families.gen_discrete_linear(4, 3),
             families.gen_counterexample_plus(2, 2),
         ):
-            assert min_k(inst) == oracles.loop_min_k(inst.columns)
+            assert min_k(inst) == oracles.loop_min_k(oracles.columns_of(inst))
 
     def test_matches_the_sorted_pair_loop_on_random_columns(self):
         # Few hypotheses make many tied weights and repeated columns.
@@ -102,14 +106,14 @@ class TestMinK:
                 "tests": [{"id": f"t{x}"} for x in range(m)],
                 "hypotheses": [{"id": f"h{i}", "outcomes": r} for i, r in enumerate(sorted(rows))],
             })
-            assert min_k(inst) == oracles.loop_min_k(inst.columns)
+            assert min_k(inst) == oracles.loop_min_k(oracles.columns_of(inst))
 
     @pytest.mark.parametrize("cells", [1, 7, 16])
     def test_results_do_not_depend_on_block_boundaries(self, monkeypatch, cells):
         cases = (families.gen_disjunction(5, 2), families.gen_convex_polygon(9, balanced=False))
         monkeypatch.setattr(kernels, "BLOCK_CELLS", cells)
         for inst in cases:
-            assert min_k(inst) == oracles.loop_min_k(inst.columns)
+            assert min_k(inst) == oracles.loop_min_k(oracles.columns_of(inst))
 
 
 class TestCoherence:
@@ -395,7 +399,7 @@ class TestOptimalWorstCase:
             {"tests": [{"id": "t0"}, {"id": "t1"}],
              "hypotheses": [{"id": f"h{i}", "outcomes": row} for i, row in enumerate(["00", "01", "11"])]}
         )
-        inst = dataclasses.replace(inst, columns=(0b110, 0b110), rows=(0, 3, 3))
+        inst = dataclasses.replace(inst, outcomes=np.array([[0, 0], [1, 1], [1, 1]], dtype=bool))
         with pytest.raises(engine.QueryBudgetExceeded, match="no test splits a version space of 2"):
             optimal_worst_case(inst)
 
@@ -462,6 +466,62 @@ class TestNeighborlyEdgeAudit:
         assert audit.passed
         assert audit.pairs_skipped == 0
         assert audit.pairs_checked > 0
+
+
+@st.composite
+def random_instances(draw):
+    m_tests = draw(st.integers(min_value=1, max_value=8))
+    rows = draw(
+        st.lists(st.integers(min_value=0, max_value=(1 << m_tests) - 1), min_size=1, max_size=20, unique=True)
+    )
+    return validate_instance({
+        "tests": [{"id": f"t{x}"} for x in range(m_tests)],
+        "hypotheses": [{"id": f"h{i}", "outcomes": format(v, f"0{m_tests}b")} for i, v in enumerate(rows)],
+    })
+
+
+class TestVectorizedPairPaths:
+    """The numpy pair paths against loops over the outcome strings."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_instances(), st.integers(min_value=0, max_value=6))
+    def test_all_mode_pairs_match_the_delta_loop(self, inst, limit):
+        rows = [h.outcomes for h in inst.hypotheses]
+        m = inst.m_tests
+        expected = [
+            (i, j)
+            for i in range(m)
+            for j in range(m)
+            if i != j and len(oracles.delta_members(rows, i, j)) <= limit
+        ]
+        assert candidate_edges(inst, "all", limit) == ("all", expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_instances(), st.integers(min_value=0, max_value=6))
+    def test_neighborly_audit_matches_the_disagreement_loop(self, inst, limit):
+        rows = [h.outcomes for h in inst.hypotheses]
+        audit = neighborly_edge_audit(inst, limit)
+        k = audit.k_min
+        assert k == oracles.loop_min_k(oracles.columns_of(inst))[0]
+        checked, skipped, failures = 0, 0, []
+        pairs = itertools.combinations(range(inst.m_tests), 2) if k >= 1 else ()
+        for i, j in pairs:
+            if oracles.disagreement_count(rows, i, j) > k:
+                continue
+            for a, b in ((i, j), (j, i)):
+                pool = oracles.delta_members(rows, a, b)
+                if len(pool) <= 1:
+                    continue
+                if len(pool) > limit:
+                    skipped += 1
+                    continue
+                checked += 1
+                value = oracles.min_subset_split(rows, pool)
+                if value < Fraction(1, k):
+                    failures.append((a, b, value))
+        assert (audit.pairs_checked, audit.pairs_skipped) == (checked, skipped)
+        assert audit.failures == tuple(failures)
+        assert audit.passed == (not failures)
 
 
 class TestAnalyzeAndVerify:

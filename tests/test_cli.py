@@ -154,6 +154,16 @@ class TestAnalyzeRunVerify:
         assert "alpha_star=0/1 (unverified_edges_dominate)" in out
         assert "split_worst=unbounded" in out
 
+    @pytest.mark.parametrize("flag, value", [("--samples", "-3"), ("--limit", "-1"), ("--samples", "x")])
+    def test_analyze_negative_or_non_integer_count_exit_2(self, dj_instance, tmp_path, capsys, flag, value):
+        instance_path, _ = dj_instance
+        report = tmp_path / "r.json"
+        code, out, err = run_cli(
+            capsys, "analyze", "--in", str(instance_path), flag, value, "--out", str(report),
+        )
+        assert code == 2 and out == "" and not report.exists()
+        assert err == f"ERROR UsageError: argument {flag}: expected a non-negative integer, got '{value}'\n"
+
     def test_run_single_oracle_writes_transcript(self, dj_instance, tmp_path, capsys):
         instance_path, _ = dj_instance
         out_path = tmp_path / "one.transcript.json"
@@ -541,6 +551,16 @@ class TestSweep:
         assert len(lines) == 4  # header + 3 rows
         assert lines[0].startswith("name,")
         assert "disjunction_d5_m2" in lines[2]
+
+    @pytest.mark.parametrize("flag", ["--samples", "--limit"])
+    def test_negative_count_exit_2(self, tmp_path, capsys, flag):
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--family", "disjunction", "--grid", "d=3", "--param", "m=1",
+            flag, "-2", "--out", str(out_path),
+        )
+        assert code == 2 and not out_path.exists()
+        assert err.startswith(f"ERROR UsageError: argument {flag}: ") and err.count("\n") == 1
 
     def test_sweep_reruns_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -56,13 +56,13 @@ def everyone(inst) -> np.ndarray:
 
 def best_split(inst, members) -> tuple[int, Fraction]:
     """The greedy step on one node: its test and that test's split fraction."""
-    tests, best, sizes = best_split_test(inst.outcome_matrix.T, np.asarray(members), [0])
+    tests, best, sizes = best_split_test(inst.outcomes, np.asarray(members), [0])
     return int(tests[0]), Fraction(int(best[0]), int(sizes[0]))
 
 
 def split_of_test(inst, members, x) -> Fraction:
     """The split fraction of test x alone, through the greedy step."""
-    outcomes = inst.outcome_matrix.T[:, [x]]
+    outcomes = inst.outcomes[:, [x]]
     _, best, sizes = best_split_test(outcomes, np.asarray(members), [0])
     return Fraction(int(best[0]), int(sizes[0]))
 
@@ -125,18 +125,19 @@ class TestValidateInstance:
 
     def test_columns_and_rows_agree(self, disjunction_d4m2):
         inst = disjunction_d4m2
+        columns = oracles.columns_of(inst)
         for h in range(inst.n):
             for x in range(inst.m_tests):
                 bit = int(inst.hypotheses[h].outcomes[x])
-                assert inst.outcome(h, x) == bit
-                assert ((inst.columns[x] >> h) & 1) == bit
+                assert inst.outcomes[h, x] == bit
+                assert ((columns[x] >> h) & 1) == bit
 
 
 class TestSplitProbability:
     def test_disjunction_single_bit_test(self, disjunction_d3m1):
         inst = disjunction_d3m1
         x = inst.test_index["100"]
-        ones = restrict(inst.outcome_matrix.T, everyone(inst), x, 1).size
+        ones = restrict(inst.outcomes, everyone(inst), x, 1).size
         # Oracle: only x1 fires on assignment 100.
         rows = [h.outcomes for h in inst.hypotheses]
         assert oracles.p_one_of(rows, [0, 1, 2], x) == Fraction(1, 3)
@@ -197,7 +198,7 @@ class TestBestSplitTest:
         nodes = [[0, 3, 4, 9], [1, 2], [5, 6, 7, 8]]
         members = np.array([h for node in nodes for h in node])
         starts = [0, 4, 6]
-        tests, best, sizes = best_split_test(inst.outcome_matrix.T, members, starts)
+        tests, best, sizes = best_split_test(inst.outcomes, members, starts)
         rows = [h.outcomes for h in inst.hypotheses]
         for i, node in enumerate(nodes):
             x, value = oracles.best_split(rows, node)
@@ -208,16 +209,16 @@ class TestBestSplitTest:
 class TestRestrict:
     def test_positive_side_size(self, pentagon):
         rows = [h.outcomes for h in pentagon.hypotheses]
-        kept = restrict(pentagon.outcome_matrix.T, everyone(pentagon), 0, 1)
+        kept = restrict(pentagon.outcomes, everyone(pentagon), 0, 1)
         assert kept.size == oracles.p_one_of(rows, list(range(pentagon.n)), 0) * pentagon.n
 
     def test_contradiction_empties(self, pentagon):
-        outcomes = pentagon.outcome_matrix.T
+        outcomes = pentagon.outcomes
         assert restrict(outcomes, restrict(outcomes, everyone(pentagon), 0, 0), 0, 1).size == 0
 
     def test_disjunction_restrict_example(self, disjunction_d3m1):
         inst = disjunction_d3m1
-        kept = restrict(inst.outcome_matrix.T, everyone(inst), inst.test_index["100"], 1)
+        kept = restrict(inst.outcomes, everyone(inst), inst.test_index["100"], 1)
         assert [inst.hypotheses[h].id for h in kept] == ["x1"]
 
 
@@ -227,8 +228,8 @@ class TestDeltaSet:
 
     def test_disjunction_delta(self, disjunction_d3m1):
         inst = disjunction_d3m1
-        ds = delta_set(inst, inst.test_index["000"], inst.test_index["100"])
-        assert [inst.hypotheses[h].id for h in ds.member_indices()] == ["x1"]
+        members = delta_set(inst, inst.test_index["000"], inst.test_index["100"])
+        assert [inst.hypotheses[h].id for h in members] == ["x1"]
 
     def test_pentagon_adjacent_delta_size(self, pentagon):
         # Oracle: arcs of length 1..4 on the 5-cycle containing vertex 1 but
@@ -241,15 +242,16 @@ class TestDeltaSet:
         inst = disjunction_d4m2
         rows = [h.outcomes for h in inst.hypotheses]
         for x, xp in [(0, 1), (3, 9), (5, 10)]:
-            fwd = delta_set(inst, x, xp)
-            bwd = delta_set(inst, xp, x)
-            assert fwd.members & bwd.members == 0
-            disagree = sum(1 << h for h in range(inst.n) if rows[h][x] != rows[h][xp])
-            assert fwd.members | bwd.members == disagree
+            fwd = delta_set(inst, x, xp).tolist()
+            bwd = delta_set(inst, xp, x).tolist()
+            assert fwd == oracles.delta_members(rows, x, xp)
+            assert set(fwd).isdisjoint(bwd)
+            disagree = [h for h in range(inst.n) if rows[h][x] != rows[h][xp]]
+            assert sorted(fwd + bwd) == disagree
 
 
 def member_subset(inst, data) -> np.ndarray:
-    mask = data.draw(st.integers(min_value=1, max_value=inst.full_mask))
+    mask = data.draw(st.integers(min_value=1, max_value=(1 << inst.n) - 1))
     return np.array([h for h in range(inst.n) if (mask >> h) & 1])
 
 
@@ -258,8 +260,8 @@ def member_subset(inst, data) -> np.ndarray:
 def test_restrict_partitions_every_space(inst, data):
     x = data.draw(st.integers(min_value=0, max_value=inst.m_tests - 1))
     members = member_subset(inst, data)
-    ones = restrict(inst.outcome_matrix.T, members, x, 1)
-    zeros = restrict(inst.outcome_matrix.T, members, x, 0)
+    ones = restrict(inst.outcomes, members, x, 1)
+    zeros = restrict(inst.outcomes, members, x, 0)
     assert set(ones.tolist()).isdisjoint(zeros.tolist())
     assert sorted(ones.tolist() + zeros.tolist()) == members.tolist()
     assert ones.size + zeros.size == members.size
@@ -272,7 +274,7 @@ def test_split_range_and_definition(inst, data):
     members = member_subset(inst, data)
     rows = [h.outcomes for h in inst.hypotheses]
     p_one = oracles.p_one_of(rows, members.tolist(), x)
-    assert Fraction(restrict(inst.outcome_matrix.T, members, x, 1).size, members.size) == p_one
+    assert Fraction(restrict(inst.outcomes, members, x, 1).size, members.size) == p_one
     if 0 < p_one < 1:
         split = split_of_test(inst, members, x)
         assert 0 < split <= Fraction(1, 2)
@@ -296,9 +298,8 @@ def test_best_split_beats_identifiability_floor(inst):
 def test_delta_sets_partition_disagreements(inst, data):
     x = data.draw(st.integers(min_value=0, max_value=inst.m_tests - 1))
     xp = data.draw(st.integers(min_value=0, max_value=inst.m_tests - 1))
-    fwd = delta_set(inst, x, xp)
-    bwd = delta_set(inst, xp, x)
-    assert fwd.members & bwd.members == 0
-    assert fwd.members | bwd.members == (
-        (inst.columns[x] ^ inst.columns[xp]) & inst.full_mask
-    )
+    fwd = delta_set(inst, x, xp).tolist()
+    bwd = delta_set(inst, xp, x).tolist()
+    assert set(fwd).isdisjoint(bwd)
+    columns = oracles.columns_of(inst)
+    assert sum(1 << h for h in fwd + bwd) == columns[x] ^ columns[xp]

@@ -87,7 +87,7 @@ class TestRunGbs:
         assert first == second
 
     def test_replay_reproduces_recorded_sizes(self, pentagon):
-        outcomes = pentagon.outcome_matrix.T
+        outcomes = pentagon.outcomes
         for h in (0, 5, 13):
             tr = run_gbs(pentagon, hypothesis_oracle(pentagon, h))
             members = np.arange(pentagon.n)
@@ -165,7 +165,8 @@ def peel_instance(n):
 
 def duplicate_row_instance():
     """h1 and h2 share a row: validation forbids that, so it is set directly."""
-    return dataclasses.replace(instance_of(["00", "01", "11"]), columns=(0b110, 0b110), rows=(0, 3, 3))
+    outcomes = np.array([[0, 0], [1, 1], [1, 1]], dtype=bool)
+    return dataclasses.replace(instance_of(["00", "01", "11"]), outcomes=outcomes)
 
 
 def assert_matches_reference(inst):
@@ -205,6 +206,37 @@ def identifiable_instances(draw):
         )
     )
     return instance_of([format(value, f"0{m_tests}b") for value in rows])
+
+
+def assert_outcomes_match_strings(inst):
+    outcomes = inst.outcomes
+    assert outcomes.dtype == bool and outcomes.flags.c_contiguous
+    assert outcomes.tolist() == [[c == "1" for c in h.outcomes] for h in inst.hypotheses]
+
+
+class TestOutcomeArray:
+    @pytest.mark.parametrize("family", sorted(SMALL_FAMILY_INSTANCES))
+    def test_matches_the_strings_on_every_family(self, family):
+        assert_outcomes_match_strings(SMALL_FAMILY_INSTANCES[family]())
+
+    @settings(max_examples=60, deadline=None)
+    @given(identifiable_instances())
+    def test_matches_the_strings_on_random_instances(self, inst):
+        assert_outcomes_match_strings(inst)
+
+    def test_is_read_only(self):
+        inst = instance_of(["01", "10"])
+        with pytest.raises(ValueError):
+            inst.outcomes[0, 0] = True
+        with pytest.raises(ValueError):
+            inst.outcomes[:, 1] |= True
+        assert inst.outcomes.tolist() == [[False, True], [True, False]]
+
+    def test_two_generations_compare_equal(self):
+        first, second = families.gen_disjunction(5, 2), families.gen_disjunction(5, 2)
+        assert first.outcomes is not second.outcomes
+        assert first == second
+        assert first != families.gen_disjunction(5, 1)
 
 
 class TestGbsTree:
@@ -279,7 +311,7 @@ class TestInteractiveSession:
     def test_unsplittable_space_raises_like_run_gbs(self):
         # Validation forbids duplicate rows, so build the instance directly:
         # both hypotheses answer 0 everywhere and no query can tell them apart.
-        inst = dataclasses.replace(pair_instance(), columns=(0,), rows=(0, 0))
+        inst = dataclasses.replace(pair_instance(), outcomes=np.zeros((2, 1), dtype=bool))
         with pytest.raises(QueryBudgetExceeded) as simulated:
             run_gbs(inst, scripted_oracle([1]))
         writer = io.StringIO()

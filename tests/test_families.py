@@ -76,8 +76,8 @@ class TestDisjunction:
         zeros = inst.test_index["000000"]
         ones = inst.test_index["111111"]
         for h in range(inst.n):
-            assert inst.outcome(h, zeros) == 0
-            assert inst.outcome(h, ones) == 1
+            assert inst.hypotheses[h].outcomes[zeros] == "0"
+            assert inst.hypotheses[h].outcomes[ones] == "1"
 
     def test_single_hypothesis_family(self):
         inst = gen_disjunction(1, 1)
@@ -153,9 +153,9 @@ class TestBoxLocalization:
         assert sorted(c[1] for c in coords) == [-1, 0, 1]
 
     def test_constant_columns_exist(self, box_d2r11):
-        full = box_d2r11.full_mask
-        assert any(c == full for c in box_d2r11.columns)
-        assert any(c == 0 for c in box_d2r11.columns)
+        columns = oracles.columns_of(box_d2r11)
+        assert (1 << box_d2r11.n) - 1 in columns
+        assert 0 in columns
 
     def test_bad_params(self):
         with pytest.raises(BadParams):
@@ -244,7 +244,7 @@ class TestLinearKcase:
 
 def root_split(inst) -> Fraction:
     """The split fraction the greedy step chooses on the full version space."""
-    _, best, _ = best_split_test(inst.outcome_matrix.T, np.arange(inst.n), [0])
+    _, best, _ = best_split_test(inst.outcomes, np.arange(inst.n), [0])
     return Fraction(int(best[0]), inst.n)
 
 
@@ -270,9 +270,9 @@ class TestCounterexamples:
         assert root_split(inst) == Fraction(1, 4) < Fraction(1, 3)
 
     def test_plus_has_half_coherence_anchors(self, cx_plus_d2l2):
-        full = cx_plus_d2l2.full_mask
-        assert any(c == full for c in cx_plus_d2l2.columns)
-        assert any(c == 0 for c in cx_plus_d2l2.columns)
+        columns = oracles.columns_of(cx_plus_d2l2)
+        assert (1 << cx_plus_d2l2.n) - 1 in columns
+        assert 0 in columns
 
     def test_bad_params(self):
         with pytest.raises(BadParams):

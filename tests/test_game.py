@@ -96,7 +96,8 @@ def random_instance(rng: random.Random, m: int, n: int):
 
 def reaches_game(instance) -> bool:
     """False when an all-0 and an all-1 test settle coherence at 1/2."""
-    return not (instance.full_mask in instance.columns and 0 in instance.columns)
+    columns = oracles.columns_of(instance)
+    return not ((1 << instance.n) - 1 in columns and 0 in columns)
 
 
 def family_instances():

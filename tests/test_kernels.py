@@ -180,15 +180,16 @@ def synthetic_instance(rng: random.Random, n: int, m_tests: int):
 def test_restricted_masks_match_bit_by_bit_loop():
     rng = random.Random(59)
     instance = synthetic_instance(rng, n=90, m_tests=40)
-    assert instance.outcome_matrix.shape == (40, 90)
+    assert instance.outcomes.shape == (90, 40)
+    columns = oracles.columns_of(instance)
     for size in (2, 3, 17, 63, 64, 65, 70, 90):
         for _ in range(3):
             members = tuple(sorted(rng.sample(range(instance.n), size)))
-            expected = oracles.loop_restricted_masks(instance.columns, members)
+            expected = oracles.loop_restricted_masks(columns, members)
             assert _restricted_masks(instance, members) == expected
             raw = [
                 sum(((col >> h) & 1) << k for k, h in enumerate(members))
-                for col in instance.columns
+                for col in columns
             ]
             assert expected == prepare_masks(raw, size)
-    assert _restricted_masks(instance, range(instance.n)) == prepare_masks(list(instance.columns), instance.n)
+    assert _restricted_masks(instance, range(instance.n)) == prepare_masks(list(columns), instance.n)
