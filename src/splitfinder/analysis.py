@@ -351,9 +351,12 @@ def _restricted_masks(instance: Instance, members: Sequence[int]) -> list[int]:
     """Test columns restricted to `members` (bit k = members[k]), canonicalized.
 
     The members' rows of ``Instance.outcomes`` are gathered and packed per
-    test by ``_column_ints``.  A mask and its complement split every subset
-    alike, so each is replaced by the smaller of the two; zeros are dropped
-    and the distinct masks come back sorted.
+    test by ``_column_ints``, so any number of members works.  A mask and
+    its complement split every subset alike, so each is replaced by the
+    smaller of the two; zeros are dropped and the distinct masks come back
+    sorted.  The edge pass restricts whole blocks of exhaustive edges of at
+    most 64 members at once (``_restricted_rows``); this one-set form serves
+    the sampled edges and the whole-instance audits.
     """
     bits = instance.outcomes[list(members)]
     # A column and its complement differ in the top bit; the one without it is smaller.
@@ -387,6 +390,92 @@ def _decode_subset(
     return tuple(members[k] for k in range(len(members)) if (subset >> k) & 1)
 
 
+def _delta_sizes(packed: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Member count of each (x, x') pair's delta set, from the packed test columns."""
+    sizes = np.empty(len(pairs), dtype=np.int64)
+    rows = max(1, kernels.BLOCK_CELLS // packed.shape[1])
+    for lo in range(0, len(pairs), rows):
+        block = pairs[lo : lo + rows]
+        counts = np.bitwise_count(~packed[block[:, 0]] & packed[block[:, 1]])
+        sizes[lo : lo + rows] = counts.sum(axis=1)
+    return sizes
+
+
+def _restricted_rows(outcomes: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """``_restricted_masks`` of every row of ``members``, a pairs x width array.
+
+    The width is at most 64.  Each test's outcomes on a row's members are
+    packed into one uint64 word (bit k = member k), member by member, and
+    each word is replaced by the smaller of itself and its complement.
+    Each row of words is then sorted, and a word is kept where it differs
+    from its left neighbour, which drops repeats and leaves at most a
+    leading zero, dropped too.  Of the returned ``(flat, ends)``, row r's
+    masks are ``flat[ends[r - 1]:ends[r]]`` (from 0 for the first row),
+    ascending.
+    """
+    width = members.shape[1]
+    words = outcomes[members[:, 0]].astype(np.uint64)
+    for k in range(1, width):
+        words |= np.left_shift(outcomes[members[:, k]], np.uint64(k), dtype=np.uint64)
+    np.minimum(words, words ^ np.uint64((1 << width) - 1), out=words)
+    words.sort(axis=1)
+    keep = np.empty(words.shape, dtype=bool)
+    np.not_equal(words[:, 1:], words[:, :-1], out=keep[:, 1:])
+    keep[:, 0] = words[:, 0] != 0
+    return words[keep], np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+
+
+def _exhaustive_edges(
+    instance: Instance,
+    packed: np.ndarray,
+    pairs: np.ndarray,
+    sizes: np.ndarray,
+    memo: dict,
+) -> list[tuple[Fraction, tuple[int, ...] | None]]:
+    """(edge value, witness) of every (x, x') pair, each enumerated exhaustively.
+
+    Every size is at least 2; a size above 64 raises InstanceTooLarge before
+    anything is enumerated.  The pairs are grouped by size and handled in
+    blocks of about ``kernels.BLOCK_CELLS`` member-by-test cells.  A pair's
+    members are the set bits of its packed delta set (``packed`` holds the
+    test columns), ascending, and ``_restricted_rows`` turns a block of them
+    into kernel masks.  The masks' bytes key the kernel result, so each
+    distinct input reaches ``_memo_min_split`` once, and every pair decodes
+    the witness through its own members.
+    """
+    wide = np.flatnonzero(sizes > 64)
+    if wide.size:  # 2^65 subsets and more: refused before anything is enumerated
+        x, x_prime = pairs[wide[0]].tolist()
+        raise InstanceTooLarge(
+            f"edge {instance.tests[x].id!r} -> {instance.tests[x_prime].id!r} has"
+            f" {sizes[wide[0]]} members; exhaustive enumeration takes at most 64"
+        )
+    out: list = [None] * len(pairs)
+    for width in np.flatnonzero(np.bincount(sizes)).tolist():
+        chosen = np.flatnonzero(sizes == width)
+        known: dict[bytes, tuple[Fraction, int | None]] = {}
+        step = max(1, kernels.BLOCK_CELLS // (width * instance.m_tests))
+        for lo in range(0, len(chosen), step):
+            block = chosen[lo : lo + step]
+            delta = ~packed[pairs[block, 0]] & packed[pairs[block, 1]]
+            bits = np.unpackbits(delta.view(np.uint8), axis=1, bitorder="little")
+            members = np.nonzero(bits)[1].reshape(len(block), width)
+            flat, ends = _restricted_rows(instance.outcomes, members)
+            start = 0
+            for row, (i, end) in enumerate(zip(block.tolist(), ends)):
+                masks = flat[start:end]
+                start = end
+                key = masks.tobytes()
+                hit = known.get(key)
+                if hit is None:
+                    num, den, wit = _memo_min_split(memo, masks.tolist(), width)
+                    hit = known[key] = (Fraction(num, den), wit)
+                value, wit = hit
+                witness = None if wit is None else _decode_subset(wit, members[row].tolist())
+                out[i] = (value, witness)
+    return out
+
+
 def _sample_subsets(size: int, samples: int, seed: int) -> np.ndarray:
     """``samples`` seeded random subsets of ``range(size)``, each with >= 2 members.
 
@@ -409,6 +498,76 @@ def _sample_subsets(size: int, samples: int, seed: int) -> np.ndarray:
     return np.concatenate(kept)
 
 
+def _sampled_edge(
+    instance: Instance,
+    x: int,
+    x_prime: int,
+    size: int,
+    samples: int,
+    seed: int,
+    candidate_alpha: Fraction | None,
+) -> EdgeReport:
+    """Probe a delta set too large to enumerate with seeded random subsets.
+
+    The subsets are the draws of ``random.Random(seed).getrandbits(size)``
+    in order, made in one call: each draw uses one 32-bit generator output
+    per uint32 word, least significant first, with the last shifted right
+    to ``size`` bits, and ``getrandbits(32 * words * n)`` hands over the
+    same outputs in the same order.  The call's bytes are viewed as n word
+    rows, the last word of each row is shifted, and rows with fewer than two
+    members are dropped and drawn again from the same generator.
+    ``numpy.random`` is not used: importing it alone adds several MB of
+    resident memory.
+    """
+    members = delta_set(instance, x, x_prime).tolist()
+    masks = _restricted_masks(instance, members)
+    subsets = _sample_subsets(size, samples, seed)
+    num, den, wit = kernels.batch_min_split(masks, subsets)
+    value = Fraction(num, den)
+    if candidate_alpha is not None and value < candidate_alpha:
+        status = FALSIFIED_WITNESS
+    else:
+        status = UNKNOWN_SAMPLED
+    return EdgeReport(x, x_prime, size, status, value, _decode_subset(wit, members), samples)
+
+
+def _edge_reports(
+    instance: Instance,
+    pairs: Sequence[tuple[int, int]],
+    exhaustive_limit: int,
+    samples: int,
+    seed: int,
+    candidate_alpha: Fraction | None,
+    memo: dict,
+) -> list[EdgeReport]:
+    """One report per (x, x') pair, in pair order: the edge pass.
+
+    Delta sizes come from the packed test columns.  A delta set of at most
+    one member is vacuous (value 1/2); up to ``exhaustive_limit`` members,
+    every pair is enumerated in one batched ``_exhaustive_edges`` call;
+    larger ones are sampled, pair ``index`` with seed ``seed ^ index``.
+    ``memo`` shares kernel results with other calls.
+    """
+    packed = _packed_columns(instance.outcomes)
+    index = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    sizes = _delta_sizes(packed, index)
+    chosen = np.flatnonzero((sizes >= 2) & (sizes <= exhaustive_limit))
+    certified = dict(zip(
+        chosen.tolist(),
+        _exhaustive_edges(instance, packed, index[chosen], sizes[chosen], memo),
+    ))
+    vacuous = (Fraction(1, 2), None)
+    reports = []
+    for i, ((x, x_prime), size) in enumerate(zip(pairs, sizes.tolist())):
+        if size > max(exhaustive_limit, 1):
+            report = _sampled_edge(instance, x, x_prime, size, samples, seed ^ i, candidate_alpha)
+        else:
+            value, witness = certified.get(i, vacuous)
+            report = EdgeReport(x, x_prime, size, VERIFIED_EXHAUSTIVE, value, witness, 0)
+        reports.append(report)
+    return reports
+
+
 def edge_alpha(
     instance: Instance,
     x: int,
@@ -422,49 +581,18 @@ def edge_alpha(
 ) -> EdgeReport:
     """Certify the worst split over subsets of the x -> x_prime disagreement set.
 
-    Small disagreement sets are enumerated exhaustively; larger ones are
-    probed with seeded random subsets (each member kept with probability
-    1/2, rejecting singletons), which can falsify a candidate alpha but
-    never verify one.  ``_memo`` shares exhaustive kernel results between
-    the edges of one analysis.
-
-    The subsets are the draws of ``random.Random(seed).getrandbits(size)``
-    in order, made in one call: each draw uses one 32-bit generator output
-    per uint32 word, least significant first, with the last shifted right
-    to ``size`` bits, and ``getrandbits(32 * words * n)`` hands over the
-    same outputs in the same order.  The call's bytes are viewed as n word
-    rows, the last word of each row is shifted, and rows with fewer than two
-    members are dropped and drawn again from the same generator.
-    ``numpy.random`` is not used: importing it alone adds several MB of
-    resident memory.
+    The one-pair call of the edge pass (``_edge_reports``).  A set of up to
+    ``exhaustive_limit`` members is enumerated exhaustively, and one of more
+    than 64 members raises InstanceTooLarge before any enumeration.  Larger
+    sets are probed with ``samples`` seeded random subsets (each member kept
+    with probability 1/2, rejecting singletons), which can falsify a
+    candidate alpha but never verify one.  ``_memo`` shares exhaustive
+    kernel results between calls.
     """
-    members = delta_set(instance, x, x_prime).tolist()
-    size = len(members)
-    if size <= 1:
-        return EdgeReport(
-            x, x_prime, size, VERIFIED_EXHAUSTIVE, Fraction(1, 2), None, 0
-        )
-    masks = _restricted_masks(instance, members)
-    if size <= exhaustive_limit:
-        num, den, wit = _memo_min_split({} if _memo is None else _memo, masks, size)
-        return EdgeReport(
-            x,
-            x_prime,
-            size,
-            VERIFIED_EXHAUSTIVE,
-            Fraction(num, den),
-            _decode_subset(wit, members),
-            0,
-        )
-    subsets = _sample_subsets(size, samples, seed)
-    num, den, wit = kernels.batch_min_split(masks, subsets)
-    value = Fraction(num, den)
-    witness = _decode_subset(wit, members)
-    if candidate_alpha is not None and value < candidate_alpha:
-        status = FALSIFIED_WITNESS
-    else:
-        status = UNKNOWN_SAMPLED
-    return EdgeReport(x, x_prime, size, status, value, witness, samples)
+    memo = {} if _memo is None else _memo
+    return _edge_reports(
+        instance, [(x, x_prime)], exhaustive_limit, samples, seed, candidate_alpha, memo
+    )[0]
 
 
 def _bitstring_ids(instance: Instance) -> bool:
@@ -576,15 +704,21 @@ def alpha_star(
     m = instance.m_tests
     if m == 1:
         return AlphaStarResult(Fraction(1, 2), None)
-    verified = [r for r in reports if r.status == VERIFIED_EXHAUSTIVE]
-    values = sorted({r.edge_value for r in verified}, reverse=True)
-    for value in values:
-        edges = [
-            (r.from_test, r.to_test) for r in verified if r.edge_value >= value
-        ]
+    # Bucketed by (numerator, denominator): hashing a Fraction takes a modular inverse.
+    by_value: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for r in reports:
+        if r.status == VERIFIED_EXHAUSTIVE:
+            value = r.edge_value
+            by_value.setdefault((value.numerator, value.denominator), []).append(
+                (r.from_test, r.to_test)
+            )
+    # Walking the values down, the edges of value >= v are the buckets seen so far.
+    edges: list[tuple[int, int]] = []
+    for num, den in sorted(by_value, key=lambda nd: Fraction(*nd), reverse=True):
+        edges.extend(by_value[num, den])
         if _strongly_connected(m, edges):
-            return AlphaStarResult(value, None)
-    if len(verified) < len(reports):
+            return AlphaStarResult(Fraction(num, den), None)
+    if len(edges) < len(reports):
         all_edges = [(r.from_test, r.to_test) for r in reports]
         if _strongly_connected(m, all_edges):
             return AlphaStarResult(Fraction(0), DIAG_UNVERIFIED)
@@ -716,24 +850,19 @@ def neighborly_edge_audit(
     if k < 1:
         return NeighborlyEdgeAudit(True, k, 0, 0, ())
     threshold = Fraction(1, k)
-    checked = 0
-    skipped = 0
-    failures: list[tuple[int, int, Fraction]] = []
-    memo: dict = {}
     rows, cols = np.nonzero(_pair_weights(instance) <= k)  # row-major, so (i, j) ascending
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        for a, b in ((i, j), (j, i)):
-            size = delta_set(instance, a, b).size
-            if size <= 1:
-                continue
-            if size > exhaustive_limit:
-                skipped += 1
-                continue
-            value = edge_alpha(instance, a, b, exhaustive_limit, _memo=memo).edge_value
-            checked += 1
-            if value < threshold:
-                failures.append((a, b, value))
-    return NeighborlyEdgeAudit(not failures, k, checked, skipped, tuple(failures))
+    pairs = np.stack([rows, cols, cols, rows], axis=1).reshape(-1, 2)  # (i, j) then (j, i)
+    packed = _packed_columns(instance.outcomes)
+    sizes = _delta_sizes(packed, pairs)
+    chosen = np.flatnonzero((sizes >= 2) & (sizes <= exhaustive_limit))
+    values = _exhaustive_edges(instance, packed, pairs[chosen], sizes[chosen], {})
+    failures = tuple(
+        (a, b, value)
+        for (a, b), (value, _) in zip(pairs[chosen].tolist(), values)
+        if value < threshold
+    )
+    skipped = int(np.count_nonzero(sizes > max(exhaustive_limit, 1)))
+    return NeighborlyEdgeAudit(not failures, k, len(chosen), skipped, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -754,19 +883,8 @@ def analyze_instance(
     hint = instance.params.get("alpha_hint")
     candidate_alpha = Fraction(str(hint)) if hint else None
 
-    memo: dict = {}
     reports = tuple(
-        edge_alpha(
-            instance,
-            i,
-            j,
-            exhaustive_limit=exhaustive_limit,
-            samples=samples,
-            seed=seed ^ index,
-            candidate_alpha=candidate_alpha,
-            _memo=memo,
-        )
-        for index, (i, j) in enumerate(pairs)
+        _edge_reports(instance, pairs, exhaustive_limit, samples, seed, candidate_alpha, {})
     )
 
     star = alpha_star(instance, reports)

@@ -9,6 +9,7 @@ prints one machine-parseable ``ERROR <code>: <message>`` line to stderr.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import sys
 from fractions import Fraction
@@ -105,9 +106,9 @@ def _report_summary(report: analysis.AnalysisReport) -> str:
 
 def cmd_gen(args) -> int:
     instance = families.generate(args.family, _parse_params(args.param))
-    persistence.write_instance(instance, args.out)
-    digest = persistence.instance_digest(instance)
-    print(f"n={instance.n} m_tests={instance.m_tests} digest={digest}")
+    digest = hashlib.sha256()
+    persistence.write_instance(instance, args.out, digest)
+    print(f"n={instance.n} m_tests={instance.m_tests} digest={digest.hexdigest()}")
     return EXIT_OK
 
 

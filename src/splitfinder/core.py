@@ -133,7 +133,7 @@ def validate_instance(raw: Mapping[str, Any]) -> Instance:
             raise RowLengthMismatch(
                 f"hypothesis {hid!r}: row length {len(outcomes)} != {m_tests} tests"
             )
-        if outcomes.strip("01"):
+        if outcomes.count("0") + outcomes.count("1") != len(outcomes):
             raise InvalidOutcome(f"hypothesis {hid!r}: outcomes must be '0'/'1'")
         if outcomes in seen_rows:
             raise DuplicateOutcomeRow(

@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import os
+from collections.abc import Callable
 from fractions import Fraction
 from typing import Any
 
@@ -66,6 +67,26 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
+
+
+def _fraction_reader() -> Callable[[Any], Fraction]:
+    """``_parse_fraction`` that parses each distinct string once, for one document.
+
+    A report repeats a few edge values over thousands of edges.  Anything
+    that is not a string goes straight to ``_parse_fraction``, unhashable
+    values included, so a malformed value fails as it would uncached.
+    """
+    parsed: dict[str, Fraction] = {}
+
+    def read(text) -> Fraction:
+        if not isinstance(text, str):
+            return _parse_fraction(text)
+        value = parsed.get(text)
+        if value is None:
+            value = parsed[text] = _parse_fraction(text)
+        return value
+
+    return read
 
 
 def _float12(value: float | None) -> float | str:
@@ -163,8 +184,17 @@ def _parse_json(text: str) -> dict:
     return document
 
 
-def write_instance(instance: Instance, sink) -> int:
-    return _write_bytes(canonical_bytes(instance_to_document(instance)), sink)
+def write_instance(instance: Instance, sink, digest=None) -> int:
+    """Write the instance's canonical bytes; returns how many were written.
+
+    ``digest``, a hashlib object such as ``hashlib.sha256()``, is updated
+    with those bytes, so a caller gets ``instance_digest`` without encoding
+    the instance a second time.
+    """
+    payload = canonical_bytes(instance_to_document(instance))
+    if digest is not None:
+        digest.update(payload)
+    return _write_bytes(payload, sink)
 
 
 def read_instance(source) -> Instance:
@@ -185,12 +215,14 @@ def _certificate_to_doc(instance: Instance, cert: CoherenceCertificate) -> dict:
     }
 
 
-def _certificate_from_doc(instance: Instance, doc: dict) -> CoherenceCertificate:
+def _certificate_from_doc(
+    instance: Instance, doc: dict, fraction: Callable[[Any], Fraction]
+) -> CoherenceCertificate:
     dist = {
-        instance.test_index[tid]: _parse_fraction(w)
+        instance.test_index[tid]: fraction(w)
         for tid, w in doc["distribution"].items()
     }
-    return CoherenceCertificate(dist, _parse_fraction(doc["value"]))
+    return CoherenceCertificate(dist, fraction(doc["value"]))
 
 
 def _edge_to_doc(instance: Instance, edge: EdgeReport) -> dict:
@@ -209,14 +241,16 @@ def _edge_to_doc(instance: Instance, edge: EdgeReport) -> dict:
     }
 
 
-def _edge_from_doc(instance: Instance, doc: dict) -> EdgeReport:
+def _edge_from_doc(
+    instance: Instance, doc: dict, fraction: Callable[[Any], Fraction]
+) -> EdgeReport:
     witness = doc.get("witness")
     return EdgeReport(
         from_test=instance.test_index[doc["from"]],
         to_test=instance.test_index[doc["to"]],
         delta_size=int(doc["delta_size"]),
         status=str(doc["status"]),
-        edge_value=_parse_fraction(doc["edge_value"]),
+        edge_value=fraction(doc["edge_value"]),
         witness=(
             None
             if witness is None
@@ -253,16 +287,17 @@ def report_to_document(report: AnalysisReport, instance: Instance) -> dict:
 
 def report_from_document(document: dict, instance: Instance) -> AnalysisReport:
     """Rebuild a report; a missing field or unknown id raises PersistenceError."""
+    fraction = _fraction_reader()
     try:
         return AnalysisReport(
             k_min=int(document["k_min"]),
-            coherence=_certificate_from_doc(instance, document["coherence"]),
-            edges=tuple(_edge_from_doc(instance, e) for e in document["edges"]),
-            alpha_star=_parse_fraction(document["alpha_star"]),
+            coherence=_certificate_from_doc(instance, document["coherence"], fraction),
+            edges=tuple(_edge_from_doc(instance, e, fraction) for e in document["edges"]),
+            alpha_star=fraction(document["alpha_star"]),
             alpha_diagnostic=document.get("alpha_diagnostic"),
-            beta=_parse_fraction(document["beta"]),
+            beta=fraction(document["beta"]),
             bounds=BoundSet(
-                lam=_parse_fraction(document["lambda"]),
+                lam=fraction(document["lambda"]),
                 nowak_worst=_parse_float12(document["bound_nowak_worst"]),
                 split_worst=_parse_float12(document["bound_split_worst"]),
                 split_average=_parse_float12(document["bound_split_average"]),

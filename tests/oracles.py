@@ -7,9 +7,9 @@ cannot hide in its own oracle.
 Two sections are references rather than independent oracles: the rational
 tableau simplex that the integer game solver must match pivot for pivot,
 and plain-Python loops over int bitsets that define what the vectorized
-subset kernels, mask restriction (``prepare_masks``), ``min_k`` and the
-sampled-subset draw must return, witnesses and unreduced ``(num, den)``
-pairs included.  Their int-bitset inputs come from ``columns_of``, which
+subset kernels, mask restriction (``prepare_masks``), ``min_k``, the
+sampled-subset draw and the batched edge pass must return, witnesses and
+unreduced ``(num, den)`` pairs included.  Their int-bitset inputs come from ``columns_of``, which
 reads the outcome strings, not the library's outcome array.
 """
 
@@ -313,6 +313,44 @@ def loop_restricted_masks(columns: tuple[int, ...], members: tuple[int, ...]) ->
         if m:
             out.add(m)
     return sorted(out)
+
+
+def loop_edge_reports(
+    instance,
+    pairs: list[tuple[int, int]],
+    limit: int,
+    samples: int,
+    seed: int,
+    candidate_alpha: Fraction | None,
+) -> list[tuple]:
+    """The edge pass one pair at a time, as ``EdgeReport`` field tuples.
+
+    Each pair's members come from the outcome strings and its masks from
+    ``loop_restricted_masks``; deltas of at most one member are vacuous,
+    up to ``limit`` members ``loop_min_subset_split`` scans every subset,
+    and larger ones scan ``loop_sample_subsets(seed ^ index, ...)``.
+    """
+    rows = [h.outcomes for h in instance.hypotheses]
+    columns = columns_of(instance)
+    out = []
+    for index, (x, x_prime) in enumerate(pairs):
+        members = tuple(delta_members(rows, x, x_prime))
+        size = len(members)
+        if size <= 1:
+            out.append((x, x_prime, size, "verified_exhaustive", Fraction(1, 2), None, 0))
+            continue
+        masks = loop_restricted_masks(columns, members)
+        if size <= limit:
+            num, den, subset = loop_min_subset_split(masks, size)
+            status, tried = "verified_exhaustive", 0
+        else:
+            subsets = loop_sample_subsets(seed ^ index, size, samples)
+            num, den, subset = loop_batch_min_split(masks, subsets)
+            below = candidate_alpha is not None and Fraction(num, den) < candidate_alpha
+            status, tried = ("falsified_witness" if below else "unknown_sampled"), samples
+        witness = None if subset is None else tuple(h for k, h in enumerate(members) if subset >> k & 1)
+        out.append((x, x_prime, size, status, Fraction(num, den), witness, tried))
+    return out
 
 
 def loop_min_k(columns: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int, int], ...]]:

@@ -42,6 +42,7 @@ from splitfinder.analysis import (
     verify_certificate,
 )
 from splitfinder.core import validate_instance
+from test_engine import SMALL_FAMILY_INSTANCES
 
 
 class TestMinK:
@@ -280,6 +281,80 @@ class TestEdgeAlpha:
         assert again.edge_value >= base.edge_value
 
 
+@st.composite
+def random_instances(draw, max_rows=20):
+    m_tests = draw(st.integers(min_value=1, max_value=8))
+    rows = draw(
+        st.lists(st.integers(min_value=0, max_value=(1 << m_tests) - 1), min_size=1, max_size=max_rows, unique=True)
+    )
+    return validate_instance({
+        "tests": [{"id": f"t{x}"} for x in range(m_tests)],
+        "hypotheses": [{"id": f"h{i}", "outcomes": format(v, f"0{m_tests}b")} for i, v in enumerate(rows)],
+    })
+
+
+class TestEdgePass:
+    """The batched edge pass against ``oracles.loop_edge_reports``, one pair at a time."""
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 18])
+    @pytest.mark.parametrize("family", sorted(SMALL_FAMILY_INSTANCES))
+    def test_matches_the_per_edge_loop_on_every_family(self, family, limit):
+        inst = SMALL_FAMILY_INSTANCES[family]()
+        report = analyze_instance(inst, exhaustive_limit=limit, samples=40, seed=5)
+        _, pairs = candidate_edges(inst, None, limit)
+        hint = inst.params.get("alpha_hint")
+        expected = oracles.loop_edge_reports(
+            inst, pairs, limit, 40, 5, Fraction(str(hint)) if hint else None
+        )
+        assert [dataclasses.astuple(r) for r in report.edges] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        random_instances(max_rows=12),  # every delta set small enough for the loop to enumerate
+        st.sampled_from([0, 1, 2, 18]),
+        st.integers(min_value=0, max_value=1 << 20),
+    )
+    def test_matches_the_per_edge_loop_on_random_instances(self, inst, limit, seed):
+        m = inst.m_tests
+        pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+        got = analysis._edge_reports(inst, pairs, limit, 30, seed, Fraction(1, 3), {})
+        expected = oracles.loop_edge_reports(inst, pairs, limit, 30, seed, Fraction(1, 3))
+        assert [dataclasses.astuple(r) for r in got] == expected
+        assert [edge_alpha(inst, i, j, limit, 30, seed ^ k, Fraction(1, 3))
+                for k, (i, j) in enumerate(pairs)] == got
+
+    @pytest.mark.parametrize("cells", [1, 7, 300])
+    def test_block_size_changes_nothing(self, monkeypatch, cells):
+        inst = SMALL_FAMILY_INSTANCES["discrete_linear"]()
+        _, pairs = candidate_edges(inst)
+        expected = analysis._edge_reports(inst, pairs, 18, 0, 0, None, {})
+        monkeypatch.setattr(kernels, "BLOCK_CELLS", cells)
+        assert analysis._edge_reports(inst, pairs, 18, 0, 0, None, {}) == expected
+
+    def test_each_distinct_kernel_input_is_enumerated_once(self, monkeypatch):
+        inst = SMALL_FAMILY_INSTANCES["discrete_linear"]()
+        _, pairs = candidate_edges(inst)
+        calls = []
+        kernel = kernels.min_subset_split
+        monkeypatch.setattr(
+            kernels, "min_subset_split", lambda masks, width: calls.append((width, tuple(masks))) or kernel(masks, width)
+        )
+        reports = analysis._edge_reports(inst, pairs, 18, 0, 0, None, {})
+        assert sum(r.delta_size >= 2 for r in reports) > len(calls) == len(set(calls)) > 0
+
+    def test_wide_exhaustive_edge_is_refused_before_enumerating(self, monkeypatch):
+        rows = ["0" + ("1" if h else "0") + format(h, "07b") for h in range(66)]
+        inst = validate_instance({
+            "tests": [{"id": f"t{x}"} for x in range(9)],
+            "hypotheses": [{"id": f"h{h}", "outcomes": row} for h, row in enumerate(rows)],
+        })
+        monkeypatch.setattr(kernels, "min_subset_split", None)  # any call fails loudly
+        with pytest.raises(InstanceTooLarge, match="65 members"):
+            edge_alpha(inst, 0, 1, exhaustive_limit=65)
+        sampled = edge_alpha(inst, 0, 1, exhaustive_limit=64, samples=5)
+        assert (sampled.delta_size, sampled.status) == (65, UNKNOWN_SAMPLED)
+
+
 class TestAlphaStar:
     def test_uniform_value_strongly_connected(self, disjunction_d6m2):
         _, pairs = candidate_edges(disjunction_d6m2, "l1")
@@ -319,6 +394,46 @@ class TestAlphaStar:
         result = alpha_star(disjunction_d4m2, reports)
         assert result.value == 0
         assert result.diagnostic == DIAG_UNVERIFIED
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_threshold_definition_on_random_reports(self, data):
+        m = data.draw(st.integers(min_value=1, max_value=6))
+        edge = st.builds(
+            lambda i, j, value, verified: EdgeReport(
+                i, j, 2, VERIFIED_EXHAUSTIVE if verified else UNKNOWN_SAMPLED, value, None, 0
+            ),
+            st.integers(0, m - 1),
+            st.integers(0, m - 1),
+            st.sampled_from([Fraction(0), Fraction(1, 5), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]),
+            st.booleans(),
+        )
+        reports = data.draw(st.lists(edge, max_size=24))
+        inst = validate_instance({
+            "tests": [{"id": f"t{x}"} for x in range(m)],
+            "hypotheses": [{"id": "h", "outcomes": "0" * m}],
+        })
+        verified = [r for r in reports if r.status == VERIFIED_EXHAUSTIVE]
+        connected = [
+            value
+            for value in {r.edge_value for r in verified}
+            if oracles.strongly_connected(
+                m, [(r.from_test, r.to_test) for r in verified if r.edge_value >= value]
+            )
+        ]
+        if m == 1:
+            expected = (Fraction(1, 2), None)
+        elif connected:
+            expected = (max(connected), None)
+        elif len(verified) < len(reports) and oracles.strongly_connected(
+            m, [(r.from_test, r.to_test) for r in reports]
+        ):
+            expected = (Fraction(0), DIAG_UNVERIFIED)
+        else:
+            expected = (Fraction(0), DIAG_DISCONNECTED)
+        result = alpha_star(inst, reports)
+        assert (result.value, result.diagnostic) == expected
+        assert type(result.value) is Fraction
 
 
 class TestBoundFormulas:
@@ -466,18 +581,6 @@ class TestNeighborlyEdgeAudit:
         assert audit.passed
         assert audit.pairs_skipped == 0
         assert audit.pairs_checked > 0
-
-
-@st.composite
-def random_instances(draw):
-    m_tests = draw(st.integers(min_value=1, max_value=8))
-    rows = draw(
-        st.lists(st.integers(min_value=0, max_value=(1 << m_tests) - 1), min_size=1, max_size=20, unique=True)
-    )
-    return validate_instance({
-        "tests": [{"id": f"t{x}"} for x in range(m_tests)],
-        "hypotheses": [{"id": f"h{i}", "outcomes": format(v, f"0{m_tests}b")} for i, v in enumerate(rows)],
-    })
 
 
 class TestVectorizedPairPaths:

@@ -38,3 +38,30 @@ def test_every_wrapped_layer_resolves(monkeypatch):
 def test_provenance_names_exist():
     assert isinstance(kernels.BACKEND, str)
     assert cli._resolve_threads(None) == 1
+
+
+def test_analyze_calls_the_subset_kernel_as_the_worker_hook_unpacks_it(monkeypatch, tmp_path, capsys):
+    """``masks, width = args``: positional, a list of ascending distinct ints and an int."""
+    worker = load_worker(monkeypatch)
+    calls = []
+    kernel = kernels.min_subset_split
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "min_subset_split", recording)
+    path = str(tmp_path / "cnf.instance.json")
+    assert cli.main(["gen", "--family", "monotone_cnf", "--param", "d=5", "--param", "m=2",
+                     "--param", "l=2", "--out", path]) == 0
+    assert cli.main(["analyze", "--in", path]) == 0
+    capsys.readouterr()
+    assert calls
+    tracer = worker.spanlib.Tracer()
+    for args, kwargs in calls:
+        assert kwargs == {}
+        masks, width = args
+        assert type(masks) is list and all(type(mask) is int for mask in masks)
+        assert masks == sorted(set(masks)) and type(width) is int
+        worker._subset_kernel(tracer, args, kwargs, None)
+    assert len(tracer.keys["kernels.min_subset_split"]) == len(calls)

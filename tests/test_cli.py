@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from splitfinder import families
+from splitfinder import families, kernels, persistence
 from splitfinder.cli import main
 from splitfinder.core import validate_instance
 from splitfinder.persistence import write_instance
@@ -103,6 +103,23 @@ class TestGen:
         assert (code, out) == (3, "")
         assert err.startswith("ERROR InstanceTooLarge: ") and err.count("\n") == 1
         assert not (tmp_path / "x.json").exists()
+
+    def test_digest_hashes_the_written_bytes_encoded_once(self, tmp_path, capsys, monkeypatch):
+        encoded = []
+        canonical_bytes = persistence.canonical_bytes
+        monkeypatch.setattr(
+            persistence, "canonical_bytes", lambda doc: encoded.append(1) or canonical_bytes(doc)
+        )
+        path = tmp_path / "cnf.instance.json"
+        code, out, _ = run_cli(
+            capsys, "gen", "--family", "monotone_cnf",
+            "--param", "d=4", "--param", "m=1", "--param", "l=2", "--out", str(path),
+        )
+        assert code == 0 and len(encoded) == 1
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert out.split("digest=")[1] == digest + "\n"
+        instance = families.generate("monotone_cnf", {"d": "4", "m": "1", "l": "2"})
+        assert persistence.instance_digest(instance) == digest
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -327,6 +344,31 @@ class TestAnalyzeRunVerify:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "value, error",
+        [
+            ("1/x", "ParseError"),
+            ("1/0", "ParseError"),
+            ([1, 3], "PersistenceError"),
+            ({"num": 1}, "PersistenceError"),
+        ],
+        ids=["not-a-rational", "zero-denominator", "unhashable-list", "unhashable-object"],
+    )
+    def test_verify_malformed_edge_value_exit_2(self, dj_instance, tmp_path, capsys, value, error):
+        # The last edge repeats a value string that earlier edges already parsed.
+        instance_path, _ = dj_instance
+        report_path = tmp_path / "dj.report.json"
+        run_cli(capsys, "analyze", "--in", str(instance_path), "--out", str(report_path))
+        doc = json.loads(report_path.read_text())
+        assert len({e["edge_value"] for e in doc["edges"]}) < len(doc["edges"])
+        doc["edges"][-1]["edge_value"] = value
+        report_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "verify", "--in", str(instance_path), "--report", str(report_path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"ERROR {error}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "doctor",
         [
             lambda doc: doc["hypotheses"][0].pop("id"),
@@ -366,6 +408,33 @@ class TestAnalyzeRunVerify:
         assert code == 2 and out == ""
         assert err.startswith("ERROR InvalidMeta: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("members", [65, 70])
+    def test_exhaustive_edge_wider_than_64_exit_3(self, tmp_path, capsys, monkeypatch, members):
+        # t0 answers 0 everywhere and t1 answers 1 on all but h0, so the
+        # t0 -> t1 delta set has all other hypotheses; seven index bits keep
+        # the rows distinct.
+        path = tmp_path / "wide.instance.json"
+        write_instance(validate_instance({
+            "tests": [{"id": f"t{x}"} for x in range(9)],
+            "hypotheses": [
+                {"id": f"h{h}", "outcomes": "0" + ("1" if h else "0") + format(h, "07b")}
+                for h in range(members + 1)
+            ],
+        }), path)
+
+        def enumerate_subsets(masks, width):
+            raise AssertionError(f"enumerated width {width}")
+
+        monkeypatch.setattr(kernels, "min_subset_split", enumerate_subsets)
+        code, out, err = run_cli(
+            capsys, "analyze", "--in", str(path), "--edges", "all", "--limit", "100"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            f"ERROR InstanceTooLarge: edge 't0' -> 't1' has {members} members;"
+            " exhaustive enumeration takes at most 64\n"
+        )
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", "--in", str(tmp_path / "nope.json"))

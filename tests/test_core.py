@@ -116,6 +116,17 @@ class TestValidateInstance:
         with pytest.raises(InvalidOutcome):
             validate_instance(doc)
 
+    @pytest.mark.parametrize("bad", ["0x", "x1", "2 ", "0\u0661"])
+    def test_bad_character_reported_before_a_later_duplicate_row(self, bad):
+        # Each row is checked for characters before it is compared with the
+        # rows seen so far, so a bad row wins over a duplicate after it.
+        doc = make_doc(["10", bad, "01", "01"])
+        with pytest.raises(InvalidOutcome, match="h1"):
+            validate_instance(doc)
+        doc = make_doc(["01", "01", bad])
+        with pytest.raises(DuplicateOutcomeRow):
+            validate_instance(doc)
+
     def test_inconsistent_coords_dimension(self):
         doc = make_doc(["01", "10"])
         doc["tests"][0]["meta"] = {"coords": [0, 0]}

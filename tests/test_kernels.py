@@ -11,7 +11,7 @@ import oracles
 import pytest
 from oracles import prepare_masks
 from splitfinder import kernels
-from splitfinder.analysis import _restricted_masks, _sample_subsets
+from splitfinder.analysis import _restricted_masks, _restricted_rows, _sample_subsets
 from splitfinder.core import validate_instance
 from splitfinder.kernels import min_subset_split
 
@@ -193,3 +193,32 @@ def test_restricted_masks_match_bit_by_bit_loop():
             ]
             assert expected == prepare_masks(raw, size)
     assert _restricted_masks(instance, range(instance.n)) == prepare_masks(list(columns), instance.n)
+
+
+@pytest.mark.parametrize("width", [2, 17, 33, 47, 63, 64])
+def test_edge_pass_packer_matches_bit_by_bit_loop(width):
+    # One block of rows, each an ascending member set; only the packer runs.
+    rng = random.Random(width)
+    instance = synthetic_instance(rng, n=90, m_tests=40)
+    columns = oracles.columns_of(instance)
+    members = np.array([sorted(rng.sample(range(instance.n), width)) for _ in range(6)])
+    members[1] = members[0]  # a repeated row
+    flat, ends = _restricted_rows(instance.outcomes, members)
+    assert len(ends) == len(members)
+    for row, start, end in zip(members.tolist(), [0, *ends], ends):
+        assert flat[start:end].tolist() == oracles.loop_restricted_masks(columns, tuple(row))
+
+
+def test_edge_pass_packer_drops_constant_and_repeated_columns():
+    instance = validate_instance({
+        "tests": [{"id": f"t{x}"} for x in range(5)],
+        "hypotheses": [
+            {"id": f"h{h}", "outcomes": row}
+            for h, row in enumerate(["00010", "01011", "00101", "11111"])
+        ],
+    })
+    # On members 1, 2, 3 (bit k = member k): t0 = 0b100 folds to 0b011, t1 and
+    # t3 are both 0b101 and fold to 0b010, t2 = 0b110 folds to 0b001, and t4
+    # is constant, so it folds to 0 and is dropped.
+    flat, ends = _restricted_rows(instance.outcomes, np.array([[1, 2, 3]]))
+    assert (flat.tolist(), ends) == ([0b001, 0b010, 0b011], [3])

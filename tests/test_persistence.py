@@ -104,6 +104,19 @@ class TestReportRoundTrip:
         assert parsed.edges == report.edges
         assert parsed.k_min == report.k_min
 
+    def test_each_distinct_rational_is_parsed_once(self, disjunction_d6m2, monkeypatch):
+        report = analysis.analyze_instance(disjunction_d6m2)
+        doc = persistence.report_to_document(report, disjunction_d6m2)
+        parsed = []
+        parse = persistence._parse_fraction
+        monkeypatch.setattr(persistence, "_parse_fraction", lambda text: parsed.append(text) or parse(text))
+        again = report_from_document(doc, disjunction_d6m2)
+        assert again.edges == report.edges and again.coherence == report.coherence
+        assert len(report.edges) > 10 * len(parsed)
+        assert sorted(parsed) == sorted(set(parsed))
+        report_from_document(doc, disjunction_d6m2)  # the cache lasts one call
+        assert sorted(parsed) == sorted(2 * sorted(set(parsed)))
+
     def test_write_read_write_is_byte_stable(self, disjunction_d4m2):
         report = analysis.analyze_instance(disjunction_d4m2)
         first = io.BytesIO()
