@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from ._simplex import matrix_game_value
-from .core import Instance, InstanceTooLarge, delta_set
+from .core import Instance, InstanceTooLarge, MalformedInstance, delta_set
 from .engine import CostStats, QueryBudgetExceeded
 
 VERIFIED_EXHAUSTIVE = "verified_exhaustive"
@@ -354,32 +354,15 @@ def _restricted_masks(instance: Instance, members: Sequence[int]) -> list[int]:
     test by ``_column_ints``, so any number of members works.  A mask and
     its complement split every subset alike, so each is replaced by the
     smaller of the two; zeros are dropped and the distinct masks come back
-    sorted.  The edge pass restricts whole blocks of exhaustive edges of at
-    most 64 members at once (``_restricted_rows``); this one-set form serves
-    the sampled edges and the whole-instance audits.
+    sorted.  ``_certified_edges`` restricts whole blocks of exhaustive edges
+    of at most 64 members at once (``_restricted_rows``); this one-set form
+    serves the sampled edges and the whole-instance audits.
     """
     bits = instance.outcomes[list(members)]
     # A column and its complement differ in the top bit; the one without it is smaller.
     out = set(_column_ints(bits ^ bits[-1]))
     out.discard(0)
     return sorted(out)
-
-
-def _memo_min_split(
-    memo: dict[tuple[int, tuple[int, ...]], tuple[int, int, int | None]],
-    masks: list[int],
-    width: int,
-) -> tuple[int, int, int | None]:
-    """Exhaustive kernel result, computed once per distinct (width, masks).
-
-    The witness is in restricted coordinates, so edges with equal kernel
-    inputs share it and each decodes it through its own members.
-    """
-    key = (width, tuple(masks))
-    result = memo.get(key)
-    if result is None:
-        result = memo[key] = kernels.min_subset_split(masks, width)
-    return result
 
 
 def _decode_subset(
@@ -425,38 +408,42 @@ def _restricted_rows(outcomes: np.ndarray, members: np.ndarray) -> tuple[np.ndar
     return words[keep], np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
 
 
-def _exhaustive_edges(
-    instance: Instance,
-    packed: np.ndarray,
-    pairs: np.ndarray,
-    sizes: np.ndarray,
-    memo: dict,
-) -> list[tuple[Fraction, tuple[int, ...] | None]]:
-    """(edge value, witness) of every (x, x') pair, each enumerated exhaustively.
+def _certified_edges(
+    instance: Instance, pairs: Sequence[tuple[int, int]] | np.ndarray, limit: int
+) -> tuple[np.ndarray, dict[int, tuple[Fraction, tuple[int, ...] | None]]]:
+    """Delta sizes of the (x, x') pairs, and the exhaustive edge of each small one.
 
-    Every size is at least 2; a size above 64 raises InstanceTooLarge before
-    anything is enumerated.  The pairs are grouped by size and handled in
-    blocks of about ``kernels.BLOCK_CELLS`` member-by-test cells.  A pair's
-    members are the set bits of its packed delta set (``packed`` holds the
-    test columns), ascending, and ``_restricted_rows`` turns a block of them
+    Returns ``(sizes, certified)``: ``sizes[i]`` is the member count of pair
+    i's delta set, counted from the packed test columns, and ``certified``
+    maps each pair of 2 to ``limit`` members, in pair order, to its
+    (edge value, witness).  A size above 64 among those raises
+    InstanceTooLarge before anything is enumerated.  The pairs are grouped
+    by size and handled in blocks of about ``kernels.BLOCK_CELLS``
+    member-by-test cells.  A pair's members are the set bits of its packed
+    delta set, ascending, and ``_restricted_rows`` turns a block of them
     into kernel masks.  The masks' bytes key the kernel result, so each
-    distinct input reaches ``_memo_min_split`` once, and every pair decodes
-    the witness through its own members.
+    distinct input reaches ``kernels.min_subset_split`` once per call, and
+    every pair decodes the witness through its own members.
     """
-    wide = np.flatnonzero(sizes > 64)
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    packed = _packed_columns(instance.outcomes)
+    sizes = _delta_sizes(packed, pairs)
+    chosen = np.flatnonzero((sizes >= 2) & (sizes <= limit))
+    widths = sizes[chosen]
+    wide = chosen[widths > 64]
     if wide.size:  # 2^65 subsets and more: refused before anything is enumerated
         x, x_prime = pairs[wide[0]].tolist()
         raise InstanceTooLarge(
             f"edge {instance.tests[x].id!r} -> {instance.tests[x_prime].id!r} has"
             f" {sizes[wide[0]]} members; exhaustive enumeration takes at most 64"
         )
-    out: list = [None] * len(pairs)
-    for width in np.flatnonzero(np.bincount(sizes)).tolist():
-        chosen = np.flatnonzero(sizes == width)
+    certified: dict = dict.fromkeys(chosen.tolist())  # keys in pair order, values below
+    for width in np.flatnonzero(np.bincount(widths)).tolist():
+        rows = chosen[widths == width]
         known: dict[bytes, tuple[Fraction, int | None]] = {}
         step = max(1, kernels.BLOCK_CELLS // (width * instance.m_tests))
-        for lo in range(0, len(chosen), step):
-            block = chosen[lo : lo + step]
+        for lo in range(0, len(rows), step):
+            block = rows[lo : lo + step]
             delta = ~packed[pairs[block, 0]] & packed[pairs[block, 1]]
             bits = np.unpackbits(delta.view(np.uint8), axis=1, bitorder="little")
             members = np.nonzero(bits)[1].reshape(len(block), width)
@@ -468,12 +455,12 @@ def _exhaustive_edges(
                 key = masks.tobytes()
                 hit = known.get(key)
                 if hit is None:
-                    num, den, wit = _memo_min_split(memo, masks.tolist(), width)
+                    num, den, wit = kernels.min_subset_split(masks.tolist(), width)
                     hit = known[key] = (Fraction(num, den), wit)
                 value, wit = hit
                 witness = None if wit is None else _decode_subset(wit, members[row].tolist())
-                out[i] = (value, witness)
-    return out
+                certified[i] = (value, witness)
+    return sizes, certified
 
 
 def _sample_subsets(size: int, samples: int, seed: int) -> np.ndarray:
@@ -516,8 +503,8 @@ def _sampled_edge(
     same outputs in the same order.  The call's bytes are viewed as n word
     rows, the last word of each row is shifted, and rows with fewer than two
     members are dropped and drawn again from the same generator.
-    ``numpy.random`` is not used: importing it alone adds several MB of
-    resident memory.
+    ``numpy.random`` is not used: importing it alone adds several MB to the
+    resident set.
     """
     members = delta_set(instance, x, x_prime).tolist()
     masks = _restricted_masks(instance, members)
@@ -538,24 +525,15 @@ def _edge_reports(
     samples: int,
     seed: int,
     candidate_alpha: Fraction | None,
-    memo: dict,
 ) -> list[EdgeReport]:
     """One report per (x, x') pair, in pair order: the edge pass.
 
-    Delta sizes come from the packed test columns.  A delta set of at most
-    one member is vacuous (value 1/2); up to ``exhaustive_limit`` members,
-    every pair is enumerated in one batched ``_exhaustive_edges`` call;
-    larger ones are sampled, pair ``index`` with seed ``seed ^ index``.
-    ``memo`` shares kernel results with other calls.
+    A delta set of at most one member is vacuous (value 1/2); up to
+    ``exhaustive_limit`` members, every pair is enumerated in one batched
+    ``_certified_edges`` call; larger ones are sampled, pair ``index`` with
+    seed ``seed ^ index``.
     """
-    packed = _packed_columns(instance.outcomes)
-    index = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    sizes = _delta_sizes(packed, index)
-    chosen = np.flatnonzero((sizes >= 2) & (sizes <= exhaustive_limit))
-    certified = dict(zip(
-        chosen.tolist(),
-        _exhaustive_edges(instance, packed, index[chosen], sizes[chosen], memo),
-    ))
+    sizes, certified = _certified_edges(instance, pairs, exhaustive_limit)
     vacuous = (Fraction(1, 2), None)
     reports = []
     for i, ((x, x_prime), size) in enumerate(zip(pairs, sizes.tolist())):
@@ -576,22 +554,19 @@ def edge_alpha(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     candidate_alpha: Fraction | None = None,
-    *,
-    _memo: dict | None = None,
 ) -> EdgeReport:
     """Certify the worst split over subsets of the x -> x_prime disagreement set.
 
     The one-pair call of the edge pass (``_edge_reports``).  A set of up to
-    ``exhaustive_limit`` members is enumerated exhaustively, and one of more
-    than 64 members raises InstanceTooLarge before any enumeration.  Larger
-    sets are probed with ``samples`` seeded random subsets (each member kept
-    with probability 1/2, rejecting singletons), which can falsify a
-    candidate alpha but never verify one.  ``_memo`` shares exhaustive
-    kernel results between calls.
+    ``exhaustive_limit`` members is enumerated exhaustively by
+    ``_certified_edges``, and one of more than 64 members raises
+    InstanceTooLarge before any enumeration.  Larger sets are probed with
+    ``samples`` seeded random subsets (each member kept with probability
+    1/2, rejecting singletons), which can falsify a candidate alpha but
+    never verify one.
     """
-    memo = {} if _memo is None else _memo
     return _edge_reports(
-        instance, [(x, x_prime)], exhaustive_limit, samples, seed, candidate_alpha, memo
+        instance, [(x, x_prime)], exhaustive_limit, samples, seed, candidate_alpha
     )[0]
 
 
@@ -852,17 +827,12 @@ def neighborly_edge_audit(
     threshold = Fraction(1, k)
     rows, cols = np.nonzero(_pair_weights(instance) <= k)  # row-major, so (i, j) ascending
     pairs = np.stack([rows, cols, cols, rows], axis=1).reshape(-1, 2)  # (i, j) then (j, i)
-    packed = _packed_columns(instance.outcomes)
-    sizes = _delta_sizes(packed, pairs)
-    chosen = np.flatnonzero((sizes >= 2) & (sizes <= exhaustive_limit))
-    values = _exhaustive_edges(instance, packed, pairs[chosen], sizes[chosen], {})
+    sizes, certified = _certified_edges(instance, pairs, exhaustive_limit)
     failures = tuple(
-        (a, b, value)
-        for (a, b), (value, _) in zip(pairs[chosen].tolist(), values)
-        if value < threshold
+        (*pairs[i].tolist(), value) for i, (value, _) in certified.items() if value < threshold
     )
     skipped = int(np.count_nonzero(sizes > max(exhaustive_limit, 1)))
-    return NeighborlyEdgeAudit(not failures, k, len(chosen), skipped, failures)
+    return NeighborlyEdgeAudit(not failures, k, len(certified), skipped, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -881,10 +851,13 @@ def analyze_instance(
     certificate = coherence(instance)
     mode, pairs = candidate_edges(instance, edge_mode, exhaustive_limit)
     hint = instance.params.get("alpha_hint")
-    candidate_alpha = Fraction(str(hint)) if hint else None
+    try:
+        candidate_alpha = Fraction(str(hint)) if hint else None
+    except (ValueError, ZeroDivisionError):
+        raise MalformedInstance(f"'alpha_hint' must be a rational like 1/3, got {hint!r}") from None
 
     reports = tuple(
-        _edge_reports(instance, pairs, exhaustive_limit, samples, seed, candidate_alpha, {})
+        _edge_reports(instance, pairs, exhaustive_limit, samples, seed, candidate_alpha)
     )
 
     star = alpha_star(instance, reports)

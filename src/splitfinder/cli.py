@@ -62,10 +62,6 @@ def _resolve_threads(_value: int | None) -> int:
     return 1
 
 
-def _load_instance(path: str) -> Instance:
-    return persistence.read_instance(path)
-
-
 def _fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
@@ -113,7 +109,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    instance = _load_instance(args.infile)
+    instance = persistence.read_instance(args.infile)
     report = _analyze(instance, args)
     if args.out:
         persistence.write_report(report, args.out, instance)
@@ -122,7 +118,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_run(args) -> int:
-    instance = _load_instance(args.infile)
+    instance = persistence.read_instance(args.infile)
     if args.oracle == "all":
         stats = engine.run_all_oracles(instance)
         if args.out:
@@ -145,7 +141,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instance = _load_instance(args.infile)
+    instance = persistence.read_instance(args.infile)
     document = persistence.read_report_document(args.report)
     if document.get("kind") != "analysis_report":
         raise UsageError(f"--report must be an analysis report, got {document.get('kind')!r}")
@@ -183,7 +179,7 @@ class VerificationFailed(Exception):
 
 
 def cmd_optimal(args) -> int:
-    instance = _load_instance(args.infile)
+    instance = persistence.read_instance(args.infile)
     print(analysis.optimal_worst_case(instance, n_cap=args.cap))
     return EXIT_OK
 
@@ -203,7 +199,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_interactive(args) -> int:
-    instance = _load_instance(args.infile)
+    instance = persistence.read_instance(args.infile)
     transcript = engine.interactive_session(instance, sys.stdin, sys.stdout)
     if args.out:
         persistence.write_report(transcript, args.out)
@@ -284,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--in", dest="infile", required=True)
     verify.add_argument("--report", required=True)
-    verify.add_argument("--cap", type=int, default=analysis.DEFAULT_OPTIMAL_CAP,
+    verify.add_argument("--cap", type=_count, default=analysis.DEFAULT_OPTIMAL_CAP,
                         help="max n for the exact optimal-tree comparison")
     verify.set_defaults(func=cmd_verify)
 
     optimal = commands.add_parser("optimal", help="exact optimal worst-case query count")
     optimal.add_argument("--in", dest="infile", required=True)
-    optimal.add_argument("--cap", type=int, default=analysis.DEFAULT_OPTIMAL_CAP)
+    optimal.add_argument("--cap", type=_count, default=analysis.DEFAULT_OPTIMAL_CAP)
     optimal.set_defaults(func=cmd_optimal)
 
     entropy = commands.add_parser("entropy", help="binary entropy of a rational probability")

@@ -144,6 +144,9 @@ def validate_instance(raw: Mapping[str, Any]) -> Instance:
         hypotheses.append(HypothesisRecord(hid, outcomes, dict(meta) if meta else None))
 
     _check_meta(tests, hypotheses)
+    params = raw.get("params") or {}
+    if not isinstance(params, Mapping):
+        raise MalformedInstance("'params' must be an object")
 
     # Encoded as one fixed-width byte string per row, then '0'/'1' -> 0/1 in place.
     codes = np.array([h.outcomes for h in hypotheses], dtype=f"S{m_tests}").view(np.uint8)
@@ -154,7 +157,7 @@ def validate_instance(raw: Mapping[str, Any]) -> Instance:
     return Instance(
         name=str(raw.get("name", "")),
         family=str(raw.get("family", "")),
-        params=dict(raw.get("params") or {}),
+        params=dict(params),
         tests=tuple(tests),
         hypotheses=tuple(hypotheses),
         outcomes=matrix,

@@ -647,7 +647,7 @@ def generate(family: str, params: dict) -> Instance:
             ratio = Fraction(str(params["r"]))
         except KeyError:
             raise BadParams("missing required param 'r'") from None
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise BadParams("param 'r' must be a rational like 2 or 3/2") from None
         return gen_discrete_linear(_as_int(params, "d"), ratio)
     if family == "linear_kcase":

@@ -28,10 +28,6 @@ from .engine import CostStats, Step, Transcript
 
 SCHEMA_VERSION = 1
 
-INSTANCE_SUFFIX = ".instance.json"
-REPORT_SUFFIX = ".report.json"
-TRANSCRIPT_SUFFIX = ".transcript.json"
-
 
 class PersistenceError(Exception):
     pass
@@ -179,6 +175,8 @@ def _parse_json(text: str) -> dict:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     if not isinstance(document, dict):
         raise ParseError("top-level JSON value must be an object")
     return document

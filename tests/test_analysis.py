@@ -317,7 +317,7 @@ class TestEdgePass:
     def test_matches_the_per_edge_loop_on_random_instances(self, inst, limit, seed):
         m = inst.m_tests
         pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
-        got = analysis._edge_reports(inst, pairs, limit, 30, seed, Fraction(1, 3), {})
+        got = analysis._edge_reports(inst, pairs, limit, 30, seed, Fraction(1, 3))
         expected = oracles.loop_edge_reports(inst, pairs, limit, 30, seed, Fraction(1, 3))
         assert [dataclasses.astuple(r) for r in got] == expected
         assert [edge_alpha(inst, i, j, limit, 30, seed ^ k, Fraction(1, 3))
@@ -327,9 +327,9 @@ class TestEdgePass:
     def test_block_size_changes_nothing(self, monkeypatch, cells):
         inst = SMALL_FAMILY_INSTANCES["discrete_linear"]()
         _, pairs = candidate_edges(inst)
-        expected = analysis._edge_reports(inst, pairs, 18, 0, 0, None, {})
+        expected = analysis._edge_reports(inst, pairs, 18, 0, 0, None)
         monkeypatch.setattr(kernels, "BLOCK_CELLS", cells)
-        assert analysis._edge_reports(inst, pairs, 18, 0, 0, None, {}) == expected
+        assert analysis._edge_reports(inst, pairs, 18, 0, 0, None) == expected
 
     def test_each_distinct_kernel_input_is_enumerated_once(self, monkeypatch):
         inst = SMALL_FAMILY_INSTANCES["discrete_linear"]()
@@ -339,7 +339,7 @@ class TestEdgePass:
         monkeypatch.setattr(
             kernels, "min_subset_split", lambda masks, width: calls.append((width, tuple(masks))) or kernel(masks, width)
         )
-        reports = analysis._edge_reports(inst, pairs, 18, 0, 0, None, {})
+        reports = analysis._edge_reports(inst, pairs, 18, 0, 0, None)
         assert sum(r.delta_size >= 2 for r in reports) > len(calls) == len(set(calls)) > 0
 
     def test_wide_exhaustive_edge_is_refused_before_enumerating(self, monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -10,8 +11,10 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from splitfinder import families, kernels, persistence
+from splitfinder import analysis, families, kernels, persistence
 from splitfinder.cli import main
 from splitfinder.core import validate_instance
 from splitfinder.persistence import write_instance
@@ -440,6 +443,50 @@ class TestAnalyzeRunVerify:
         code, _, err = run_cli(capsys, "analyze", "--in", str(tmp_path / "nope.json"))
         assert code == 2 and err.startswith("ERROR ")
 
+    @pytest.mark.parametrize("params", [[1, 2], 5, "abc"], ids=["a-list", "a-number", "a-string"])
+    def test_params_not_an_object_exit_2(self, dj_instance, capsys, params):
+        instance_path, _ = dj_instance
+        doc = json.loads(instance_path.read_text())
+        doc["params"] = params
+        instance_path.write_text(json.dumps(doc))
+        for command in ("analyze", "run"):
+            code, out, err = run_cli(capsys, command, "--in", str(instance_path))
+            assert (code, out) == (2, "")
+            assert err == "ERROR MalformedInstance: 'params' must be an object\n"
+        # A record fault is found first, as before the params check existed.
+        doc["hypotheses"][1]["id"] = doc["hypotheses"][0]["id"]
+        instance_path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "analyze", "--in", str(instance_path))
+        assert code == 2 and err.startswith("ERROR DuplicateId: ") and err.count("\n") == 1
+
+    def test_zero_denominator_alpha_hint_exit_2(self, dj_instance, capsys):
+        instance_path, _ = dj_instance
+        doc = json.loads(instance_path.read_text())
+        doc["params"]["alpha_hint"] = "1/0"
+        instance_path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "analyze", "--in", str(instance_path))
+        assert (code, out) == (2, "")
+        assert err == "ERROR MalformedInstance: 'alpha_hint' must be a rational like 1/3, got '1/0'\n"
+
+    def test_gen_zero_denominator_ratio_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        code, out, err = run_cli(
+            capsys, "gen", "--family", "discrete_linear", "--param", "d=3", "--param", "r=1/0",
+            "--out", str(path),
+        )
+        assert (code, out) == (2, "") and not path.exists()
+        assert err.startswith("ERROR BadParams: ") and err.count("\n") == 1
+
+    def test_deeply_nested_json_exit_2(self, dj_instance, tmp_path, capsys):
+        instance_path, _ = dj_instance
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        for argv in (("analyze", "--in", str(deep)),
+                     ("verify", "--in", str(instance_path), "--report", str(deep))):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == "ERROR ParseError: JSON nested too deeply\n"
+
 
 class TestGoldenReports:
     """Report bytes pinned by sha256, so a kernel change that drifts fails here.
@@ -591,6 +638,14 @@ class TestSmallCommands:
         assert code == 3
         assert "ERROR InstanceTooLarge" in err
 
+    @pytest.mark.parametrize("command, value", [("verify", "-1"), ("optimal", "-5"), ("optimal", "x")])
+    def test_cap_is_a_count(self, dj_instance, tmp_path, capsys, command, value):
+        instance_path, _ = dj_instance
+        report = ("--report", str(tmp_path / "unread.json")) if command == "verify" else ()
+        code, out, err = run_cli(capsys, command, "--in", str(instance_path), *report, "--cap", value)
+        assert (code, out) == (2, "")
+        assert err == f"ERROR UsageError: argument --cap: expected a non-negative integer, got '{value}'\n"
+
     def test_entropy_values(self, capsys):
         code, out, _ = run_cli(capsys, "entropy", "--p", "1/2")
         assert code == 0 and out.strip() == "1.0"
@@ -638,6 +693,91 @@ class TestSweep:
                                  "--grid", "m=1,2", "--param", "d=4", "--out", str(path))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _paths(value, prefix=()):
+    """Every key or index path into a JSON document, at any depth."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(document, path, value):
+    """A deep copy of a JSON document with the value at ``path`` replaced."""
+    document = json.loads(json.dumps(document))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return document
+
+
+_TINY = families.generate("convex_polygon", {"m": "3"})
+_TINY_DOCUMENTS = {
+    "instance": persistence.instance_to_document(_TINY),
+    "report": persistence.report_to_document(analysis.analyze_instance(_TINY), _TINY),
+}
+
+
+def _target_groups(documents):
+    """Every (document name, path), grouped by name and depth, so that a
+    shallow field is drawn as often as a deep one."""
+    groups: dict[tuple[str, int], list] = {}
+    for kind, document in documents.items():
+        for path in _paths(document):
+            groups.setdefault((kind, len(path)), []).append((kind, path))
+    return list(groups.values())
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestFuzz:
+    """Arbitrary JSON anywhere in a valid instance or report keeps the exit contract."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        """A directory holding the valid instance and report, as written once."""
+        root = tmp_path_factory.mktemp("fuzz")
+        for kind, document in _TINY_DOCUMENTS.items():
+            (root / f"valid.{kind}.json").write_text(json.dumps(document))
+        return root
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        target=st.sampled_from(_target_groups(_TINY_DOCUMENTS)).flatmap(st.sampled_from),
+        value=_JSON,
+    )
+    @example(target=("instance", ("params",)), value=[1, 2])
+    @example(target=("instance", ("params",)), value=5)
+    @example(target=("instance", ("params",)), value="abc")
+    @example(target=("instance", ("params", "alpha_hint")), value="1/0")
+    def test_one_replaced_field_exits_by_the_contract(self, workdir, target, value):
+        kind, path = target
+        paths = {name: workdir / f"valid.{name}.json" for name in _TINY_DOCUMENTS}
+        paths[kind] = workdir / f"fuzzed.{kind}.json"
+        paths[kind].write_text(json.dumps(_replaced(_TINY_DOCUMENTS[kind], path, value)))
+        instance, report = str(paths["instance"]), str(paths["report"])
+        if kind == "instance":
+            runs = [(["analyze", "--in", instance, "--out", str(workdir / "out.json")], {0, 2, 3}),
+                    (["run", "--in", instance], {0, 2, 3})]
+        else:
+            runs = [(["verify", "--in", instance, "--report", report], {0, 1, 2, 3})]
+        for argv, codes in runs:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            err = stderr.getvalue()
+            assert code in codes, (argv[0], code, err)
+            if code:
+                assert err.startswith("ERROR ") and err.count("\n") == 1, err
+            else:
+                assert err == ""
 
 
 class TestInteractiveSubprocess:
