@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from ._simplex import matrix_game_value
-from .core import Instance, InstanceTooLarge, MalformedInstance, delta_set
+from .core import Instance, InstanceTooLarge, MalformedInstance, delta_set, parse_rational
 from .engine import CostStats, QueryBudgetExceeded
 
 VERIFIED_EXHAUSTIVE = "verified_exhaustive"
@@ -852,8 +852,8 @@ def analyze_instance(
     mode, pairs = candidate_edges(instance, edge_mode, exhaustive_limit)
     hint = instance.params.get("alpha_hint")
     try:
-        candidate_alpha = Fraction(str(hint)) if hint else None
-    except (ValueError, ZeroDivisionError):
+        candidate_alpha = parse_rational(str(hint)) if hint else None
+    except ValueError:
         raise MalformedInstance(f"'alpha_hint' must be a rational like 1/3, got {hint!r}") from None
 
     reports = tuple(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Any
 
@@ -202,6 +203,27 @@ def _check_meta(tests, hypotheses) -> None:
             raise InvalidMeta(
                 f"record {rec.id!r}: coords dimension {len(coords)} != {dim}"
             )
+
+
+def parse_rational(value: Any) -> Fraction:
+    """An exact rational read from outside: integer, decimal or NUM/DEN text, or a JSON number.
+
+    Exponent notation is refused before ``Fraction`` runs, because it expands
+    "1e10000000" into a ten-million-digit integer; digit runs stay bounded by
+    Python's int-string limit.  A zero denominator or an infinite float raises
+    ValueError like any other malformed value.
+    """
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"exponent notation is not accepted: {value!r}")
+    try:
+        return Fraction(value)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(str(exc)) from None
+
+
+def rational_text(value: Fraction) -> str:
+    """The one written form of an exact rational: "num/den"."""
+    return f"{value.numerator}/{value.denominator}"
 
 
 def delta_set(instance: Instance, x: int, x_prime: int) -> np.ndarray:

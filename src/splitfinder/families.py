@@ -17,7 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import Instance, InstanceTooLarge, validate_instance
+from .core import Instance, InstanceTooLarge, parse_rational, rational_text, validate_instance
 
 # Most outcome characters (tests x hypotheses) a generator may build.  It is
 # checked from the parameters alone, before anything is materialized.
@@ -42,10 +42,6 @@ class NotAxisSymmetric(BadParams):
 
 class NotAxisConvex(BadParams):
     pass
-
-
-def _fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _coord_id(coords: tuple[int, ...]) -> str:
@@ -163,7 +159,7 @@ def gen_disjunction(d: int, m: int) -> Instance:
         "d": d,
         "m": m,
         "edge_preset": "l1",
-        "alpha_hint": _fraction_str(Fraction(1, m + 1)),
+        "alpha_hint": rational_text(Fraction(1, m + 1)),
     }
     return _build(f"disjunction_d{d}_m{m}", "disjunction", params, tests, hypotheses)
 
@@ -216,7 +212,7 @@ def gen_monotone_cnf(d: int, m: int, l: int) -> Instance:
         "m": m,
         "l": l,
         "edge_preset": "l1",
-        "alpha_hint": _fraction_str(Fraction(1, m + 1 + 3 * (l - 1))),
+        "alpha_hint": rational_text(Fraction(1, m + 1 + 3 * (l - 1))),
     }
     return _build(
         f"monotone_cnf_d{d}_m{m}_l{l}", "monotone_cnf", params, tests, hypotheses
@@ -387,7 +383,7 @@ def gen_shape_localization(
         "center": list(center),
         "d": d,
         "edge_preset": "l1",
-        "alpha_hint": _fraction_str(Fraction(1, 4 * d + 1)),
+        "alpha_hint": rational_text(Fraction(1, 4 * d + 1)),
     }
     name = f"shape_d{d}_s{len(offsets)}"
     return _localization_instance(
@@ -404,7 +400,7 @@ def _weight_id(w: tuple[int, ...], b: int) -> str:
     return f"w{symbols}b{b}"
 
 
-def gen_discrete_linear(d: int, r: Fraction | int | str) -> Instance:
+def gen_discrete_linear(d: int, r: Fraction | int) -> Instance:
     """Thresholded {-1,0,1} weight vectors with balanced over/undershoot.
 
     Keeps every (w, b) with w in {-1,0,1}^d, b in [-d, d] whose overshoot
@@ -469,10 +465,10 @@ def gen_discrete_linear(d: int, r: Fraction | int | str) -> Instance:
     alpha = Fraction(1, max(16, 8 * r))
     params = {
         "d": d,
-        "r": _fraction_str(r),
+        "r": rational_text(r),
         "b_range": [-d, d],
         "edge_preset": "l1",
-        "alpha_hint": _fraction_str(alpha),
+        "alpha_hint": rational_text(alpha),
     }
     name = f"linear_d{d}_r{r.numerator}" + (
         f"_{r.denominator}" if r.denominator != 1 else ""
@@ -559,18 +555,6 @@ def gen_counterexample_plus(d: int, l: int) -> Instance:
 # ---------------------------------------------------------------------------
 # Registry and CLI-facing parameter handling
 
-FAMILIES = (
-    "convex_polygon",
-    "disjunction",
-    "monotone_cnf",
-    "box_localization",
-    "shape_localization",
-    "discrete_linear",
-    "linear_kcase",
-    "cx_disjunction",
-    "cx_plus",
-)
-
 
 def _as_int(params: dict, key: str) -> int:
     try:
@@ -618,42 +602,49 @@ def _parse_offsets(raw: str) -> list[tuple[int, ...]]:
         raise BadParams("offsets must look like 'x,y;x,y;...'") from None
 
 
+def _center(params: dict) -> list[int] | None:
+    return _as_int_list(params, "center") if "center" in params else None
+
+
+def _shape_offsets(params: dict) -> list[tuple[int, ...]]:
+    if "offsets" in params:
+        return _parse_offsets(str(params["offsets"]))
+    if "l1_radius" in params:
+        d, radius = _as_int(params, "d"), _as_int(params, "l1_radius")
+        _check_l1_ball(d, radius)
+        return l1_ball_offsets(d, radius)
+    raise BadParams("shape_localization needs offsets=... or d= and l1_radius=")
+
+
+def _ratio(params: dict) -> Fraction:
+    if "r" not in params:
+        raise BadParams("missing required param 'r'")
+    try:
+        return parse_rational(str(params["r"]))
+    except ValueError:
+        raise BadParams("param 'r' must be a rational like 2 or 3/2") from None
+
+
+# Each family's generator, fed from CLI-style string parameters.
+_GENERATORS = {
+    "convex_polygon": lambda p: gen_convex_polygon(_as_int(p, "m"), _as_bool(p, "balanced", True)),
+    "disjunction": lambda p: gen_disjunction(_as_int(p, "d"), _as_int(p, "m")),
+    "monotone_cnf": lambda p: gen_monotone_cnf(_as_int(p, "d"), _as_int(p, "m"), _as_int(p, "l")),
+    "box_localization": lambda p: gen_box_localization(_as_int_list(p, "r"), _center(p)),
+    "shape_localization": lambda p: gen_shape_localization(_shape_offsets(p), _center(p)),
+    # Keyword order keeps r read before d.
+    "discrete_linear": lambda p: gen_discrete_linear(r=_ratio(p), d=_as_int(p, "d")),
+    "linear_kcase": lambda p: gen_linear_kcase(_as_int(p, "d")),
+    "cx_disjunction": lambda p: gen_counterexample_disjunction(_as_int(p, "m")),
+    "cx_plus": lambda p: gen_counterexample_plus(_as_int(p, "d"), _as_int(p, "l")),
+}
+
+FAMILIES = tuple(_GENERATORS)
+
+
 def generate(family: str, params: dict) -> Instance:
     """Build an instance from CLI-style string parameters."""
-    if family == "convex_polygon":
-        return gen_convex_polygon(_as_int(params, "m"), _as_bool(params, "balanced", True))
-    if family == "disjunction":
-        return gen_disjunction(_as_int(params, "d"), _as_int(params, "m"))
-    if family == "monotone_cnf":
-        return gen_monotone_cnf(
-            _as_int(params, "d"), _as_int(params, "m"), _as_int(params, "l")
-        )
-    if family == "box_localization":
-        center = _as_int_list(params, "center") if "center" in params else None
-        return gen_box_localization(_as_int_list(params, "r"), center)
-    if family == "shape_localization":
-        if "offsets" in params:
-            offsets = _parse_offsets(str(params["offsets"]))
-        elif "l1_radius" in params:
-            d, radius = _as_int(params, "d"), _as_int(params, "l1_radius")
-            _check_l1_ball(d, radius)
-            offsets = l1_ball_offsets(d, radius)
-        else:
-            raise BadParams("shape_localization needs offsets=... or d= and l1_radius=")
-        center = _as_int_list(params, "center") if "center" in params else None
-        return gen_shape_localization(offsets, center)
-    if family == "discrete_linear":
-        try:
-            ratio = Fraction(str(params["r"]))
-        except KeyError:
-            raise BadParams("missing required param 'r'") from None
-        except (ValueError, ZeroDivisionError):
-            raise BadParams("param 'r' must be a rational like 2 or 3/2") from None
-        return gen_discrete_linear(_as_int(params, "d"), ratio)
-    if family == "linear_kcase":
-        return gen_linear_kcase(_as_int(params, "d"))
-    if family == "cx_disjunction":
-        return gen_counterexample_disjunction(_as_int(params, "m"))
-    if family == "cx_plus":
-        return gen_counterexample_plus(_as_int(params, "d"), _as_int(params, "l"))
-    raise BadParams(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    generator = _GENERATORS.get(family)
+    if generator is None:
+        raise BadParams(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    return generator(params)

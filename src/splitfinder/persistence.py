@@ -23,7 +23,7 @@ from .analysis import (
     CoherenceCertificate,
     EdgeReport,
 )
-from .core import Instance, validate_instance
+from .core import Instance, parse_rational, rational_text, validate_instance
 from .engine import CostStats, Step, Transcript
 
 SCHEMA_VERSION = 1
@@ -53,15 +53,10 @@ class EmptySummary(PersistenceError):
     pass
 
 
-def _fraction_str(value: Fraction) -> str:
-    value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse_rational(text)
+    except ValueError as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
@@ -206,10 +201,10 @@ def read_instance(source) -> Instance:
 def _certificate_to_doc(instance: Instance, cert: CoherenceCertificate) -> dict:
     return {
         "distribution": {
-            instance.tests[x].id: _fraction_str(w)
+            instance.tests[x].id: rational_text(w)
             for x, w in sorted(cert.distribution.items())
         },
-        "value": _fraction_str(cert.value),
+        "value": rational_text(cert.value),
     }
 
 
@@ -229,7 +224,7 @@ def _edge_to_doc(instance: Instance, edge: EdgeReport) -> dict:
         "to": instance.tests[edge.to_test].id,
         "delta_size": edge.delta_size,
         "status": edge.status,
-        "edge_value": _fraction_str(edge.edge_value),
+        "edge_value": rational_text(edge.edge_value),
         "witness": (
             None
             if edge.witness is None
@@ -267,10 +262,10 @@ def report_to_document(report: AnalysisReport, instance: Instance) -> dict:
         "k_min": report.k_min,
         "coherence": _certificate_to_doc(instance, report.coherence),
         "edges": [_edge_to_doc(instance, e) for e in report.edges],
-        "alpha_star": _fraction_str(report.alpha_star),
+        "alpha_star": rational_text(report.alpha_star),
         "alpha_diagnostic": report.alpha_diagnostic,
-        "beta": _fraction_str(report.beta),
-        "lambda": _fraction_str(report.bounds.lam),
+        "beta": rational_text(report.beta),
+        "lambda": rational_text(report.bounds.lam),
         "bound_nowak_worst": _float12(report.bounds.nowak_worst),
         "bound_split_worst": _float12(report.bounds.split_worst),
         "bound_split_average": _float12(report.bounds.split_average),
@@ -284,7 +279,8 @@ def report_to_document(report: AnalysisReport, instance: Instance) -> dict:
 
 
 def report_from_document(document: dict, instance: Instance) -> AnalysisReport:
-    """Rebuild a report; a missing field or unknown id raises PersistenceError."""
+    """Rebuild a report; a missing field, unknown id or overflowing number
+    raises PersistenceError."""
     fraction = _fraction_reader()
     try:
         return AnalysisReport(
@@ -305,7 +301,7 @@ def report_from_document(document: dict, instance: Instance) -> AnalysisReport:
             seed=int(document["knobs"]["seed"]),
             edge_mode=str(document["knobs"]["edge_mode"]),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(
             f"malformed analysis report: {type(exc).__name__} {exc}"
         ) from None
@@ -337,7 +333,7 @@ def stats_to_document(stats: CostStats) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "cost_stats",
         "worst_case": stats.worst_case,
-        "average": _fraction_str(stats.average),
+        "average": rational_text(stats.average),
         "per_oracle": dict(sorted(stats.per_oracle.items())),
     }
 

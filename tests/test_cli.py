@@ -488,6 +488,100 @@ class TestAnalyzeRunVerify:
             assert err == "ERROR ParseError: JSON nested too deeply\n"
 
 
+HUGE = "1e10000000"  # ten characters that Fraction would expand for seconds
+
+
+def _timed_cli(capsys, *argv):
+    start = time.perf_counter()
+    result = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2, argv[0]
+    return result
+
+
+class TestOutsideRationals:
+    """Exponent notation and overflowing report numbers exit 2 at once, with one ERROR line."""
+
+    def test_exponent_alpha_hint_exit_2(self, dj_instance, capsys):
+        instance_path, _ = dj_instance
+        doc = json.loads(instance_path.read_text())
+        doc["params"]["alpha_hint"] = HUGE
+        instance_path.write_text(json.dumps(doc))
+        code, out, err = _timed_cli(capsys, "analyze", "--in", str(instance_path))
+        assert (code, out) == (2, "")
+        assert err == f"ERROR MalformedInstance: 'alpha_hint' must be a rational like 1/3, got '{HUGE}'\n"
+
+    def test_exponent_ratio_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        code, out, err = _timed_cli(
+            capsys, "gen", "--family", "discrete_linear", "--param", "d=3", "--param", f"r={HUGE}",
+            "--out", str(path),
+        )
+        assert (code, out) == (2, "") and not path.exists()
+        assert err == "ERROR BadParams: param 'r' must be a rational like 2 or 3/2\n"
+
+    def test_exponent_entropy_exit_2(self, capsys):
+        code, out, err = _timed_cli(capsys, "entropy", "--p", HUGE)
+        assert (code, out) == (2, "")
+        assert err == f"ERROR UsageError: --p must be a rational like 1/5, got '{HUGE}'\n"
+
+    @pytest.fixture()
+    def report(self, dj_instance, tmp_path, capsys):
+        instance_path, _ = dj_instance
+        report_path = tmp_path / "dj.report.json"
+        assert run_cli(capsys, "analyze", "--in", str(instance_path), "--out", str(report_path))[0] == 0
+        return instance_path, report_path
+
+    def test_exponent_edge_value_exit_2(self, report, capsys):
+        instance_path, report_path = report
+        doc = json.loads(report_path.read_text())
+        doc["edges"][0]["edge_value"] = HUGE
+        report_path.write_text(json.dumps(doc))
+        code, out, err = _timed_cli(
+            capsys, "verify", "--in", str(instance_path), "--report", str(report_path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ERROR ParseError: bad rational '{HUGE}': ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("literal", ["Infinity", "1e400", "-1e400"])
+    @pytest.mark.parametrize(
+        "path, error",
+        [
+            (("k_min",), "PersistenceError"),
+            (("knobs", "seed"), "PersistenceError"),
+            (("edges", 0, "delta_size"), "PersistenceError"),
+            (("edges", 0, "edge_value"), "ParseError"),
+            (("beta",), "ParseError"),
+            (("coherence", "value"), "ParseError"),
+        ],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
+    )
+    def test_overflowing_report_number_exit_2(self, report, capsys, path, error, literal):
+        instance_path, report_path = report
+        doc = json.loads(report_path.read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = "@number@"
+        report_path.write_text(json.dumps(doc).replace('"@number@"', literal))
+        code, out, err = _timed_cli(
+            capsys, "verify", "--in", str(instance_path), "--report", str(report_path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ERROR {error}: ") and err.count("\n") == 1
+
+    def test_bound_past_the_float_range_exit_2(self, report, capsys):
+        instance_path, report_path = report
+        doc = json.loads(report_path.read_text())
+        doc["bound_split_worst"] = 10**400
+        report_path.write_text(json.dumps(doc))
+        code, out, err = _timed_cli(
+            capsys, "verify", "--in", str(instance_path), "--report", str(report_path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("ERROR PersistenceError: malformed analysis report: OverflowError ")
+        assert err.count("\n") == 1
+
+
 class TestGoldenReports:
     """Report bytes pinned by sha256, so a kernel change that drifts fails here.
 
@@ -757,6 +851,15 @@ class TestFuzz:
     @example(target=("instance", ("params",)), value=5)
     @example(target=("instance", ("params",)), value="abc")
     @example(target=("instance", ("params", "alpha_hint")), value="1/0")
+    @example(target=("instance", ("params", "alpha_hint")), value=HUGE)
+    @example(target=("report", ("edges", 0, "edge_value")), value=HUGE)
+    @example(target=("report", ("k_min",)), value=float("inf"))
+    @example(target=("report", ("knobs", "seed")), value=float("inf"))
+    @example(target=("report", ("edges", 0, "delta_size")), value=float("inf"))
+    @example(target=("report", ("edges", 0, "edge_value")), value=float("inf"))
+    @example(target=("report", ("beta",)), value=float("inf"))
+    @example(target=("report", ("coherence", "value")), value=float("inf"))
+    @example(target=("report", ("bound_split_worst",)), value=10**400)
     def test_one_replaced_field_exits_by_the_contract(self, workdir, target, value):
         kind, path = target
         paths = {name: workdir / f"valid.{name}.json" for name in _TINY_DOCUMENTS}

@@ -18,6 +18,8 @@ from splitfinder.core import (
     InvalidOutcome,
     RowLengthMismatch,
     delta_set,
+    parse_rational,
+    rational_text,
     validate_instance,
 )
 from splitfinder.engine import QueryBudgetExceeded, best_split_test, restrict
@@ -314,3 +316,29 @@ def test_delta_sets_partition_disagreements(inst, data):
     assert set(fwd).isdisjoint(bwd)
     columns = oracles.columns_of(inst)
     assert sum(1 << h for h in fwd + bwd) == columns[x] ^ columns[xp]
+
+
+class TestRationals:
+    @pytest.mark.parametrize(
+        "text, value",
+        [("3", Fraction(3)), ("-1/3", Fraction(-1, 3)), ("0.25", Fraction(1, 4)),
+         (" 1/3 ", Fraction(1, 3)), (0.5, Fraction(1, 2)), (7, Fraction(7))],
+    )
+    def test_accepts_integers_decimals_and_num_den(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1/0", "1e10000000", "1E5", "2.5e-3", "abc", "", "1" * 5000,
+         float("inf"), float("-inf"), float("nan")],
+        ids=["zero-denominator", "exponent", "upper-exponent", "decimal-exponent", "a-word",
+             "empty", "past-the-digit-limit", "inf", "minus-inf", "nan"],
+    )
+    def test_refuses_with_value_error(self, value):
+        with pytest.raises(ValueError):
+            parse_rational(value)
+
+    def test_writes_num_den(self):
+        assert rational_text(Fraction(-6, 4)) == "-3/2"
+        assert rational_text(Fraction(5)) == "5/1"
+        assert parse_rational(rational_text(Fraction(2, 7))) == Fraction(2, 7)
