@@ -408,6 +408,32 @@ def _restricted_rows(outcomes: np.ndarray, members: np.ndarray) -> tuple[np.ndar
     return words[keep], np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
 
 
+def _kernel_result(
+    masks: np.ndarray, width: int, proved: dict[bytes, Fraction]
+) -> tuple[Fraction, int | None]:
+    """(value, first witness) of one kernel input, ``kernels.min_subset_split``'s.
+
+    ``proved`` maps the relabelled masks (``kernels.canonical_input``) of
+    the inputs enumerated so far at this width to their values.  An input
+    that relabels to one of them takes its value, since the two differ only
+    by a renaming of members, and scans only as far as its own first
+    witness at that value; at 1/2 it has none.  An input enumerated in one
+    block is not relabelled, as the scan would cost that block anyway.
+    """
+    if kernels.single_block(len(masks), width):
+        num, den, wit = kernels.min_subset_split(masks.tolist(), width)
+        return Fraction(num, den), wit
+    relabelled = kernels.canonical_input(masks, width)
+    value = proved.get(relabelled)
+    if value is None:
+        num, den, wit = kernels.min_subset_split(masks.tolist(), width)
+        value = proved[relabelled] = Fraction(num, den)
+        return value, wit
+    if value == Fraction(1, 2):
+        return value, None
+    return value, kernels.first_subset_at(masks.tolist(), width, value.numerator, value.denominator)
+
+
 def _certified_edges(
     instance: Instance, pairs: Sequence[tuple[int, int]] | np.ndarray, limit: int
 ) -> tuple[np.ndarray, dict[int, tuple[Fraction, tuple[int, ...] | None]]]:
@@ -421,9 +447,12 @@ def _certified_edges(
     by size and handled in blocks of about ``kernels.BLOCK_CELLS``
     member-by-test cells.  A pair's members are the set bits of its packed
     delta set, ascending, and ``_restricted_rows`` turns a block of them
-    into kernel masks.  The masks' bytes key the kernel result, so each
-    distinct input reaches ``kernels.min_subset_split`` once per call, and
-    every pair decodes the witness through its own members.
+    into kernel masks.  Two keys per width stand in for enumeration: the
+    masks' bytes key each distinct input's (value, witness), and on a miss
+    ``_kernel_result`` keys the value by the relabelled masks, so each
+    relabelling class reaches ``kernels.min_subset_split`` once per call
+    and its other inputs only scan to their own first witness.  Every pair
+    decodes the witness through its own members.
     """
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     packed = _packed_columns(instance.outcomes)
@@ -441,6 +470,7 @@ def _certified_edges(
     for width in np.flatnonzero(np.bincount(widths)).tolist():
         rows = chosen[widths == width]
         known: dict[bytes, tuple[Fraction, int | None]] = {}
+        proved: dict[bytes, Fraction] = {}
         step = max(1, kernels.BLOCK_CELLS // (width * instance.m_tests))
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
@@ -455,8 +485,7 @@ def _certified_edges(
                 key = masks.tobytes()
                 hit = known.get(key)
                 if hit is None:
-                    num, den, wit = kernels.min_subset_split(masks.tolist(), width)
-                    hit = known[key] = (Fraction(num, den), wit)
+                    hit = known[key] = _kernel_result(masks, width, proved)
                 value, wit = hit
                 witness = None if wit is None else _decode_subset(wit, members[row].tolist())
                 certified[i] = (value, witness)

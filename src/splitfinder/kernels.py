@@ -20,6 +20,12 @@ masks; any width works.
 
 ``min_subset_split`` enumerates subsets as ascending integers, one block of
 ``uint32`` ranges at a time, and stops early once some subset splits at 0.
+``first_subset_at`` runs the same scan with an already proved minimum as
+its floor, so it stops in the first block that reaches it, and returns the
+first subset there.  ``canonical_input`` relabels a kernel input's members
+in an order fixed by colour refinement; two inputs with equal relabelled
+masks differ only by a renaming of members, so they share their minimum
+(though not their first witness).
 ``batch_min_split`` takes subsets as word rows in the given order; rows
 wider than one word are regrouped into ``uint64`` words, which halves the
 AND and count passes (one ``uint32`` word is faster than one ``uint64``).
@@ -127,13 +133,15 @@ def _subset_blocks(width: int, rows: int) -> Iterable[tuple[int, np.ndarray]]:
         yield start, block
 
 
-def min_subset_split(masks: Sequence[int], width: int) -> tuple[int, int, int | None]:
-    """Minimum best-split over all subsets with >= 2 members.
+def _scan(
+    masks: Sequence[int], width: int, floor_num: int, floor_den: int
+) -> tuple[int, int, int | None]:
+    """Running minimum over subsets in ascending order, starting from 1/2.
 
-    Returns ``(num, den, witness)`` where num/den is the minimal achievable
-    best-split fraction and ``witness`` is the first subset (as a bitmask)
-    that strictly attains it, or None when every subset splits at exactly
-    1/2 (the vacuous maximum).
+    The scan stops after the first block whose minimum is at most
+    floor_num/floor_den.  Returns ``(num, den, witness)``: the running
+    minimum, with ``witness`` the first subset that strictly attains it, or
+    None when no subset splits below 1/2.
     """
     words = _word_count(width)
     mask_words = _words(masks, words).T
@@ -143,9 +151,88 @@ def min_subset_split(masks: Sequence[int], width: int) -> tuple[int, int, int | 
         found = _first_min(_block_best(mask_words, block, sizes), sizes)
         if found is not None and found[0] * best_den < best_num * found[1]:
             best_num, best_den, witness = found[0], found[1], start + found[2]
-            if best_num == 0:
-                break  # nothing splits below zero
+            if best_num * floor_den <= floor_num * best_den:
+                break  # nothing below the floor is sought
     return best_num, best_den, witness
+
+
+def min_subset_split(masks: Sequence[int], width: int) -> tuple[int, int, int | None]:
+    """Minimum best-split over all subsets with >= 2 members.
+
+    Returns ``(num, den, witness)`` where num/den is the minimal achievable
+    best-split fraction and ``witness`` is the first subset (as a bitmask)
+    that strictly attains it, or None when every subset splits at exactly
+    1/2 (the vacuous maximum).
+    """
+    return _scan(masks, width, 0, 1)  # nothing splits below zero
+
+
+def first_subset_at(masks: Sequence[int], width: int, num: int, den: int) -> int:
+    """The witness ``min_subset_split`` gives when its minimum is num/den < 1/2.
+
+    The scan stops in the first block that reaches num/den.  RuntimeError
+    when the scan finds no subset at num/den or one below it first, so a
+    wrong minimum fails loudly instead of yielding a witness.
+    """
+    found_num, found_den, witness = _scan(masks, width, num, den)
+    if witness is None or found_num * den != num * found_den:
+        raise RuntimeError(
+            f"no subset of the {width}-member input splits first at {num}/{den}"
+        )
+    return witness
+
+
+def single_block(n_masks: int, width: int) -> bool:
+    """Whether ``min_subset_split`` enumerates all 2^width subsets in one block."""
+    return (1 << width) <= _block_rows(n_masks, _word_count(width))
+
+
+def canonical_input(masks: Sequence[int] | np.ndarray, width: int) -> bytes:
+    """The input's masks relabelled by a member order that colour refinement fixes.
+
+    ``sep[i][j]`` counts the masks that put members i and j on different
+    sides; it ignores complements.  Member colours start equal and are
+    refined until stable: a member's next colour ranks its colour and its
+    row of (colour, sep) pairs, sorted.  While a colour class holds more
+    than one member, the lowest-index member of the first such class is
+    given a colour of its own and the colours are refined again.  Each mask
+    is then moved to the final colours, folded to the smaller of itself and
+    its complement, and the sorted masks' bytes are returned.  They are the
+    masks themselves, not a hash: equal bytes mean the two inputs differ
+    only by a renaming of members.
+    """
+    bits = (np.asarray(masks, dtype=np.uint64)[:, None] >> np.arange(width, dtype=np.uint64)) & 1
+    ones = bits.astype(np.int64)
+    sep = ones.T @ (1 - ones)
+    sep += sep.T
+    scale = len(ones) + 1
+    colours = np.zeros(width, dtype=np.int64)
+    classes = 1
+    row_bytes = 4 * (width + 1)
+    signature = np.empty((width, width + 1), dtype=">u4")  # big-endian: bytes sort as numbers
+    while True:
+        while True:  # refine until the number of classes stops growing
+            signature[:, 0] = colours
+            signature[:, 1:] = np.sort(colours * scale + sep, axis=1)
+            raw = signature.tobytes()
+            rows = [raw[k : k + row_bytes] for k in range(0, len(raw), row_bytes)]
+            ranked = sorted(set(rows))
+            rank = {row: k for k, row in enumerate(ranked)}
+            colours = np.array([rank[row] for row in rows], dtype=np.int64)
+            if len(ranked) == classes:
+                break
+            classes = len(ranked)
+        if classes == width:
+            break
+        shared = int(np.flatnonzero(np.bincount(colours) > 1)[0])
+        peers = colours == shared
+        peers[int(peers.argmax())] = False  # the lowest-index member goes first
+        colours = 2 * colours + peers
+        classes += 1
+    moved = bits @ (np.uint64(1) << colours.astype(np.uint64))
+    np.minimum(moved, moved ^ np.uint64((1 << width) - 1), out=moved)
+    moved.sort()
+    return moved.tobytes()
 
 
 def batch_min_split(masks: Sequence[int], subsets: np.ndarray) -> tuple[int, int, int | None]:

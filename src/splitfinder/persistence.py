@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 from collections.abc import Callable
 from fractions import Fraction
@@ -87,8 +88,11 @@ def _float12(value: float | None) -> float | str:
 
 
 def _parse_float12(value: Any) -> float | None:
+    """A report's bound: ``"unbounded"`` or a finite JSON number, never a bool or string."""
     if value == "unbounded":
         return None
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"a bound must be 'unbounded' or a finite number, got {value!r}")
     return float(value)
 
 

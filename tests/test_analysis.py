@@ -43,6 +43,7 @@ from splitfinder.analysis import (
 )
 from splitfinder.core import validate_instance
 from test_engine import SMALL_FAMILY_INSTANCES
+from test_kernels import CYCLE6, TRIANGLES6, relabel
 
 
 class TestMinK:
@@ -293,6 +294,53 @@ def random_instances(draw, max_rows=20):
     })
 
 
+def copies_instance(width: int, copies: list[list[int]]):
+    """One delta set per kernel input in ``copies``, each of ``width`` members.
+
+    Copy c's members are hypotheses ``c * width + k``; test j restricts to
+    mask j of each copy, then come an all-0 test z and one selector test per
+    copy, so the pair (z, z + 1 + c) has copy c as its delta set.  Each copy
+    needs the same number of masks, and they must tell its members apart.
+    """
+    rows = []
+    for c, masks in enumerate(copies):
+        for k in range(width):
+            bits = [str(m >> k & 1) for m in masks] + ["0"] + ["1" if d == c else "0" for d in range(len(copies))]
+            rows.append("".join(bits))
+    inst = validate_instance({
+        "tests": [{"id": f"t{x}"} for x in range(len(rows[0]))],
+        "hypotheses": [{"id": f"h{i}", "outcomes": row} for i, row in enumerate(rows)],
+    })
+    z = len(copies[0])
+    return inst, [(z, z + 1 + c) for c in range(len(copies))]
+
+
+@st.composite
+def renamed_copies(draw):
+    """2-4 renamed, complemented copies of one kernel input of width 3-10."""
+    width = draw(st.integers(min_value=3, max_value=10))
+    raw = draw(st.lists(st.integers(min_value=0, max_value=(1 << width) - 1), max_size=10))
+    code = [sum(1 << k for k in range(width) if k >> t & 1) for t in range(width.bit_length())]
+    base = oracles.prepare_masks(raw + code, width)  # the code masks tell members apart
+    copies = []
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        order = draw(st.permutations(range(width)))
+        flips = draw(st.lists(st.booleans(), min_size=len(base), max_size=len(base)))
+        copies.append(relabel(base, width, order, flips))
+    return width, copies
+
+
+def counting_kernels(mp) -> dict[str, int]:
+    """Count ``min_subset_split`` and ``first_subset_at`` calls from here on."""
+    calls = dict.fromkeys(("min_subset_split", "first_subset_at"), 0)
+    for name in calls:
+        def counted(*args, _kernel=getattr(kernels, name), _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+        mp.setattr(kernels, name, counted)
+    return calls
+
+
 class TestEdgePass:
     """The batched edge pass against ``oracles.loop_edge_reports``, one pair at a time."""
 
@@ -341,6 +389,37 @@ class TestEdgePass:
         )
         reports = analysis._edge_reports(inst, pairs, 18, 0, 0, None)
         assert sum(r.delta_size >= 2 for r in reports) > len(calls) == len(set(calls)) > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(renamed_copies())
+    def test_renamed_copies_match_the_loop_copy_by_copy(self, case):
+        width, copies = case
+        inst, pairs = copies_instance(width, copies)
+        expected = oracles.loop_edge_reports(inst, pairs, 18, 0, 0, None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "BLOCK_CELLS", 4)
+            assert not kernels.single_block(len(copies[0]), width)  # so the relabelled key is used
+            calls = counting_kernels(mp)
+            _, certified = analysis._certified_edges(inst, pairs, 18)
+        assert [certified[i] for i in range(len(pairs))] == [(e[4], e[5]) for e in expected]
+        keys = {kernels.canonical_input(masks, width) for masks in copies}
+        scanned = len({tuple(masks) for masks in copies}) - len(keys)
+        assert calls["min_subset_split"] == len(keys)
+        assert calls["first_subset_at"] == (scanned if expected[0][4] < Fraction(1, 2) else 0)
+
+    def test_refinement_blind_pair_is_enumerated_twice(self, monkeypatch):
+        """Refinement cannot tell the cycle from the triangles, yet each is enumerated; a renamed cycle is not."""
+        renamed = relabel(CYCLE6, 6, [3, 0, 4, 1, 5, 2], [False, True] * 3)
+        monkeypatch.setattr(kernels, "BLOCK_CELLS", 16)
+        calls = counting_kernels(monkeypatch)
+        for copies, enumerated in (([CYCLE6, TRIANGLES6], 2), ([CYCLE6, renamed], 1)):
+            for name in calls:
+                calls[name] = 0
+            inst, pairs = copies_instance(6, copies)
+            _, certified = analysis._certified_edges(inst, pairs, 18)
+            expected = oracles.loop_edge_reports(inst, pairs, 18, 0, 0, None)
+            assert [certified[i] for i in range(len(pairs))] == [(e[4], e[5]) for e in expected]
+            assert calls == {"min_subset_split": enumerated, "first_subset_at": 2 - enumerated}
 
     def test_wide_exhaustive_edge_is_refused_before_enumerating(self, monkeypatch):
         rows = ["0" + ("1" if h else "0") + format(h, "07b") for h in range(66)]

@@ -18,6 +18,7 @@ from splitfinder import analysis, families, kernels, persistence
 from splitfinder.cli import main
 from splitfinder.core import validate_instance
 from splitfinder.persistence import write_instance
+from test_analysis import counting_kernels
 
 
 def run_cli(capsys, *argv):
@@ -569,6 +570,21 @@ class TestOutsideRationals:
         assert (code, out) == (2, "")
         assert err.startswith(f"ERROR {error}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", '"inf"', '"nan"', "true"])
+    @pytest.mark.parametrize("field", ["bound_nowak_worst", "bound_split_worst", "bound_split_average"])
+    def test_non_finite_bound_exit_2(self, report, capsys, field, literal):
+        """A bound that is not finite, or not a number, is bad input, never a pass or a fail."""
+        instance_path, report_path = report
+        doc = json.loads(report_path.read_text())
+        doc[field] = "@number@"
+        report_path.write_text(json.dumps(doc).replace('"@number@"', literal))
+        code, out, err = _timed_cli(
+            capsys, "verify", "--in", str(instance_path), "--report", str(report_path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("ERROR PersistenceError: malformed analysis report: ValueError ")
+        assert err.count("\n") == 1
+
     def test_bound_past_the_float_range_exit_2(self, report, capsys):
         instance_path, report_path = report
         doc = json.loads(report_path.read_text())
@@ -627,6 +643,24 @@ class TestGoldenReports:
         assert code == 0
         assert hashlib.sha256(report_path.read_bytes()).hexdigest() == sha256
 
+
+    def test_relabelled_kernel_inputs_are_enumerated_once(self, tmp_path, capsys, monkeypatch):
+        """cnf d6's 83 distinct kernel inputs fall into 4 relabelling classes.
+
+        Each class is enumerated once and every other input scans only up to
+        its own first witness; the report keeps the bytes it had when all 83
+        were enumerated.
+        """
+        calls = counting_kernels(monkeypatch)
+        instance_path = tmp_path / "cnf.instance.json"
+        report_path = tmp_path / "cnf.report.json"
+        assert run_cli(capsys, "gen", "--family", "monotone_cnf", "--param", "d=6", "--param", "m=2",
+                       "--param", "l=2", "--out", str(instance_path))[0] == 0
+        assert run_cli(capsys, "analyze", "--in", str(instance_path), "--out", str(report_path))[0] == 0
+        assert calls == {"min_subset_split": 4, "first_subset_at": 79}
+        assert hashlib.sha256(report_path.read_bytes()).hexdigest() == (
+            "22f0b41cdd8a81cbe6a1773e44c448301b8433f0a5a8c5772fc34044eb6a4abc"
+        )
 
     def test_sampled_analyze_does_not_import_numpy_random(self, tmp_path):
         # numpy.random alone adds several MB of resident memory to a run.

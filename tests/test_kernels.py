@@ -9,6 +9,8 @@ from fractions import Fraction
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import prepare_masks
 from splitfinder import kernels
 from splitfinder.analysis import _restricted_masks, _restricted_rows, _sample_subsets
@@ -222,3 +224,84 @@ def test_edge_pass_packer_drops_constant_and_repeated_columns():
     # is constant, so it folds to 0 and is dropped.
     flat, ends = _restricted_rows(instance.outcomes, np.array([[1, 2, 3]]))
     assert (flat.tolist(), ends) == ([0b001, 0b010, 0b011], [3])
+
+
+# ---------------------------------------------------------------------------
+# Relabelled kernel inputs: canonical_input and the witness scan
+
+
+def relabel(masks: list[int], width: int, order: list[int], flips: list[bool]) -> list[int]:
+    """Member k of ``masks`` renamed to ``order[k]``, mask i complemented where ``flips[i]``."""
+    full = (1 << width) - 1
+    moved = [sum(1 << order[k] for k in range(width) if m >> k & 1) for m in masks]
+    return prepare_masks([m ^ full if flip else m for m, flip in zip(moved, flips)], width)
+
+
+@st.composite
+def renamed_inputs(draw):
+    """A kernel input of width 3-10 and a copy with its members renamed and masks complemented."""
+    width = draw(st.integers(min_value=3, max_value=10))
+    raw = draw(st.lists(st.integers(min_value=0, max_value=(1 << width) - 1), max_size=12))
+    masks = prepare_masks(raw, width)
+    order = draw(st.permutations(range(width)))
+    flips = draw(st.lists(st.booleans(), min_size=len(masks), max_size=len(masks)))
+    return width, masks, relabel(masks, width, order, flips)
+
+
+@settings(max_examples=150, deadline=None)
+@given(renamed_inputs(), renamed_inputs())
+def test_equal_relabelled_masks_share_the_minimum(first, second):
+    for width, masks, copy in (first, second):
+        num, den, witness = min_subset_split(masks, width)
+        key = kernels.canonical_input(masks, width)
+        # The key is itself the input under a renaming: same minimum, same mask count.
+        relabelled = np.frombuffer(key, dtype=np.uint64).tolist()
+        assert relabelled == prepare_masks(relabelled, width) and len(relabelled) == len(masks)
+        assert Fraction(*min_subset_split(relabelled, width)[:2]) == Fraction(num, den)
+        copy_num, copy_den, copy_witness = min_subset_split(copy, width)
+        assert Fraction(copy_num, copy_den) == Fraction(num, den)
+        if copy_witness is not None:
+            assert kernels.first_subset_at(copy, width, copy_num, copy_den) == copy_witness
+    inputs = [(width, masks) for width, masks, _ in (first, second)]
+    inputs += [(width, copy) for width, _, copy in (first, second)]
+    for (w1, m1), (w2, m2) in itertools.combinations(inputs, 2):
+        if w1 == w2 and kernels.canonical_input(m1, w1) == kernels.canonical_input(m2, w2):
+            assert Fraction(*min_subset_split(m1, w1)[:2]) == Fraction(*min_subset_split(m2, w2)[:2])
+
+
+def test_renamed_copies_of_a_symmetric_input_share_one_key():
+    rng = random.Random(59)
+    width = 8
+    cycle = prepare_masks([0b11 << k | 0b11 >> (width - k) for k in range(width)], width)
+    key = kernels.canonical_input(cycle, width)
+    for _ in range(20):
+        order = list(range(width))
+        rng.shuffle(order)
+        flips = [rng.random() < 0.5 for _ in cycle]
+        assert kernels.canonical_input(relabel(cycle, width, order, flips), width) == key
+
+
+# The edges of a 6-cycle and of two triangles as 2-member masks of width 6:
+# colour refinement cannot tell them apart (every member is separated from
+# its two neighbours by 2 masks and from the other three by 4), but they are
+# not a renaming of each other.
+CYCLE6 = prepare_masks([1 << k | 1 << (k + 1) % 6 for k in range(6)], 6)
+TRIANGLES6 = prepare_masks([1 << k | 1 << (k + 1) % 3 for k in range(3)]
+                           + [8 << k | 8 << (k + 1) % 3 for k in range(3)], 6)
+
+
+def test_refinement_blind_pair_gets_two_keys():
+    assert len(CYCLE6) == len(TRIANGLES6) == 6
+    assert kernels.canonical_input(CYCLE6, 6) != kernels.canonical_input(TRIANGLES6, 6)
+
+
+def test_first_subset_at_refuses_a_value_no_subset_reaches_first():
+    masks, width = [0b0011, 0b0101], 4
+    num, den, witness = min_subset_split(masks, width)
+    assert kernels.first_subset_at(masks, width, num, den) == witness
+    with pytest.raises(RuntimeError):
+        kernels.first_subset_at(masks, width, 0, 1)  # below the minimum: never reached
+    with pytest.raises(RuntimeError):
+        kernels.first_subset_at(masks, width, 1, 2)  # the vacuous 1/2 has no witness
+    with pytest.raises(RuntimeError):
+        kernels.first_subset_at([0b0011], width, 1, 3)  # {0, 1} splits at 0 first
