@@ -19,8 +19,9 @@ import numpy as np
 
 from . import kernels
 from ._simplex import matrix_game_value
-from .core import Instance, InstanceTooLarge, MalformedInstance, delta_set, parse_rational
+from .core import Instance, InstanceTooLarge, MalformedInstance, parse_rational
 from .engine import CostStats, QueryBudgetExceeded
+from .families import MAX_OUTCOMES
 
 VERIFIED_EXHAUSTIVE = "verified_exhaustive"
 FALSIFIED_WITNESS = "falsified_witness"
@@ -354,9 +355,10 @@ def _restricted_masks(instance: Instance, members: Sequence[int]) -> list[int]:
     test by ``_column_ints``, so any number of members works.  A mask and
     its complement split every subset alike, so each is replaced by the
     smaller of the two; zeros are dropped and the distinct masks come back
-    sorted.  ``_certified_edges`` restricts whole blocks of exhaustive edges
-    of at most 64 members at once (``_restricted_rows``); this one-set form
-    serves the sampled edges and the whole-instance audits.
+    sorted.  The edge pass (``_edge_reports``) restricts whole blocks of
+    enumerated edges of at most 64 members at once (``_restricted_rows``);
+    this one-set form serves its sampled edges, one at a time, and the
+    whole-instance audits.
     """
     bits = instance.outcomes[list(members)]
     # A column and its complement differ in the top bit; the one without it is smaller.
@@ -414,15 +416,11 @@ def _kernel_result(
     """(value, first witness) of one kernel input, ``kernels.min_subset_split``'s.
 
     ``proved`` maps the relabelled masks (``kernels.canonical_input``) of
-    the inputs enumerated so far at this width to their values.  An input
-    that relabels to one of them takes its value, since the two differ only
-    by a renaming of members, and scans only as far as its own first
-    witness at that value; at 1/2 it has none.  An input enumerated in one
-    block is not relabelled, as the scan would cost that block anyway.
+    the inputs enumerated so far at this width to their values.  Every
+    input is relabelled; one that relabels to an enumerated input takes its
+    value, since the two differ only by a renaming of members, and scans
+    only as far as its own first witness at that value; at 1/2 it has none.
     """
-    if kernels.single_block(len(masks), width):
-        num, den, wit = kernels.min_subset_split(masks.tolist(), width)
-        return Fraction(num, den), wit
     relabelled = kernels.canonical_input(masks, width)
     value = proved.get(relabelled)
     if value is None:
@@ -432,64 +430,6 @@ def _kernel_result(
     if value == Fraction(1, 2):
         return value, None
     return value, kernels.first_subset_at(masks.tolist(), width, value.numerator, value.denominator)
-
-
-def _certified_edges(
-    instance: Instance, pairs: Sequence[tuple[int, int]] | np.ndarray, limit: int
-) -> tuple[np.ndarray, dict[int, tuple[Fraction, tuple[int, ...] | None]]]:
-    """Delta sizes of the (x, x') pairs, and the exhaustive edge of each small one.
-
-    Returns ``(sizes, certified)``: ``sizes[i]`` is the member count of pair
-    i's delta set, counted from the packed test columns, and ``certified``
-    maps each pair of 2 to ``limit`` members, in pair order, to its
-    (edge value, witness).  A size above 64 among those raises
-    InstanceTooLarge before anything is enumerated.  The pairs are grouped
-    by size and handled in blocks of about ``kernels.BLOCK_CELLS``
-    member-by-test cells.  A pair's members are the set bits of its packed
-    delta set, ascending, and ``_restricted_rows`` turns a block of them
-    into kernel masks.  Two keys per width stand in for enumeration: the
-    masks' bytes key each distinct input's (value, witness), and on a miss
-    ``_kernel_result`` keys the value by the relabelled masks, so each
-    relabelling class reaches ``kernels.min_subset_split`` once per call
-    and its other inputs only scan to their own first witness.  Every pair
-    decodes the witness through its own members.
-    """
-    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    packed = _packed_columns(instance.outcomes)
-    sizes = _delta_sizes(packed, pairs)
-    chosen = np.flatnonzero((sizes >= 2) & (sizes <= limit))
-    widths = sizes[chosen]
-    wide = chosen[widths > 64]
-    if wide.size:  # 2^65 subsets and more: refused before anything is enumerated
-        x, x_prime = pairs[wide[0]].tolist()
-        raise InstanceTooLarge(
-            f"edge {instance.tests[x].id!r} -> {instance.tests[x_prime].id!r} has"
-            f" {sizes[wide[0]]} members; exhaustive enumeration takes at most 64"
-        )
-    certified: dict = dict.fromkeys(chosen.tolist())  # keys in pair order, values below
-    for width in np.flatnonzero(np.bincount(widths)).tolist():
-        rows = chosen[widths == width]
-        known: dict[bytes, tuple[Fraction, int | None]] = {}
-        proved: dict[bytes, Fraction] = {}
-        step = max(1, kernels.BLOCK_CELLS // (width * instance.m_tests))
-        for lo in range(0, len(rows), step):
-            block = rows[lo : lo + step]
-            delta = ~packed[pairs[block, 0]] & packed[pairs[block, 1]]
-            bits = np.unpackbits(delta.view(np.uint8), axis=1, bitorder="little")
-            members = np.nonzero(bits)[1].reshape(len(block), width)
-            flat, ends = _restricted_rows(instance.outcomes, members)
-            start = 0
-            for row, (i, end) in enumerate(zip(block.tolist(), ends)):
-                masks = flat[start:end]
-                start = end
-                key = masks.tobytes()
-                hit = known.get(key)
-                if hit is None:
-                    hit = known[key] = _kernel_result(masks, width, proved)
-                value, wit = hit
-                witness = None if wit is None else _decode_subset(wit, members[row].tolist())
-                certified[i] = (value, witness)
-    return sizes, certified
 
 
 def _sample_subsets(size: int, samples: int, seed: int) -> np.ndarray:
@@ -518,33 +458,34 @@ def _sampled_edge(
     instance: Instance,
     x: int,
     x_prime: int,
-    size: int,
+    members: list[int],
     samples: int,
     seed: int,
     candidate_alpha: Fraction | None,
 ) -> EdgeReport:
-    """Probe a delta set too large to enumerate with seeded random subsets.
+    """Probe a delta set too large to enumerate, ``members``, with seeded random subsets.
 
-    The subsets are the draws of ``random.Random(seed).getrandbits(size)``
-    in order, made in one call: each draw uses one 32-bit generator output
-    per uint32 word, least significant first, with the last shifted right
-    to ``size`` bits, and ``getrandbits(32 * words * n)`` hands over the
-    same outputs in the same order.  The call's bytes are viewed as n word
-    rows, the last word of each row is shifted, and rows with fewer than two
-    members are dropped and drawn again from the same generator.
+    With ``size = len(members)``, the subsets are the draws of
+    ``random.Random(seed).getrandbits(size)`` in order, made in one call:
+    each draw uses one 32-bit generator output per uint32 word, least
+    significant first, with the last shifted right to ``size`` bits, and
+    ``getrandbits(32 * words * n)`` hands over the same outputs in the same
+    order.  The call's bytes are viewed as n word rows, the last word of
+    each row is shifted, and rows with fewer than two members are dropped
+    and drawn again from the same generator.
     ``numpy.random`` is not used: importing it alone adds several MB to the
     resident set.
     """
-    members = delta_set(instance, x, x_prime).tolist()
     masks = _restricted_masks(instance, members)
-    subsets = _sample_subsets(size, samples, seed)
+    subsets = _sample_subsets(len(members), samples, seed)
     num, den, wit = kernels.batch_min_split(masks, subsets)
     value = Fraction(num, den)
     if candidate_alpha is not None and value < candidate_alpha:
         status = FALSIFIED_WITNESS
     else:
         status = UNKNOWN_SAMPLED
-    return EdgeReport(x, x_prime, size, status, value, _decode_subset(wit, members), samples)
+    witness = _decode_subset(wit, members)
+    return EdgeReport(x, x_prime, len(members), status, value, witness, samples)
 
 
 def _edge_reports(
@@ -557,21 +498,78 @@ def _edge_reports(
 ) -> list[EdgeReport]:
     """One report per (x, x') pair, in pair order: the edge pass.
 
-    A delta set of at most one member is vacuous (value 1/2); up to
-    ``exhaustive_limit`` members, every pair is enumerated in one batched
-    ``_certified_edges`` call; larger ones are sampled, pair ``index`` with
-    seed ``seed ^ index``.
+    Each pair's delta size is a popcount of its packed test columns.  A
+    set of at most one member is vacuous (1/2, verified), one of up to
+    ``exhaustive_limit`` is enumerated, and a larger one is sampled, pair
+    ``index`` with seed ``seed ^ index``.  InstanceTooLarge refuses an
+    enumerated set of more than 64 members, or a first draw of more than
+    ``families.MAX_OUTCOMES`` random bits (``_sample_subsets``), before
+    anything runs.  The other pairs are grouped by size, a block of about
+    ``kernels.BLOCK_CELLS`` member-by-test cells at a time, and each
+    block's members (the set bits of its packed delta sets, ascending) are
+    unpacked once.  Per width, the bytes of an enumerated input's masks
+    (``_restricted_rows``) key its (value, witness), and on a miss
+    ``_kernel_result`` keys the value by the relabelled masks, so each
+    relabelling class is enumerated once.  Every pair decodes its witness
+    through its own members.
     """
-    sizes, certified = _certified_edges(instance, pairs, exhaustive_limit)
-    vacuous = (Fraction(1, 2), None)
-    reports = []
-    for i, ((x, x_prime), size) in enumerate(zip(pairs, sizes.tolist())):
-        if size > max(exhaustive_limit, 1):
-            report = _sampled_edge(instance, x, x_prime, size, samples, seed ^ i, candidate_alpha)
-        else:
-            value, witness = certified.get(i, vacuous)
-            report = EdgeReport(x, x_prime, size, VERIFIED_EXHAUSTIVE, value, witness, 0)
-        reports.append(report)
+    endpoints = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    packed = _packed_columns(instance.outcomes)
+    sizes = _delta_sizes(packed, endpoints)
+    sampled = sizes > max(exhaustive_limit, 1)
+
+    def edge(i: int) -> str:
+        x, x_prime = pairs[i]
+        return f"edge {instance.tests[x].id!r} -> {instance.tests[x_prime].id!r}"
+
+    wide = np.flatnonzero(~sampled & (sizes > 64))
+    if wide.size:  # 2^65 subsets and more
+        i = int(wide[0])
+        raise InstanceTooLarge(
+            f"{edge(i)} has {sizes[i]} members; exhaustive enumeration takes at most 64"
+        )
+    if sampled.any():
+        i = int(np.argmax(np.where(sampled, sizes, 0)))
+        drawn = samples * 32 * kernels._word_count(int(sizes[i]))
+        if drawn > MAX_OUTCOMES:
+            raise InstanceTooLarge(
+                f"{edge(i)} has {sizes[i]} members; {samples} samples of it take {drawn}"
+                f" random bits, over the limit of {MAX_OUTCOMES}"
+            )
+    half = Fraction(1, 2)
+    reports: list = [None] * len(pairs)
+    for width in np.flatnonzero(np.bincount(sizes)).tolist():
+        rows = np.flatnonzero(sizes == width)
+        if width < 2:
+            for i in rows.tolist():
+                reports[i] = EdgeReport(*pairs[i], width, VERIFIED_EXHAUSTIVE, half, None, 0)
+            continue
+        known: dict[bytes, tuple[Fraction, int | None]] = {}
+        proved: dict[bytes, Fraction] = {}
+        step = max(1, kernels.BLOCK_CELLS // (width * instance.m_tests))
+        for lo in range(0, len(rows), step):
+            block = rows[lo : lo + step]
+            delta = ~packed[endpoints[block, 0]] & packed[endpoints[block, 1]]
+            bits = np.unpackbits(delta.view(np.uint8), axis=1, bitorder="little")
+            members = np.nonzero(bits)[1].reshape(len(block), width)
+            if sampled[block[0]]:
+                for i, own in zip(block.tolist(), members.tolist()):
+                    reports[i] = _sampled_edge(
+                        instance, *pairs[i], own, samples, seed ^ i, candidate_alpha
+                    )
+                continue
+            flat, ends = _restricted_rows(instance.outcomes, members)
+            start = 0
+            for row, (i, end) in enumerate(zip(block.tolist(), ends)):
+                masks = flat[start:end]
+                start = end
+                key = masks.tobytes()
+                hit = known.get(key)
+                if hit is None:
+                    hit = known[key] = _kernel_result(masks, width, proved)
+                value, wit = hit
+                witness = None if wit is None else _decode_subset(wit, members[row].tolist())
+                reports[i] = EdgeReport(*pairs[i], width, VERIFIED_EXHAUSTIVE, value, witness, 0)
     return reports
 
 
@@ -586,10 +584,9 @@ def edge_alpha(
 ) -> EdgeReport:
     """Certify the worst split over subsets of the x -> x_prime disagreement set.
 
-    The one-pair call of the edge pass (``_edge_reports``).  A set of up to
-    ``exhaustive_limit`` members is enumerated exhaustively by
-    ``_certified_edges``, and one of more than 64 members raises
-    InstanceTooLarge before any enumeration.  Larger sets are probed with
+    The one-pair call of the edge pass (``_edge_reports``), which refuses
+    its sizes before anything runs.  A set of up to ``exhaustive_limit``
+    members is enumerated exhaustively.  Larger sets are probed with
     ``samples`` seeded random subsets (each member kept with probability
     1/2, rejecting singletons), which can falsify a candidate alpha but
     never verify one.
@@ -855,13 +852,14 @@ def neighborly_edge_audit(
         return NeighborlyEdgeAudit(True, k, 0, 0, ())
     threshold = Fraction(1, k)
     rows, cols = np.nonzero(_pair_weights(instance) <= k)  # row-major, so (i, j) ascending
-    pairs = np.stack([rows, cols, cols, rows], axis=1).reshape(-1, 2)  # (i, j) then (j, i)
-    sizes, certified = _certified_edges(instance, pairs, exhaustive_limit)
+    pairs = np.stack([rows, cols, cols, rows], axis=1).reshape(-1, 2).tolist()  # (i, j), (j, i)
+    reports = _edge_reports(instance, pairs, exhaustive_limit, 0, 0, None)
+    checked = [r for r in reports if r.status == VERIFIED_EXHAUSTIVE and r.delta_size >= 2]
     failures = tuple(
-        (*pairs[i].tolist(), value) for i, (value, _) in certified.items() if value < threshold
+        (r.from_test, r.to_test, r.edge_value) for r in checked if r.edge_value < threshold
     )
-    skipped = int(np.count_nonzero(sizes > max(exhaustive_limit, 1)))
-    return NeighborlyEdgeAudit(not failures, k, len(certified), skipped, failures)
+    skipped = sum(r.status != VERIFIED_EXHAUSTIVE for r in reports)
+    return NeighborlyEdgeAudit(not failures, k, len(checked), skipped, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -565,10 +565,8 @@ def _as_int(params: dict, key: str) -> int:
         raise BadParams(f"param {key!r} must be an integer") from None
 
 
-def _as_bool(params: dict, key: str, default: bool | None = None) -> bool:
+def _as_bool(params: dict, key: str, default: bool) -> bool:
     if key not in params:
-        if default is None:
-            raise BadParams(f"missing required param {key!r}")
         return default
     value = str(params[key]).strip().lower()
     if value in ("1", "true", "yes"):

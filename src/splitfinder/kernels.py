@@ -182,11 +182,6 @@ def first_subset_at(masks: Sequence[int], width: int, num: int, den: int) -> int
     return witness
 
 
-def single_block(n_masks: int, width: int) -> bool:
-    """Whether ``min_subset_split`` enumerates all 2^width subsets in one block."""
-    return (1 << width) <= _block_rows(n_masks, _word_count(width))
-
-
 def canonical_input(masks: Sequence[int] | np.ndarray, width: int) -> bytes:
     """The input's masks relabelled by a member order that colour refinement fixes.
 

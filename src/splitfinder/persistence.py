@@ -10,7 +10,6 @@ literal string "unbounded".
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import os
@@ -147,8 +146,6 @@ def _write_bytes(payload: bytes, sink) -> int:
         if isinstance(sink, (str, os.PathLike)):
             with open(sink, "wb") as handle:
                 handle.write(payload)
-        elif isinstance(sink, io.TextIOBase):
-            sink.write(payload.decode("utf-8"))
         else:
             sink.write(payload)
     except OSError as exc:

@@ -398,10 +398,9 @@ class TestEdgePass:
         expected = oracles.loop_edge_reports(inst, pairs, 18, 0, 0, None)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "BLOCK_CELLS", 4)
-            assert not kernels.single_block(len(copies[0]), width)  # so the relabelled key is used
             calls = counting_kernels(mp)
-            _, certified = analysis._certified_edges(inst, pairs, 18)
-        assert [certified[i] for i in range(len(pairs))] == [(e[4], e[5]) for e in expected]
+            reports = analysis._edge_reports(inst, pairs, 18, 0, 0, None)
+        assert [(r.edge_value, r.witness) for r in reports] == [(e[4], e[5]) for e in expected]
         keys = {kernels.canonical_input(masks, width) for masks in copies}
         scanned = len({tuple(masks) for masks in copies}) - len(keys)
         assert calls["min_subset_split"] == len(keys)
@@ -416,22 +415,45 @@ class TestEdgePass:
             for name in calls:
                 calls[name] = 0
             inst, pairs = copies_instance(6, copies)
-            _, certified = analysis._certified_edges(inst, pairs, 18)
+            reports = analysis._edge_reports(inst, pairs, 18, 0, 0, None)
             expected = oracles.loop_edge_reports(inst, pairs, 18, 0, 0, None)
-            assert [certified[i] for i in range(len(pairs))] == [(e[4], e[5]) for e in expected]
+            assert [(r.edge_value, r.witness) for r in reports] == [(e[4], e[5]) for e in expected]
             assert calls == {"min_subset_split": enumerated, "first_subset_at": 2 - enumerated}
 
-    def test_wide_exhaustive_edge_is_refused_before_enumerating(self, monkeypatch):
-        rows = ["0" + ("1" if h else "0") + format(h, "07b") for h in range(66)]
-        inst = validate_instance({
-            "tests": [{"id": f"t{x}"} for x in range(9)],
+    @staticmethod
+    def wide_instance():
+        """t0 -> t1 has 65 members and t0 -> t2 has 66; seven index bits keep the rows distinct."""
+        rows = ["0" + ("1" if h else "0") + "1" + format(h, "07b") for h in range(66)]
+        return validate_instance({
+            "tests": [{"id": f"t{x}"} for x in range(10)],
             "hypotheses": [{"id": f"h{h}", "outcomes": row} for h, row in enumerate(rows)],
         })
+
+    def test_wide_exhaustive_edge_is_refused_before_enumerating(self, monkeypatch):
+        inst = self.wide_instance()
         monkeypatch.setattr(kernels, "min_subset_split", None)  # any call fails loudly
         with pytest.raises(InstanceTooLarge, match="65 members"):
             edge_alpha(inst, 0, 1, exhaustive_limit=65)
         sampled = edge_alpha(inst, 0, 1, exhaustive_limit=64, samples=5)
         assert (sampled.delta_size, sampled.status) == (65, UNKNOWN_SAMPLED)
+
+    def test_wide_exhaustive_edge_is_refused_before_any_draw(self, monkeypatch):
+        inst = self.wide_instance()
+        for name in ("min_subset_split", "batch_min_split"):
+            monkeypatch.setattr(kernels, name, None)  # any call fails loudly
+        monkeypatch.setattr(analysis, "_sample_subsets", None)
+        # The sampled pair comes first in pair order.
+        with pytest.raises(InstanceTooLarge, match="'t0' -> 't1' has 65 members"):
+            analysis._edge_reports(inst, [(0, 2), (0, 1)], 65, 5, 0, None)
+
+    def test_oversized_sampling_is_refused_before_any_draw(self, monkeypatch):
+        inst = self.wide_instance()
+        # 66 members take three 32-bit words per sample.
+        monkeypatch.setattr(analysis, "MAX_OUTCOMES", 96 * 10)
+        assert edge_alpha(inst, 0, 2, exhaustive_limit=0, samples=10).samples_tried == 10
+        monkeypatch.setattr(analysis, "_sample_subsets", None)
+        with pytest.raises(InstanceTooLarge, match="'t0' -> 't2' has 66 members; 11 samples"):
+            analysis._edge_reports(inst, [(0, 1), (0, 2)], 0, 11, 0, None)
 
 
 class TestAlphaStar:

@@ -440,6 +440,16 @@ class TestAnalyzeRunVerify:
             " exhaustive enumeration takes at most 64\n"
         )
 
+    def test_oversized_samples_exit_3_before_drawing(self, tmp_path, capsys):
+        path = tmp_path / "polygon.instance.json"
+        assert run_cli(capsys, "gen", "--family", "convex_polygon", "--param", "m=5",
+                       "--param", "balanced=false", "--out", str(path))[0] == 0
+        code, out, err = _timed_cli(
+            capsys, "analyze", "--in", str(path), "--limit", "0", "--samples", "3000000"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("ERROR InstanceTooLarge: ") and err.count("\n") == 1
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", "--in", str(tmp_path / "nope.json"))
         assert code == 2 and err.startswith("ERROR ")
