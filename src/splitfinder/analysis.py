@@ -199,23 +199,15 @@ def _pair_weights(instance: Instance) -> np.ndarray:
     """Disagreement count of every test pair i < j; n + 1 on and below the diagonal.
 
     Each test's outcome column is packed once into uint64 words
-    (``_packed_columns``).  Rows are filled in blocks of about
-    ``kernels.BLOCK_CELLS`` cells; a block of rows from ``lo`` XORs its
-    packed columns with those of tests ``lo`` onward only, and popcounts.
+    (``_packed_columns``).  Row i XORs test i's words with those of tests
+    i + 1 onward and popcounts them, one test row at a time as in
+    ``candidate_edges``.
     """
     m, n = instance.m_tests, instance.n
     packed = _packed_columns(instance.outcomes)
-    words = packed.shape[1]
-    weights = np.empty((m, m), dtype=np.min_scalar_type(n + 1))
-    rows = max(1, kernels.BLOCK_CELLS // (m * words))
-    index = np.arange(m)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        counts = np.bitwise_count(packed[lo:hi, None, :] ^ packed[lo:])
-        block = weights[lo:hi, lo:]
-        block[:] = counts.sum(axis=2) if words > 1 else counts[:, :, 0]
-        block[index[lo:] <= index[lo:hi, None]] = n + 1
-        weights[lo:hi, :lo] = n + 1
+    weights = np.full((m, m), n + 1, dtype=np.min_scalar_type(n + 1))
+    for i in range(m):
+        weights[i, i + 1 :] = np.bitwise_count(packed[i] ^ packed[i + 1 :]).sum(axis=1)
     return weights
 
 
@@ -476,9 +468,11 @@ def _sampled_edge(
     ``numpy.random`` is not used: importing it alone adds several MB to the
     resident set.
     """
-    masks = _restricted_masks(instance, members)
-    subsets = _sample_subsets(len(members), samples, seed)
-    num, den, wit = kernels.batch_min_split(masks, subsets)
+    num, den, wit = 1, 2, None  # what the kernel returns on no subsets
+    if samples:
+        masks = _restricted_masks(instance, members)
+        subsets = _sample_subsets(len(members), samples, seed)
+        num, den, wit = kernels.batch_min_split(masks, subsets)
     value = Fraction(num, den)
     if candidate_alpha is not None and value < candidate_alpha:
         status = FALSIFIED_WITNESS
@@ -596,47 +590,43 @@ def edge_alpha(
     )[0]
 
 
-def _bitstring_ids(instance: Instance) -> bool:
-    ids = [t.id for t in instance.tests]
-    length = len(ids[0])
-    return all(len(i) == length and not i.strip("01") for i in ids)
-
-
 def _adjacency_pairs(instance: Instance) -> list[tuple[int, int]] | None:
-    """Ordered neighbor pairs under the instance's natural test geometry."""
+    """Ordered neighbour pairs under the instance's natural test geometry.
+
+    Every test is mapped to an integer point: its ``meta.coords``; else
+    ``(rank,)``, its rank in the stable sort by ``meta.cycle_index``, on an
+    axis that wraps modulo m; else the digits of its id, when every id is a
+    0/1 string of one length.  (i, j) is a pair when test j's point is one
+    unit step (+-1 on one axis) from test i's; with duplicate points the
+    later test is the one found.  A digit step off {0, 1} finds no test,
+    so on ids a step is a bit flip.  None when no test geometry applies.
+    """
     tests = instance.tests
+    m = len(tests)
+    wrap = 0
     if all(t.meta and "coords" in t.meta for t in tests):
-        index = {tuple(t.meta["coords"]): i for i, t in enumerate(tests)}
-        pairs = []
-        for i, t in enumerate(tests):
-            coords = tuple(t.meta["coords"])
-            for dim in range(len(coords)):
-                for delta in (-1, 1):
-                    shifted = list(coords)
-                    shifted[dim] += delta
-                    j = index.get(tuple(shifted))
-                    if j is not None:
-                        pairs.append((i, j))
-        return sorted(set(pairs))
-    if all(t.meta and "cycle_index" in t.meta for t in tests):
-        m = len(tests)
+        points = [tuple(t.meta["coords"]) for t in tests]
+    elif all(t.meta and "cycle_index" in t.meta for t in tests):
         by_cycle = sorted(range(m), key=lambda i: tests[i].meta["cycle_index"])
-        pairs = []
-        for pos in range(m):
-            i, j = by_cycle[pos], by_cycle[(pos + 1) % m]
-            pairs.extend([(i, j), (j, i)])
-        return sorted(set(pairs))
-    if _bitstring_ids(instance):
-        index = {t.id: i for i, t in enumerate(instance.tests)}
-        pairs = []
-        for i, t in enumerate(instance.tests):
-            for pos in range(len(t.id)):
-                flipped = t.id[:pos] + ("1" if t.id[pos] == "0" else "0") + t.id[pos + 1 :]
-                j = index.get(flipped)
+        points = [()] * m
+        for rank, i in enumerate(by_cycle):
+            points[i] = (rank,)
+        wrap = m
+    elif len({len(t.id) for t in tests}) == 1 and not any(t.id.strip("01") for t in tests):
+        points = [tuple(map(int, t.id)) for t in tests]
+    else:
+        return None
+    index = {point: j for j, point in enumerate(points)}
+    pairs = set()
+    for i, point in enumerate(points):
+        for axis, c in enumerate(point):
+            for shifted in (c - 1, c + 1):
+                if wrap:
+                    shifted %= wrap
+                j = index.get(point[:axis] + (shifted,) + point[axis + 1 :])
                 if j is not None:
-                    pairs.append((i, j))
-        return sorted(set(pairs))
-    return None
+                    pairs.add((i, j))
+    return sorted(pairs)
 
 
 def candidate_edges(

@@ -459,9 +459,6 @@ def gen_discrete_linear(d: int, r: Fraction | int) -> Instance:
                 }
             )
 
-    if not hypotheses:
-        raise EmptyFamily(f"no (w, b) satisfies the constraints at d={d}, r={r}")
-
     alpha = Fraction(1, max(16, 8 * r))
     params = {
         "d": d,

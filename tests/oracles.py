@@ -8,7 +8,8 @@ Two sections are references rather than independent oracles: the rational
 tableau simplex that the integer game solver must match pivot for pivot,
 and plain-Python loops over int bitsets that define what the vectorized
 subset kernels, mask restriction (``prepare_masks``), ``min_k``, the
-sampled-subset draw and the batched edge pass must return, witnesses and
+sampled-subset draw, the adjacency presets (``loop_adjacency_pairs``) and
+the batched edge pass must return, witnesses and
 unreduced ``(num, den)`` pairs included.  Their int-bitset inputs come from ``columns_of``, which
 reads the outcome strings, not the library's outcome array.
 """
@@ -96,6 +97,45 @@ def connected_at_threshold(rows: list[str], k: int) -> bool:
                 seen.add(j)
                 frontier.append(j)
     return len(seen) == m
+
+
+def loop_adjacency_pairs(instance) -> list[tuple[int, int]] | None:
+    """Neighbour pairs with one loop per test geometry: grid coords, cycle, bit-string ids."""
+    tests = instance.tests
+    if all(t.meta and "coords" in t.meta for t in tests):
+        index = {tuple(t.meta["coords"]): i for i, t in enumerate(tests)}
+        pairs = []
+        for i, t in enumerate(tests):
+            coords = tuple(t.meta["coords"])
+            for dim in range(len(coords)):
+                for delta in (-1, 1):
+                    shifted = list(coords)
+                    shifted[dim] += delta
+                    j = index.get(tuple(shifted))
+                    if j is not None:
+                        pairs.append((i, j))
+        return sorted(set(pairs))
+    if all(t.meta and "cycle_index" in t.meta for t in tests):
+        m = len(tests)
+        by_cycle = sorted(range(m), key=lambda i: tests[i].meta["cycle_index"])
+        pairs = []
+        for pos in range(m):
+            i, j = by_cycle[pos], by_cycle[(pos + 1) % m]
+            pairs.extend([(i, j), (j, i)])
+        return sorted(set(pairs))
+    ids = [t.id for t in tests]
+    length = len(ids[0])
+    if all(len(i) == length and not i.strip("01") for i in ids):
+        index = {t.id: i for i, t in enumerate(tests)}
+        pairs = []
+        for i, t in enumerate(tests):
+            for pos in range(len(t.id)):
+                flipped = t.id[:pos] + ("1" if t.id[pos] == "0" else "0") + t.id[pos + 1 :]
+                j = index.get(flipped)
+                if j is not None:
+                    pairs.append((i, j))
+        return sorted(set(pairs))
+    return None
 
 
 def strongly_connected(n_nodes: int, edges: list[tuple[int, int]]) -> bool:

@@ -429,6 +429,17 @@ class TestEdgePass:
             "hypotheses": [{"id": f"h{h}", "outcomes": row} for h, row in enumerate(rows)],
         })
 
+    @pytest.mark.parametrize("alpha", [None, Fraction(3, 4)])
+    def test_no_samples_skip_restriction_draws_and_kernel(self, monkeypatch, alpha):
+        inst = families.gen_monotone_cnf(6, 2, 2)
+        _, pairs = candidate_edges(inst, None, 6)  # 150 of the 384 preset pairs pass the limit
+        expected = oracles.loop_edge_reports(inst, pairs, 6, 0, 0, alpha)
+        for module, name in ((analysis, "_restricted_masks"), (analysis, "_sample_subsets"),
+                             (kernels, "batch_min_split")):
+            monkeypatch.setattr(module, name, None)  # any call fails loudly
+        got = analysis._edge_reports(inst, pairs, 6, 0, 0, alpha)
+        assert [dataclasses.astuple(r) for r in got] == expected
+
     def test_wide_exhaustive_edge_is_refused_before_enumerating(self, monkeypatch):
         inst = self.wide_instance()
         monkeypatch.setattr(kernels, "min_subset_split", None)  # any call fails loudly
@@ -682,6 +693,76 @@ class TestNeighborlyEdgeAudit:
         assert audit.passed
         assert audit.pairs_skipped == 0
         assert audit.pairs_checked > 0
+
+
+@st.composite
+def geometry_instances(draw):
+    """Tests with grid coords, cycle indices or neither, and ids that may be bit strings.
+
+    Coordinates in [-2, 2] leave gaps and repeat points; cycle indices in
+    [-3, 3] tie.  The first test may lack the meta key, so the next rule
+    decides.
+    """
+    if draw(st.booleans()):
+        width = draw(st.integers(min_value=1, max_value=4))
+        values = draw(st.lists(st.integers(min_value=0, max_value=(1 << width) - 1),
+                               min_size=1, max_size=1 << width, unique=True))
+        ids = [format(v, f"0{width}b") for v in values]
+    else:
+        ids = draw(st.lists(st.text("01x", min_size=1, max_size=3), min_size=1, max_size=10, unique=True))
+    geometry = draw(st.sampled_from(["coords", "cycle", "none"]))
+    if geometry == "coords":
+        dim = draw(st.integers(min_value=1, max_value=3))
+        point = st.lists(st.integers(min_value=-2, max_value=2), min_size=dim, max_size=dim)
+        metas = [{"coords": draw(point)} for _ in ids]
+    elif geometry == "cycle":
+        metas = [{"cycle_index": draw(st.integers(min_value=-3, max_value=3))} for _ in ids]
+    else:
+        metas = [None] * len(ids)
+    if draw(st.booleans()):
+        metas[0] = None
+    return geometry_instance(ids, metas)
+
+
+def geometry_instance(ids, metas=None):
+    """Tests with the given ids and metas, and one all-0 hypothesis."""
+    metas = metas or [None] * len(ids)
+    return validate_instance({
+        "tests": [{"id": tid, "meta": meta} for tid, meta in zip(ids, metas)],
+        "hypotheses": [{"id": "h", "outcomes": "0" * len(ids)}],
+    })
+
+
+class TestAdjacencyPairs:
+    """The one unit-step rule against ``oracles.loop_adjacency_pairs``, one loop per geometry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(geometry_instances())
+    def test_matches_the_per_geometry_loops(self, inst):
+        assert analysis._adjacency_pairs(inst) == oracles.loop_adjacency_pairs(inst)
+
+    @pytest.mark.parametrize("family", sorted(SMALL_FAMILY_INSTANCES))
+    def test_matches_the_per_geometry_loops_on_every_family(self, family):
+        inst = SMALL_FAMILY_INSTANCES[family]()
+        assert analysis._adjacency_pairs(inst) == oracles.loop_adjacency_pairs(inst)
+
+    @pytest.mark.parametrize(
+        "ids, metas, expected",
+        [
+            (["a"], [{"cycle_index": 4}], [(0, 0)]),
+            (["a", "b"], [{"cycle_index": 1}, {"cycle_index": -1}], [(0, 1), (1, 0)]),
+            # Tests 0 and 2 share a point; the later one is the neighbour found.
+            (["a", "b", "c"], [{"coords": [0]}, {"coords": [1]}, {"coords": [0]}],
+             [(0, 1), (1, 2), (2, 1)]),
+            (["00", "01", "11"], None, [(0, 1), (1, 0), (1, 2), (2, 1)]),
+            (["0", "01"], None, None),
+            (["02", "01"], None, None),
+        ],
+        ids=["one-test-cycle", "two-test-cycle", "duplicate-coords", "bit-flips",
+             "mixed-length-ids", "non-binary-ids"],
+    )
+    def test_corner_cases(self, ids, metas, expected):
+        assert analysis._adjacency_pairs(geometry_instance(ids, metas)) == expected
 
 
 class TestVectorizedPairPaths:

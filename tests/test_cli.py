@@ -615,7 +615,8 @@ class TestGoldenReports:
     edges past the exhaustive limit (cnf d5 below it lowered, widths under
     32; cnf d7 at widths 20-28, one uint32 word; polygon m40 at widths up
     to 39, two words), and four have no all-0 and all-1 test pair, so their
-    coherence comes from solving the game.
+    coherence comes from solving the game.  Box r=2,1 takes its edges from
+    grid coords, and cnf d6 from every pair (``--edges all``).
     """
 
     @pytest.mark.parametrize(
@@ -637,10 +638,15 @@ class TestGoldenReports:
              "fa0b649c428180b124e0eb24527c7177c51e23a27bd06e07a60aeca84896524e"),
             ("convex_polygon", ["m=40", "balanced=false"], ["--seed", "5"],
              "86e67c96a1995eba7c3672cb7203cecdffa7cb9d6988c05704764e928599b42e"),
+            ("box_localization", ["r=2,1"], [],
+             "8d8e83f54b4dd2bf7c3d1cb779d1ddccd4a2e41c456c48b03ca2ad6ab7463b68"),
+            ("monotone_cnf", ["d=6", "m=2", "l=2"], ["--edges", "all", "--limit", "4", "--samples", "40"],
+             "cbbdc5a501d8382b73e7e52a41bb9587aebba8edcc0454db7a17c6df745ef4f9"),
         ],
         ids=["disjunction-d6-m2", "cnf-d5-m2-l2-sampled", "polygon-m8",
              "polygon-m16", "linear-d4-r3", "linear-d5-r2",
-             "cnf-d7-m2-l2-sampled", "polygon-m40-sampled-two-words"],
+             "cnf-d7-m2-l2-sampled", "polygon-m40-sampled-two-words",
+             "box-r2-1-grid-coords", "cnf-d6-m2-l2-all-edges"],
     )
     def test_analyze_report_digest(self, tmp_path, capsys, family, params, flags, sha256):
         instance_path = tmp_path / "golden.instance.json"
