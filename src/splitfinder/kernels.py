@@ -8,15 +8,15 @@ are no masks).
 Subsets are rows of ``ceil(width / 32)`` little-endian ``uint32`` words
 (``_words``).  Inside the kernels they are held word-major, so each word of
 a block is one contiguous row, and masks are packed to the same words.
-Both kernels run on one block helper, ``_block_best``: for every word it
-ANDs each mask against every subset of the block, giving a masks x rows
+Every kernel runs on one block helper, ``_folded_counts``: for every word
+it ANDs each mask against every subset of the block, giving a masks x rows
 array, and ``np.bitwise_count`` sums the words' counts into it.  Counts stay
 in the narrowest unsigned type that holds the width (``uint8`` up to 255
-bits, so a sum over words past that cannot wrap), are folded in place to
-``min(c, |S| - c)`` and reduced across masks by an element-wise maximum over
-contiguous rows.  Blocks hold about ``BLOCK_CELLS`` mask-by-subset-by-word
-cells, so temporaries stay well under a megabyte whatever the number of
-masks; any width works.
+bits, so a sum over words past that cannot wrap) and are folded in place to
+``min(c, |S| - c)``; the kernels reduce them across masks by an element-wise
+maximum over contiguous rows.  Blocks hold about
+``BLOCK_CELLS`` mask-by-subset-by-word cells, so temporaries stay well under
+a megabyte whatever the number of masks; any width works.
 
 ``min_subset_split`` enumerates subsets as ascending integers, one block of
 ``uint32`` ranges at a time, and stops early once some subset splits at 0.
@@ -29,9 +29,11 @@ masks differ only by a renaming of members, so they share their minimum
 ``batch_min_split`` takes subsets as word rows in the given order; rows
 wider than one word are regrouped into ``uint64`` words, which halves the
 AND and count passes (one ``uint32`` word is faster than one ``uint64``).
-It fills one best/size array for the whole batch and picks the minimum
-once.  Fractions are compared exactly by cross-multiplying integers, and
-the witness is the first subset in that order that strictly attains the
+It scores the first block in full; that block's minimum bounds the batch
+minimum from above, so a later row that some mask splits above it can
+neither attain nor tie the minimum and is dropped unscored
+(``_bounded_best``).  Fractions are compared exactly in integers, and the
+witness is the first subset in that order that strictly attains the
 minimum (none when every subset splits at exactly 1/2), with the
 ``(num, den)`` of that subset itself.  Results are therefore reproducible
 bit for bit.
@@ -87,19 +89,17 @@ def _sizes(block: np.ndarray) -> np.ndarray:
     return sizes
 
 
-def _block_best(masks: np.ndarray, block: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Best split count of each column of ``block``, in the dtype of ``sizes``.
+def _folded_counts(masks: np.ndarray, block: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """masks x rows ``min(|S & m|, |S| - |S & m|)``, in the dtype of ``sizes``.
 
     ``masks`` is words x masks and ``block`` words x rows; ``sizes`` holds
     the block's member counts.
     """
-    if masks.shape[1] == 0:
-        return np.zeros_like(sizes)
     counts = np.bitwise_count(masks[0][:, None] & block[0]).astype(sizes.dtype, copy=False)
     for k in range(1, len(block)):
         counts += np.bitwise_count(masks[k][:, None] & block[k])
     np.minimum(counts, sizes - counts, out=counts)
-    return np.maximum.reduce(counts, axis=0)
+    return counts
 
 
 def _first_min(best: np.ndarray, sizes: np.ndarray) -> tuple[int, int, int] | None:
@@ -148,7 +148,8 @@ def _scan(
     best_num, best_den, witness = 1, 2, None
     for start, block in _subset_blocks(width, _block_rows(len(masks), words)):
         sizes = _sizes(block)
-        found = _first_min(_block_best(mask_words, block, sizes), sizes)
+        best = _folded_counts(mask_words, block, sizes).max(axis=0, initial=0)
+        found = _first_min(best, sizes)
         if found is not None and found[0] * best_den < best_num * found[1]:
             best_num, best_den, witness = found[0], found[1], start + found[2]
             if best_num * floor_den <= floor_num * best_den:
@@ -230,11 +231,37 @@ def canonical_input(masks: Sequence[int] | np.ndarray, width: int) -> bytes:
     return moved.tobytes()
 
 
+def _bounded_best(
+    masks: np.ndarray, block: np.ndarray, sizes: np.ndarray, limit: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, best split counts) of the columns of ``block`` whose best is within ``limit``.
+
+    Masks go in chunks of 8, 16, 32 ... (fewer past ``BLOCK_CELLS`` cells);
+    after each chunk, columns whose running best exceeds their limit drop out.
+    """
+    kept = np.arange(block.shape[1])
+    best = np.zeros_like(sizes)
+    start, chunk = 0, 8
+    while start < masks.shape[1] and len(kept):
+        stop = start + max(1, min(chunk, BLOCK_CELLS // (len(kept) * len(block))))
+        counts = _folded_counts(masks[:, start:stop], block, sizes)
+        np.maximum(best, counts.max(axis=0), out=best)
+        alive = best <= limit
+        kept, best, block, sizes, limit = (
+            kept[alive], best[alive], block[:, alive], sizes[alive], limit[alive]
+        )
+        start, chunk = stop, 2 * chunk
+    return kept, best
+
+
 def batch_min_split(masks: Sequence[int], subsets: np.ndarray) -> tuple[int, int, int | None]:
     """Minimum best-split over subsets given as rows of little-endian uint32 words.
 
     Rows with fewer than two members are ignored; the witness is the first
     row, in the given order, that strictly attains the minimum, as an int.
+    A row after the first block is dropped once some mask splits it above
+    that block's minimum, masks that rule out most first-block rows going
+    first.
     """
     wide = subsets
     if subsets.shape[1] > 1:
@@ -244,12 +271,25 @@ def batch_min_split(masks: Sequence[int], subsets: np.ndarray) -> tuple[int, int
     words = len(columns)
     mask_words = _words(masks, words, 8 * columns.dtype.itemsize).T
     sizes = _sizes(columns)
-    best = np.empty_like(sizes)
-    rows = _block_rows(len(masks), words)
-    for start in range(0, len(sizes), rows):
-        end = start + rows
-        best[start:end] = _block_best(mask_words, columns[:, start:end], sizes[start:end])
-    found = _first_min(best, sizes)
+    head = slice(0, _block_rows(len(masks), words))
+    counts = _folded_counts(mask_words, columns[:, head], sizes[head])
+    best = counts.max(axis=0, initial=0)  # 0 with no masks
+    rows, bests = [np.arange(len(best))], [best]
+    if len(sizes) > len(best):
+        found = _first_min(best, sizes[head])
+        num, den = (1, 2) if found is None else found[:2]
+        # Integer floors: a count exceeds limit exactly when count / size > num / den.
+        limit = (num * sizes.astype(np.int64) // den).astype(sizes.dtype)
+        ruled = (counts > limit[head]).sum(axis=1).tolist()
+        mask_words = mask_words[:, sorted(range(len(masks)), key=ruled.__getitem__, reverse=True)]
+        step = _block_rows(16, words)  # the first chunk's temporaries stay at half a block
+        for start in range(len(best), len(sizes), step):
+            part = slice(start, start + step)
+            kept, kept_best = _bounded_best(mask_words, columns[:, part], sizes[part], limit[part])
+            rows.append(start + kept)
+            bests.append(kept_best)
+    rows = np.concatenate(rows)
+    found = _first_min(np.concatenate(bests), sizes[rows])
     if found is None or 2 * found[0] == found[1]:
         return 1, 2, None
-    return found[0], found[1], _row_int(subsets[found[2]])
+    return found[0], found[1], _row_int(subsets[rows[found[2]]])

@@ -466,6 +466,25 @@ class TestEdgePass:
         with pytest.raises(InstanceTooLarge, match="'t0' -> 't2' has 66 members; 11 samples"):
             analysis._edge_reports(inst, [(0, 1), (0, 2)], 0, 11, 0, None)
 
+    def test_sampled_edges_of_several_blocks_match_the_loop(self, monkeypatch):
+        inst = families.gen_convex_polygon(12, balanced=False)
+        _, pairs = candidate_edges(inst, None, 4)
+        hint = Fraction(inst.params["alpha_hint"])
+        batches = []
+        kernel = kernels.batch_min_split
+        monkeypatch.setattr(
+            kernels, "batch_min_split",
+            lambda masks, subsets: batches.append((len(masks), len(subsets))) or kernel(masks, subsets),
+        )
+        got = analysis._edge_reports(inst, pairs, 4, 20000, 5, hint)
+        # 24 sampled 11-member edges, each batch more than four first blocks long.
+        assert {(r.delta_size, r.status) for r in got} == {(11, UNKNOWN_SAMPLED)} and len(got) == 24
+        assert {kernels._block_rows(n_masks, 1) for n_masks, _ in batches} == {4096}
+        assert {rows for _, rows in batches} == {20000}
+        expected = oracles.loop_edge_reports(inst, pairs, 4, 20000, 5, hint)
+        for report, row in zip(got, expected, strict=True):
+            assert dataclasses.astuple(report) == row
+
 
 class TestAlphaStar:
     def test_uniform_value_strongly_connected(self, disjunction_d6m2):

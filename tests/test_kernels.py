@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -138,6 +139,173 @@ def test_batch_min_split_wider_than_one_word():
                 for _ in range(80)
             ]
             assert batch_min_split(masks, subsets) == oracles.loop_batch_min_split(masks, subsets)
+
+
+# ---------------------------------------------------------------------------
+# Batches of several blocks: rows past the first block are filtered against
+# its minimum before they are scored in full
+
+
+def first_block_rows(n_masks: int, width: int) -> int:
+    """``batch_min_split``'s first block; rows past 32 members go as uint64 words."""
+    return kernels._block_rows(n_masks, kernels._word_count(width, 64))
+
+
+def sparse_rows(rng: random.Random, width: int, count: int) -> list[int]:
+    """Subsets of 2-7 members, so splits well below 1/2 are common."""
+    return [
+        sum(1 << b for b in rng.sample(range(width), rng.randint(2, min(7, width))))
+        for _ in range(count)
+    ]
+
+
+def split_value(masks: list[int], subset: int) -> Fraction:
+    return Fraction(*oracles.loop_batch_min_split(masks, [subset])[:2])
+
+
+def glued_masks(rng: random.Random, width: int, count: int) -> list[int]:
+    """Random masks on which members 1 and 6 always side with member 0, and 3 with 2."""
+    out = []
+    for _ in range(count):
+        m = rng.getrandbits(width) & ~(1 << 1 | 1 << 3 | 1 << 6)
+        out.append(m | (m & 1) * (1 << 1 | 1 << 6) | (m >> 2 & 1) << 3)
+    return prepare_masks(out, width)
+
+
+# Subsets no glued mask splits: 0/3, 0/2, 0/2, 0/2.
+UNSPLIT = [0b1000011, 0b11, 0b1100, 0b1000001]
+SMALL = [0, 0b1, 0b100000, 0b10000000]  # fewer than two members
+
+
+def scored_with_filter(monkeypatch) -> list[tuple[int, int]]:
+    """(rows in, rows kept) of every ``_bounded_best`` call from here on."""
+    calls = []
+    bounded = kernels._bounded_best
+
+    def counted(masks, block, sizes, limit):
+        kept, best = bounded(masks, block, sizes, limit)
+        calls.append((block.shape[1], len(kept)))
+        return kept, best
+
+    monkeypatch.setattr(kernels, "_bounded_best", counted)
+    return calls
+
+
+@functools.cache
+def long_batch_pool(width: int) -> tuple[tuple[int, ...], int, tuple[int, ...], tuple[Fraction, ...]]:
+    """Glued masks, their first block, 4 blocks of rows splitting above 0, and each row's value.
+
+    Every 7th row has fewer than two members (value 1/2, as the loop scores it).
+    """
+    rng = random.Random(width)
+    masks = glued_masks(rng, width, 24)
+    block = first_block_rows(len(masks), width)
+    pool = [s for s in sparse_rows(rng, width, 4 * block) if split_value(masks, s) > 0]
+    for k in range(0, len(pool), 7):
+        pool[k] = SMALL[k % len(SMALL)]
+    assert len(pool) >= 3 * block
+    return tuple(masks), block, tuple(pool), tuple(split_value(masks, s) for s in pool)
+
+
+def assert_batch_matches_loop(masks: list[int], subsets: list[int]) -> tuple[int, int, int | None]:
+    expected = oracles.loop_batch_min_split(masks, subsets)
+    assert batch_min_split(masks, subsets) == expected
+    return expected
+
+
+@pytest.mark.parametrize("width", [20, 40, 100])  # one uint32 word; one uint64 word; two
+class TestLongBatches:
+    """Batches of at least three first blocks against ``oracles.loop_batch_min_split``."""
+
+    def test_minimum_only_after_the_first_block(self, monkeypatch, width):
+        masks, block, pool, values = long_batch_pool(width)
+        subsets = list(pool)
+        subsets[2 * block + 5] = UNSPLIT[0]
+        assert min(values[:block]) > 0
+        calls = scored_with_filter(monkeypatch)
+        assert assert_batch_matches_loop(masks, subsets) == (0, 3, UNSPLIT[0])
+        assert sum(rows for rows, _ in calls) == len(subsets) - block
+        assert sum(kept for _, kept in calls) < len(subsets) - block  # the filter dropped rows
+
+    def test_first_of_tied_rows_after_the_first_block_is_the_witness(self, width):
+        masks, block, pool, _ = long_batch_pool(width)
+        subsets = list(pool)
+        for k, subset in enumerate(UNSPLIT):
+            subsets[block + 100 + 300 * k] = subset
+        assert assert_batch_matches_loop(masks, subsets) == (0, 3, UNSPLIT[0])
+        subsets[block + 100] = UNSPLIT[1]
+        assert assert_batch_matches_loop(masks, subsets) == (0, 2, UNSPLIT[1])
+
+    def test_rows_tied_with_the_first_block_minimum_keep_its_witness(self, width):
+        masks, block, pool, values = long_batch_pool(width)
+        # The least value that two distinct rows share: one goes in the first
+        # block, the others after it, and every lower row is left out.
+        low = min(v for v in set(values) if len({s for s, w in zip(pool, values) if w == v}) > 1)
+        tied = list(dict.fromkeys(s for s, v in zip(pool, values) if v == low))
+        subsets = [s for s, v in zip(pool, values) if v > low]
+        subsets.insert(block // 2, tied[0])
+        for k, subset in enumerate(tied[1:]):
+            subsets.insert(block + 10 + 7 * k, subset)
+        assert len(subsets) >= 3 * block
+        assert assert_batch_matches_loop(masks, subsets)[2] == tied[0]
+
+    def test_first_block_at_one_half_bounds_nothing(self, width):
+        masks, block, pool, values = long_batch_pool(width)
+        # Pairs that some mask separates split at exactly 1/2.
+        halves = [s for s, v in zip(pool, values) if s.bit_count() == 2 and v == Fraction(1, 2)]
+        head = [halves[k % len(halves)] if k % 3 else SMALL[k % 4] for k in range(block)]
+        assert oracles.loop_batch_min_split(masks, head) == (1, 2, None)
+        assert assert_batch_matches_loop(masks, head + list(pool[block:]))[2] is not None
+        subsets = head + [halves[k % len(halves)] for k in range(2 * block + 1)]
+        assert assert_batch_matches_loop(masks, subsets) == (1, 2, None)
+
+    def test_zero_masks(self, width):
+        block = first_block_rows(0, width)
+        small = [SMALL[k % 4] for k in range(3 * block + 3)]
+        assert assert_batch_matches_loop([], small + [0b110, 0b111, 0b11]) == (0, 2, 0b110)
+        assert assert_batch_matches_loop([], small) == (1, 2, None)
+
+
+def batch_across_blocks(recipe: tuple[int, int, int, int, int]) -> tuple[list[int], list[int]]:
+    """Random masks and a batch one row short of, at or past 1, 2 or 3 first blocks.
+
+    The first block is the one ``BLOCK_CELLS`` gives when this is called.
+    """
+    seed, width, n_masks, blocks, offset = recipe
+    rng = random.Random(seed)
+    masks = random_masks(rng, width, n_masks)
+    length = max(0, blocks * first_block_rows(len(masks), width) + offset)
+    kinds = (
+        lambda: sparse_rows(rng, width, 1)[0],
+        lambda: rng.getrandbits(width),
+        lambda: rng.getrandbits(2),  # fewer than two members, or the pair {0, 1}
+    )
+    return masks, [kinds[rng.randrange(3)]() for _ in range(length)]
+
+
+def batch_recipes(min_masks: int, max_masks: int):
+    return st.tuples(
+        st.integers(min_value=0, max_value=1 << 32),
+        st.integers(min_value=2, max_value=130),
+        st.integers(min_value=min_masks, max_value=max_masks),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([-1, 0, 1]),
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(batch_recipes(min_masks=16, max_masks=48))
+def test_batches_across_default_block_boundaries_match_the_loop(recipe):
+    assert_batch_matches_loop(*batch_across_blocks(recipe))
+
+
+@pytest.mark.parametrize("cells", [1, 7, 16])
+@settings(max_examples=60, deadline=None)
+@given(recipe=batch_recipes(min_masks=0, max_masks=20))
+def test_batches_across_small_block_boundaries_match_the_loop(cells, recipe):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "BLOCK_CELLS", cells)
+        assert_batch_matches_loop(*batch_across_blocks(recipe))
 
 
 @pytest.mark.parametrize("width", [33, 64, 65, 97, 255, 256, 300])
