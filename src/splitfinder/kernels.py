@@ -30,9 +30,10 @@ masks differ only by a renaming of members, so they share their minimum
 wider than one word are regrouped into ``uint64`` words, which halves the
 AND and count passes (one ``uint32`` word is faster than one ``uint64``).
 It scores the first block in full; that block's minimum bounds the batch
-minimum from above, so a later row that some mask splits above it can
-neither attain nor tie the minimum and is dropped unscored
-(``_bounded_best``).  Fractions are compared exactly in integers, and the
+minimum from above, so a later row that some mask splits at or above it
+cannot be the witness (the first block already holds a row at that value)
+and is dropped unscored (``_bounded_best``); at a minimum of 0 no later
+row is scored at all.  Fractions are compared exactly in integers, and the
 witness is the first subset in that order that strictly attains the
 minimum (none when every subset splits at exactly 1/2), with the
 ``(num, den)`` of that subset itself.  Results are therefore reproducible
@@ -259,9 +260,9 @@ def batch_min_split(masks: Sequence[int], subsets: np.ndarray) -> tuple[int, int
 
     Rows with fewer than two members are ignored; the witness is the first
     row, in the given order, that strictly attains the minimum, as an int.
-    A row after the first block is dropped once some mask splits it above
-    that block's minimum, masks that rule out most first-block rows going
-    first.
+    A row after the first block is dropped once some mask splits it at or
+    above that block's minimum, masks that rule out most first-block rows
+    going first.
     """
     wide = subsets
     if subsets.shape[1] > 1:
@@ -275,11 +276,12 @@ def batch_min_split(masks: Sequence[int], subsets: np.ndarray) -> tuple[int, int
     counts = _folded_counts(mask_words, columns[:, head], sizes[head])
     best = counts.max(axis=0, initial=0)  # 0 with no masks
     rows, bests = [np.arange(len(best))], [best]
-    if len(sizes) > len(best):
-        found = _first_min(best, sizes[head])
-        num, den = (1, 2) if found is None else found[:2]
-        # Integer floors: a count exceeds limit exactly when count / size > num / den.
-        limit = (num * sizes.astype(np.int64) // den).astype(sizes.dtype)
+    found = _first_min(best, sizes[head])
+    num, den = (1, 2) if found is None else found[:2]
+    if len(sizes) > len(best) and num > 0:  # nothing splits below 0
+        # A count is within limit exactly when count / size < num / den: a
+        # later row that only ties the first block's minimum is never the witness.
+        limit = (np.maximum(num * sizes.astype(np.int64) - 1, 0) // den).astype(sizes.dtype)
         ruled = (counts > limit[head]).sum(axis=1).tolist()
         mask_words = mask_words[:, sorted(range(len(masks)), key=ruled.__getitem__, reverse=True)]
         step = _block_rows(16, words)  # the first chunk's temporaries stay at half a block

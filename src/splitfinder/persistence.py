@@ -5,11 +5,18 @@ given object always serializes to identical bytes and content digests are
 stable.  Rationals are written as "num/den" strings (never floats); floats
 are rounded to 12 significant digits; unbounded bounds serialize as the
 literal string "unbounded".
+
+``canonical_bytes`` is the one encoder.  Its bytes are those of
+``json.dumps(document, sort_keys=True, indent=1) + "\\n"`` in UTF-8, but it
+builds them a group of tokens at a time, so its temporaries stay bounded
+whatever the document's size.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
@@ -95,8 +102,26 @@ def _parse_float12(value: Any) -> float | None:
     return float(value)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=1)
+_CHUNK_GROUP = 2048  # encoder chunks joined per write into the output buffer
+
+
 def canonical_bytes(document: dict) -> bytes:
-    return (json.dumps(document, sort_keys=True, indent=1) + "\n").encode("utf-8")
+    """``(json.dumps(document, sort_keys=True, indent=1) + "\\n").encode("utf-8")``.
+
+    With ``indent`` the stdlib encodes in pure Python, and ``json.dumps``
+    keeps one string per token in a list before joining them, several times
+    the output's size.  Here the same encoder's ``iterencode`` chunks are
+    joined ``_CHUNK_GROUP`` at a time and written as UTF-8 into one buffer,
+    so the bytes are the same and the temporaries stay bounded.  A value
+    JSON cannot hold raises before anything is returned.
+    """
+    chunks = _ENCODER.iterencode(document)
+    out = io.BytesIO()
+    while group := list(itertools.islice(chunks, _CHUNK_GROUP)):
+        out.write("".join(group).encode("utf-8"))
+    out.write(b"\n")
+    return out.getvalue()
 
 
 def digest_of(document: dict) -> str:
@@ -183,7 +208,8 @@ def write_instance(instance: Instance, sink, digest=None) -> int:
 
     ``digest``, a hashlib object such as ``hashlib.sha256()``, is updated
     with those bytes, so a caller gets ``instance_digest`` without encoding
-    the instance a second time.
+    the instance a second time.  Like ``write_report``, it encodes in full
+    before the sink is opened, so a failed encode leaves a file as it was.
     """
     payload = canonical_bytes(instance_to_document(instance))
     if digest is not None:

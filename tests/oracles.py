@@ -12,11 +12,14 @@ sampled-subset draw, the adjacency presets (``loop_adjacency_pairs``) and
 the batched edge pass must return, witnesses and
 unreduced ``(num, den)`` pairs included.  Their int-bitset inputs come from ``columns_of``, which
 reads the outcome strings, not the library's outcome array.
+``dumps_canonical_bytes`` is the one-call ``json.dumps`` encoding whose bytes
+``persistence.canonical_bytes`` must reproduce.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -423,3 +426,8 @@ def loop_min_k(columns: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int, int
         if len(picked) == m - 1:
             break
     return k, tuple(picked)
+
+
+def dumps_canonical_bytes(document) -> bytes:
+    """The canonical encoding in one ``json.dumps`` call, all tokens joined at once."""
+    return (json.dumps(document, sort_keys=True, indent=1) + "\n").encode("utf-8")

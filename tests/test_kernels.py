@@ -249,6 +249,28 @@ class TestLongBatches:
         assert len(subsets) >= 3 * block
         assert assert_batch_matches_loop(masks, subsets)[2] == tied[0]
 
+    def test_a_later_row_that_ties_the_first_block_minimum_is_dropped(self, monkeypatch, width):
+        masks, block, pool, values = long_batch_pool(width)
+        low = min(v for v in set(values) if len({s for s, w in zip(pool, values) if w == v}) > 1)
+        first, tie = list(dict.fromkeys(s for s, v in zip(pool, values) if v == low))[:2]
+        subsets = [s for s, v in zip(pool, values) if v > low]
+        subsets.insert(0, first)
+        subsets.insert(block + 5, tie)
+        assert len(subsets) >= 3 * block
+        calls = scored_with_filter(monkeypatch)
+        assert assert_batch_matches_loop(masks, subsets)[2] == first
+        assert sum(rows for rows, _ in calls) == len(subsets) - block
+        # Only rows with fewer than two members, which never count, are kept; the tie is not.
+        assert sum(kept for _, kept in calls) == sum(s.bit_count() < 2 for s in subsets[block:])
+
+    def test_a_first_block_minimum_of_zero_scores_no_later_row(self, monkeypatch, width):
+        masks, block, pool, _ = long_batch_pool(width)
+        subsets = list(pool)
+        subsets[5], subsets[block + 5] = UNSPLIT[0], UNSPLIT[1]
+        calls = scored_with_filter(monkeypatch)
+        assert assert_batch_matches_loop(masks, subsets) == (0, 3, UNSPLIT[0])
+        assert calls == []
+
     def test_first_block_at_one_half_bounds_nothing(self, width):
         masks, block, pool, values = long_batch_pool(width)
         # Pairs that some mask separates split at exactly 1/2.

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dumps_canonical_bytes
+from test_engine import SMALL_FAMILY_INSTANCES
 
 from splitfinder import analysis, engine, persistence
-from splitfinder.engine import CostStats
+from splitfinder.engine import CostStats, Step, Transcript
 from splitfinder.persistence import (
     EmptySummary,
     ParseError,
@@ -172,6 +178,128 @@ class TestReportRoundTrip:
         report = analysis.analyze_instance(disjunction_d4m2)
         with pytest.raises(ValueError):
             write_report(report, io.BytesIO())
+
+
+# Strings that need escapes: quotes, backslashes, control and non-ASCII characters.
+escaped_text = st.text(alphabet=st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aé\u2028中😀'))
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=1 << 64, max_value=1 << 200).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats()  # -0.0, nan and inf included
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+    | st.text()
+    | escaped_text,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text() | escaped_text, children),
+    max_leaves=40,
+)
+
+
+def report_shaped_document(edges: int) -> dict:
+    """An analysis report's layout with ``edges`` edges, every other one with a 3-item witness."""
+    return {
+        "schema_version": 1,
+        "kind": "analysis_report",
+        "instance_name": "synthetic",
+        "instance_digest": "0" * 64,
+        "k_min": 2,
+        "coherence": {"distribution": {"t0": "1/2", "t1": "1/2"}, "value": "1/2"},
+        "edges": [
+            {
+                "from": f"t{k}",
+                "to": f"t{k + 1}",
+                "delta_size": 12,
+                "status": "exhaustive",
+                "edge_value": "1/3",
+                "witness": [f"h{k}", f"h{k + 1}", f"h{k + 2}"] if k % 2 else None,
+                "samples_tried": 0,
+            }
+            for k in range(edges)
+        ],
+        "alpha_star": "1/3",
+        "beta": "1/4",
+        "knobs": {"exhaustive_limit": 18, "samples": 10000, "seed": 0, "edge_mode": "all"},
+    }
+
+
+class TestCanonicalBytes:
+    """``canonical_bytes`` against the one-call ``json.dumps`` encoding it replaces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps_on_random_values(self, document):
+        assert canonical_bytes(document) == dumps_canonical_bytes(document)
+
+    @settings(max_examples=10, deadline=None)
+    @given(json_values, st.integers(min_value=2, max_value=4))
+    def test_matches_json_dumps_across_several_chunk_groups(self, value, groups):
+        # Every list item is at least one encoder chunk.
+        document = {"rows": [value] * (groups * persistence._CHUNK_GROUP), "tail": value}
+        assert canonical_bytes(document) == dumps_canonical_bytes(document)
+
+    @pytest.mark.parametrize("family", sorted(SMALL_FAMILY_INSTANCES))
+    def test_matches_json_dumps_on_every_family(self, family):
+        instance = SMALL_FAMILY_INSTANCES[family]()
+        report = analysis.analyze_instance(instance)
+        for document in (
+            instance_to_document(instance),
+            persistence.report_to_document(report, instance),
+        ):
+            assert canonical_bytes(document) == dumps_canonical_bytes(document)
+
+    def test_peak_memory_stays_near_the_output_size(self):
+        document = report_shaped_document(10_000)
+        tracemalloc.start()
+        try:
+            payload = canonical_bytes(document)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(payload) >= 1 << 20
+        assert peak < 2 * len(payload)
+
+
+class Recorder(io.RawIOBase):
+    """A file-like sink that records whether anything was written to it."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return len(data)
+
+
+class TestEncodeBeforeOpen:
+    """A document JSON cannot hold fails before the sink is opened or written."""
+
+    def unserializable_payloads(self, pentagon):
+        stats = CostStats(worst_case=1, average=Fraction(1), per_oracle={"h0": Fraction(1, 2)})
+        transcript = Transcript("h0", (Step({"p0"}, 1, 1),), "h0")
+        instance = dataclasses.replace(pentagon, params={**pentagon.params, "r": {1, 2}})
+        return [
+            lambda sink: write_report(stats, sink),
+            lambda sink: write_report(transcript, sink),
+            lambda sink: write_instance(instance, sink),
+        ]
+
+    def test_an_existing_file_is_left_as_it_was(self, pentagon, tmp_path):
+        path = tmp_path / "out.json"
+        for write in self.unserializable_payloads(pentagon):
+            path.write_bytes(b"earlier bytes\n")
+            with pytest.raises(TypeError):
+                write(path)
+            assert path.read_bytes() == b"earlier bytes\n"
+
+    def test_a_stream_sink_gets_no_write(self, pentagon):
+        for write in self.unserializable_payloads(pentagon):
+            sink = Recorder()
+            with pytest.raises(TypeError):
+                write(sink)
+            assert sink.writes == 0
 
 
 class TestCsvSummary:
