@@ -135,41 +135,33 @@ class NeighborlyEdgeAudit:
 # k-neighborliness
 
 
-def min_k(instance: Instance) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+def min_k(instance: Instance) -> int:
     """Smallest k whose disagreement-at-most-k test graph is connected.
 
-    Computed as the bottleneck of a minimum-bottleneck spanning tree over
-    pairwise disagreement counts; returns (k, spanning edges as
-    (weight, i, j) triples).  Kruskal visits the pairs in ascending
-    (weight, i, j) order, one weight level at a time and only the levels
-    some pair has, so the tree is the one a sort of every pair would give.
+    That k is the bottleneck of a minimum spanning tree over pairwise
+    disagreement counts, which does not depend on how ties are broken.
+    Prim grows the tree from test 0 over the packed test columns
+    (``_packed_columns``): ``rest`` holds the columns of the tests not yet
+    joined and ``dist`` each one's least disagreement with a joined test.
+    Each step joins the nearest and lowers the others' distances by one
+    XOR-popcount row against it, so no m x m matrix is kept.
     """
-    m = instance.m_tests
-    if m == 1:
-        return 0, ()
-    weights = _pair_weights(instance)
-    parent = list(range(m))
+    packed = _packed_columns(instance.outcomes)
+    rest, dist = packed[1:], _disagreements(packed[0], packed[1:])
+    k = 0
+    while len(dist):
+        x = int(dist.argmin())
+        k = max(k, int(dist[x]))
+        joined = rest[x].copy()
+        rest[x], dist[x] = rest[-1], dist[-1]  # the last test takes the joined one's slot
+        rest, dist = rest[:-1], dist[:-1]
+        np.minimum(dist, _disagreements(joined, rest), out=dist)
+    return k
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    picked: list[tuple[int, int, int]] = []
-    weight = int(weights.min())
-    while weight <= instance.n:
-        rows, cols = np.nonzero(weights == weight)  # row-major, so (i, j) ascending
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                continue
-            parent[ri] = rj
-            picked.append((weight, i, j))
-            if len(picked) == m - 1:
-                return weight, tuple(picked)
-        weight = int(weights.min(where=weights > weight, initial=instance.n + 1))
-    raise RuntimeError("unreachable: every test pair disagrees on at most n hypotheses")
+def _disagreements(words: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """Hypotheses on which one packed test column disagrees with each row of ``packed``."""
+    return np.bitwise_count(words ^ packed).sum(axis=1, dtype=np.int64)
 
 
 def _packed_columns(bits: np.ndarray) -> np.ndarray:
@@ -193,22 +185,6 @@ def _column_ints(bits: np.ndarray) -> list[int]:
     if words.shape[1] == 1:
         return words[:, 0].tolist()
     return [int.from_bytes(row.tobytes(), "little") for row in words]
-
-
-def _pair_weights(instance: Instance) -> np.ndarray:
-    """Disagreement count of every test pair i < j; n + 1 on and below the diagonal.
-
-    Each test's outcome column is packed once into uint64 words
-    (``_packed_columns``).  Row i XORs test i's words with those of tests
-    i + 1 onward and popcounts them, one test row at a time as in
-    ``candidate_edges``.
-    """
-    m, n = instance.m_tests, instance.n
-    packed = _packed_columns(instance.outcomes)
-    weights = np.full((m, m), n + 1, dtype=np.min_scalar_type(n + 1))
-    for i in range(m):
-        weights[i, i + 1 :] = np.bitwise_count(packed[i] ^ packed[i + 1 :]).sum(axis=1)
-    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -837,12 +813,15 @@ def neighborly_edge_audit(
     must also be split-neighborly at 1/k.  Disagreement sets beyond the
     exhaustive limit are skipped and counted, never guessed.
     """
-    k, _ = min_k(instance)
+    k = min_k(instance)
     if k < 1:
         return NeighborlyEdgeAudit(True, k, 0, 0, ())
     threshold = Fraction(1, k)
-    rows, cols = np.nonzero(_pair_weights(instance) <= k)  # row-major, so (i, j) ascending
-    pairs = np.stack([rows, cols, cols, rows], axis=1).reshape(-1, 2).tolist()  # (i, j), (j, i)
+    packed = _packed_columns(instance.outcomes)
+    pairs = []
+    for i in range(instance.m_tests):
+        close = np.flatnonzero(_disagreements(packed[i], packed[i + 1 :]) <= k) + i + 1
+        pairs.extend(p for j in close.tolist() for p in ((i, j), (j, i)))
     reports = _edge_reports(instance, pairs, exhaustive_limit, 0, 0, None)
     checked = [r for r in reports if r.status == VERIFIED_EXHAUSTIVE and r.delta_size >= 2]
     failures = tuple(
@@ -864,7 +843,7 @@ def analyze_instance(
     seed: int = 0,
 ) -> AnalysisReport:
     """Compute every structural quantity and the derived query-cost bounds."""
-    k, _ = min_k(instance)
+    k = min_k(instance)
     certificate = coherence(instance)
     mode, pairs = candidate_edges(instance, edge_mode, exhaustive_limit)
     hint = instance.params.get("alpha_hint")

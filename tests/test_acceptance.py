@@ -59,7 +59,7 @@ def test_criterion_1_pentagon_reproduction():
         counts = [t.query_count for t in transcripts]
         assert 4 in counts  # one run resolves in exactly four rounds
 
-        k, _ = min_k(pentagon)
+        k = min_k(pentagon)
         bounds = compute_bounds(20, Fraction(1, 4), k, Fraction(1, 5))
         worst = max(counts)
         assert worst <= bounds.nowak_worst
@@ -97,7 +97,7 @@ def test_criterion_3_k_grows_like_sqrt_n():
             families.gen_linear_kcase(8),
         ]
         for inst in cases:
-            k, _ = min_k(inst)
+            k = min_k(inst)
             assert k >= math.isqrt(inst.n - 1) + 1, (inst.name, k, inst.n)
 
 

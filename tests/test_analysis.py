@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -52,39 +53,36 @@ class TestMinK:
             {"tests": [{"id": "t"}],
              "hypotheses": [{"id": "a", "outcomes": "0"}, {"id": "b", "outcomes": "1"}]}
         )
-        assert min_k(inst) == (0, ())
+        assert min_k(inst) == 0
 
     def test_disjunction_d3m1(self, disjunction_d3m1):
-        k, witness = min_k(disjunction_d3m1)
+        k = min_k(disjunction_d3m1)
         # Oracle: full pairwise disagreement table; flipping one assignment
         # bit changes exactly the flipped variable's hypothesis.
         rows = [h.outcomes for h in disjunction_d3m1.hypotheses]
         assert oracles.connected_at_threshold(rows, 1)
         assert not oracles.connected_at_threshold(rows, 0)
         assert k == 1
-        assert len(witness) == disjunction_d3m1.m_tests - 1
 
     def test_threshold_is_tight(self, disjunction_d4m2, pentagon):
         for inst in (disjunction_d4m2, pentagon):
-            k, _ = min_k(inst)
+            k = min_k(inst)
             rows = [h.outcomes for h in inst.hypotheses]
             assert oracles.connected_at_threshold(rows, k)
             assert not oracles.connected_at_threshold(rows, k - 1)
 
     def test_disjunction_d4m2_reaches_sqrt_n(self, disjunction_d4m2):
-        k, _ = min_k(disjunction_d4m2)
+        k = min_k(disjunction_d4m2)
         assert k >= 4  # the all-zeros assignment disagrees with any
         # one-bit flip on 1 + C(3,1) = 4 hypotheses
         assert k >= math.isqrt(disjunction_d4m2.n - 1) + 1
 
     def test_pentagon_min_k(self, pentagon):
         # Adjacent vertices disagree on 4 + 4 nested arcs.
-        assert min_k(pentagon)[0] == 8
+        assert min_k(pentagon) == 8
 
     def test_witness_edges_span_at_threshold(self, box_d2r11):
-        k, witness = min_k(box_d2r11)
-        assert max(w for w, _, _ in witness) == k
-        assert len(witness) == box_d2r11.m_tests - 1
+        assert min_k(box_d2r11) == oracles.loop_min_k(oracles.columns_of(box_d2r11))[0]
 
     def test_matches_the_sorted_pair_loop_on_families(self):
         for inst in (
@@ -95,7 +93,7 @@ class TestMinK:
             families.gen_discrete_linear(4, 3),
             families.gen_counterexample_plus(2, 2),
         ):
-            assert min_k(inst) == oracles.loop_min_k(oracles.columns_of(inst))
+            assert min_k(inst) == oracles.loop_min_k(oracles.columns_of(inst))[0]
 
     def test_matches_the_sorted_pair_loop_on_random_columns(self):
         # Few hypotheses make many tied weights and repeated columns.
@@ -108,14 +106,30 @@ class TestMinK:
                 "tests": [{"id": f"t{x}"} for x in range(m)],
                 "hypotheses": [{"id": f"h{i}", "outcomes": r} for i, r in enumerate(sorted(rows))],
             })
-            assert min_k(inst) == oracles.loop_min_k(oracles.columns_of(inst))
+            assert min_k(inst) == oracles.loop_min_k(oracles.columns_of(inst))[0]
 
     @pytest.mark.parametrize("cells", [1, 7, 16])
     def test_results_do_not_depend_on_block_boundaries(self, monkeypatch, cells):
         cases = (families.gen_disjunction(5, 2), families.gen_convex_polygon(9, balanced=False))
         monkeypatch.setattr(kernels, "BLOCK_CELLS", cells)
         for inst in cases:
-            assert min_k(inst) == oracles.loop_min_k(oracles.columns_of(inst))
+            assert min_k(inst) == oracles.loop_min_k(oracles.columns_of(inst))[0]
+
+    def test_disjunctions_at_scale(self):
+        # 4096 tests of up to 5 packed words, past the random columns' 3.
+        assert min_k(families.gen_disjunction(12, 3)) == 67
+        assert min_k(families.gen_disjunction(12, 2)) == 12
+
+    def test_keeps_no_test_by_test_matrix(self):
+        inst = families.gen_disjunction(10, 2)  # 1024 tests: a 1 MB matrix of uint8
+        tracemalloc.start()
+        try:
+            k = min_k(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k == 10
+        assert peak < 1 << 20
 
 
 class TestCoherence:

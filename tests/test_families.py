@@ -230,10 +230,10 @@ class TestLinearKcase:
                 assert (h.outcomes[x] == "1") == (dot > h.meta["b"])
 
     def test_k_lower_bounds(self):
-        k4, _ = min_k(gen_linear_kcase(4))
+        k4 = min_k(gen_linear_kcase(4))
         assert k4 >= math.comb(3, 1)
         assert k4 >= math.ceil(math.sqrt(6))
-        k8, _ = min_k(gen_linear_kcase(8))
+        k8 = min_k(gen_linear_kcase(8))
         assert k8 >= math.comb(6, 2)
         assert k8 >= math.ceil(math.sqrt(70))
 
