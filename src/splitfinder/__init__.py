@@ -12,7 +12,6 @@ from .core import (
     HypothesisRecord,
     Instance,
     TestRecord,
-    delta_set,
     validate_instance,
 )
 from .engine import CostStats, Transcript, run_all_oracles, run_gbs
@@ -52,7 +51,6 @@ __all__ = [
     "binary_entropy",
     "coherence",
     "compute_bounds",
-    "delta_set",
     "edge_alpha",
     "min_k",
     "neighborly_edge_audit",

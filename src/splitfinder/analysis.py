@@ -416,7 +416,7 @@ def _sample_subsets(size: int, samples: int, seed: int) -> np.ndarray:
         raw = rng.getrandbits(32 * words * n).to_bytes(4 * words * n, "little")
         rows = np.frombuffer(bytearray(raw), dtype="<u4").reshape(n, words)
         rows[:, -1] >>= 32 * words - size
-        rows = rows[np.bitwise_count(rows).sum(axis=1) >= 2]
+        rows = rows.compress(kernels._sizes(rows.T) >= 2, axis=0)
         kept.append(rows)
         have += len(rows)
     return np.concatenate(kept)

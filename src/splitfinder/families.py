@@ -9,19 +9,35 @@ and records enough metadata in ``params`` for downstream analysis presets:
 Generators are pure: identical parameters produce a bit-identical instance,
 including record ordering (tests sorted lexicographically by coordinates or
 bit string, hypotheses by their canonical metadata encoding).
+
+The hypercube families (disjunction, monotone_cnf, discrete_linear,
+linear_kcase, cx_disjunction) build their outcome rows in numpy:
+``_hypercube`` gives one int64 variable mask per test, each family evaluates
+its predicate on every test at once for a block of hypotheses
+(``_outcome_rows``), and ``_row_strings`` turns each bool block into the
+'0'/'1' row strings.  The localization and polygon families build their
+rows as strings.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Sequence
 from fractions import Fraction
+
+import numpy as np
 
 from .core import Instance, InstanceTooLarge, parse_rational, rational_text, validate_instance
 
 # Most outcome characters (tests x hypotheses) a generator may build.  It is
 # checked from the parameters alone, before anything is materialized.
 MAX_OUTCOMES = 1 << 26
+# Outcome cells a hypercube family evaluates per numpy block.  Its int64
+# temporaries stay at 64 KB, under glibc's default mmap threshold, so each
+# block reuses the heap the last one freed and none of them leaves the heap
+# grown for the commands that run after ``gen`` in the same process.
+_BLOCK_CELLS = 1 << 13
 
 
 class BadParams(ValueError):
@@ -126,15 +142,53 @@ def gen_convex_polygon(m_points: int, balanced: bool) -> Instance:
 # Monotone disjunctions and CNF formulas over bit-vector tests
 
 
-def _hypercube(d: int) -> tuple[list[dict], list[int]]:
-    """The 2^d bit-string tests in lexicographic id order, and one int mask per
-    test whose bit v-1 is variable v (character v-1 of the id)."""
-    ids = [format(k, f"0{d}b") for k in range(1 << d)]
-    return [{"id": i} for i in ids], [int(i[::-1], 2) for i in ids]
+def _hypercube(d: int) -> tuple[list[dict], np.ndarray]:
+    """The 2^d bit-string tests in lexicographic id order, and an int64 array of
+    one mask per test whose bit v-1 is variable v (character v-1 of the id)."""
+    ranks = np.arange(1 << d, dtype=np.int64)
+    masks = np.zeros_like(ranks)
+    for v in range(d):
+        masks |= ((ranks >> (d - 1 - v)) & 1) << v
+    return [{"id": format(k, f"0{d}b")} for k in range(1 << d)], masks
 
 
 def _var_mask(variables) -> int:
     return sum(1 << (v - 1) for v in variables)
+
+
+def _row_strings(matrix: np.ndarray) -> list[str]:
+    """The '0'/'1' string of each row of a C-contiguous bool matrix, which is
+    turned into its ASCII codes in place and decoded a row at a time."""
+    codes = matrix.view(np.uint8)
+    codes += ord("0")
+    return [str(row.data, "ascii") for row in codes]
+
+
+def _outcome_rows(
+    test_masks: np.ndarray, keys, predicate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> list[str]:
+    """The row of each hypothesis key: ``predicate(test_masks, block)`` is the
+    bool matrix of a block of keys (int64 rows) against every test, and it is
+    evaluated ``_BLOCK_CELLS // len(test_masks)`` keys at a time."""
+    keys = np.asarray(keys, dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // len(test_masks))
+    rows: list[str] = []
+    for start in range(0, len(keys), step):
+        rows += _row_strings(predicate(test_masks, keys[start : start + step]))
+    return rows
+
+
+def _any_variable(test_masks: np.ndarray, var_masks: np.ndarray) -> np.ndarray:
+    """Per variable mask, the tests that set any of its variables."""
+    return (test_masks & var_masks[:, None]) != 0
+
+
+def _every_clause(test_masks: np.ndarray, clause_masks: np.ndarray) -> np.ndarray:
+    """Per row of clause masks, the tests that set a variable of every clause."""
+    hit = _any_variable(test_masks, clause_masks[:, 0])
+    for c in range(1, clause_masks.shape[1]):
+        hit &= _any_variable(test_masks, clause_masks[:, c])
+    return hit
 
 
 def gen_disjunction(d: int, m: int) -> Instance:
@@ -144,17 +198,20 @@ def gen_disjunction(d: int, m: int) -> Instance:
     cube = _cube_tests("disjunction", d)
     _check_size("disjunction", cube, sum(math.comb(d, size) for size in range(1, m + 1)))
     tests, test_masks = _hypercube(d)
-    hypotheses = []
-    for size in range(1, m + 1):
-        for variables in itertools.combinations(range(1, d + 1), size):
-            var_mask = _var_mask(variables)
-            hypotheses.append(
-                {
-                    "id": "|".join(f"x{v}" for v in variables),
-                    "outcomes": "".join("1" if t & var_mask else "0" for t in test_masks),
-                    "meta": {"vars": list(variables)},
-                }
-            )
+    var_sets = [
+        variables
+        for size in range(1, m + 1)
+        for variables in itertools.combinations(range(1, d + 1), size)
+    ]
+    rows = _outcome_rows(test_masks, [_var_mask(v) for v in var_sets], _any_variable)
+    hypotheses = [
+        {
+            "id": "|".join(f"x{v}" for v in variables),
+            "outcomes": outcomes,
+            "meta": {"vars": list(variables)},
+        }
+        for variables, outcomes in zip(var_sets, rows)
+    ]
     params = {
         "d": d,
         "m": m,
@@ -193,20 +250,18 @@ def gen_monotone_cnf(d: int, m: int, l: int) -> Instance:
     clause_sets = math.prod(math.comb(d - i * m, m) for i in range(l)) // math.factorial(l)
     _check_size("monotone_cnf", cube, clause_sets)
     tests, test_masks = _hypercube(d)
-    hypotheses = []
-    for clauses in _disjoint_clause_sets(d, m, l):
-        clause_masks = [_var_mask(clause) for clause in clauses]
-        hypotheses.append(
-            {
-                "id": "&".join(
-                    "(" + "|".join(f"x{v}" for v in clause) + ")" for clause in clauses
-                ),
-                "outcomes": "".join(
-                    "1" if all(t & c for c in clause_masks) else "0" for t in test_masks
-                ),
-                "meta": {"clauses": [list(c) for c in clauses]},
-            }
-        )
+    formulas = _disjoint_clause_sets(d, m, l)
+    rows = _outcome_rows(
+        test_masks, [[_var_mask(c) for c in clauses] for clauses in formulas], _every_clause
+    )
+    hypotheses = [
+        {
+            "id": "&".join("(" + "|".join(f"x{v}" for v in clause) + ")" for clause in clauses),
+            "outcomes": outcomes,
+            "meta": {"clauses": [list(c) for c in clauses]},
+        }
+        for clauses, outcomes in zip(formulas, rows)
+    ]
     params = {
         "d": d,
         "m": m,
@@ -395,7 +450,7 @@ def gen_shape_localization(
 # Discrete linear classifiers
 
 
-def _weight_id(w: tuple[int, ...], b: int) -> str:
+def _weight_id(w: Sequence[int], b: int) -> str:
     symbols = "".join("+" if wi > 0 else "-" if wi < 0 else "0" for wi in w)
     return f"w{symbols}b{b}"
 
@@ -435,29 +490,36 @@ def gen_discrete_linear(d: int, r: Fraction | int) -> Instance:
     _check_size("discrete_linear", cube, candidates)
 
     tests, test_masks = _hypercube(d)
+    # Every w in {-1,0,1}^d in itertools.product order, then each feasible
+    # (w, b) as a (w index, w+ mask, w- mask, b) key, b ascending within w.
+    weights = np.indices((3,) * d, dtype=np.int8).reshape(d, -1).T - 1
+    bits = np.int64(1) << np.arange(d, dtype=np.int64)
+    plus_masks = ((weights > 0) * bits).sum(axis=1).tolist()
+    minus_masks = ((weights < 0) * bits).sum(axis=1).tolist()
+    keys = [
+        (index, plus_masks[index], minus_masks[index], b)
+        for index, (plus, minus) in enumerate(
+            zip((weights > 0).sum(axis=1).tolist(), (weights < 0).sum(axis=1).tolist())
+        )
+        for b in feasible_b.get((plus, minus), ())
+    ]
+
+    def above_threshold(test_masks: np.ndarray, block: np.ndarray) -> np.ndarray:
+        dots = np.bitwise_count(test_masks & block[:, 1:2]).astype(np.int16)
+        dots -= np.bitwise_count(test_masks & block[:, 2:3])
+        return dots > block[:, 3:]
+
+    # The first (w, b) of each distinct row is kept, in key order.
+    first_key: dict[str, int] = {}
+    for position, outcomes in enumerate(_outcome_rows(test_masks, keys, above_threshold)):
+        first_key.setdefault(outcomes, position)
     hypotheses = []
-    seen_rows: dict[str, None] = {}
-    for w in itertools.product((-1, 0, 1), repeat=d):
-        plus = sum(1 for wi in w if wi > 0)
-        minus = sum(1 for wi in w if wi < 0)
-        bs = feasible_b.get((plus, minus))
-        if not bs:
-            continue
-        w_plus = sum(1 << i for i, wi in enumerate(w) if wi > 0)
-        w_minus = sum(1 << i for i, wi in enumerate(w) if wi < 0)
-        dots = [(t & w_plus).bit_count() - (t & w_minus).bit_count() for t in test_masks]
-        for b in bs:
-            outcomes = "".join("1" if v > b else "0" for v in dots)
-            if outcomes in seen_rows:
-                continue
-            seen_rows[outcomes] = None
-            hypotheses.append(
-                {
-                    "id": _weight_id(w, b),
-                    "outcomes": outcomes,
-                    "meta": {"w": list(w), "b": b},
-                }
-            )
+    for outcomes, position in first_key.items():
+        index, _, _, b = keys[position]
+        w = weights[index].tolist()
+        hypotheses.append(
+            {"id": _weight_id(w, b), "outcomes": outcomes, "meta": {"w": w, "b": b}}
+        )
 
     alpha = Fraction(1, max(16, 8 * r))
     params = {
@@ -480,13 +542,17 @@ def gen_linear_kcase(d: int) -> Instance:
     _check_size("linear_kcase", _cube_tests("linear_kcase", d), math.comb(d, d // 2))
     b = d // 4 - 1
     tests, test_masks = _hypercube(d)
+    supports = list(itertools.combinations(range(d), d // 2))
+    rows = _outcome_rows(
+        test_masks,
+        [sum(1 << i for i in ones) for ones in supports],
+        lambda tests, block: np.bitwise_count(tests & block[:, None]) > b,
+    )
     hypotheses = []
-    for ones in itertools.combinations(range(d), d // 2):
-        w_mask = sum(1 << i for i in ones)
-        outcomes = "".join("1" if (w_mask & t).bit_count() > b else "0" for t in test_masks)
+    for ones, outcomes in zip(supports, rows):
         w = [1 if i in ones else 0 for i in range(d)]
         hypotheses.append(
-            {"id": _weight_id(tuple(w), b), "outcomes": outcomes, "meta": {"w": w, "b": b}}
+            {"id": _weight_id(w, b), "outcomes": outcomes, "meta": {"w": w, "b": b}}
         )
     params = {"d": d, "b": b, "edge_preset": "l1"}
     return _build(f"linear_kcase_d{d}", "linear_kcase", params, tests, hypotheses)
@@ -507,17 +573,16 @@ def gen_counterexample_disjunction(m: int) -> Instance:
     d = m + 1
     _check_size("cx_disjunction", _cube_tests("cx_disjunction", d), d)
     tests, test_masks = _hypercube(d)
-    hypotheses = []
-    for omitted in range(1, d + 1):
-        variables = [v for v in range(1, d + 1) if v != omitted]
-        var_mask = _var_mask(variables)
-        hypotheses.append(
-            {
-                "id": "|".join(f"x{v}" for v in variables),
-                "outcomes": "".join("1" if t & var_mask else "0" for t in test_masks),
-                "meta": {"vars": variables, "omitted": omitted},
-            }
-        )
+    var_sets = [[v for v in range(1, d + 1) if v != omitted] for omitted in range(1, d + 1)]
+    rows = _outcome_rows(test_masks, [_var_mask(v) for v in var_sets], _any_variable)
+    hypotheses = [
+        {
+            "id": "|".join(f"x{v}" for v in variables),
+            "outcomes": outcomes,
+            "meta": {"vars": variables, "omitted": omitted},
+        }
+        for omitted, (variables, outcomes) in enumerate(zip(var_sets, rows), 1)
+    ]
     params = {"m": m, "d": d, "edge_preset": "l1"}
     return _build(f"cx_disjunction_m{m}", "cx_disjunction", params, tests, hypotheses)
 

@@ -6,22 +6,24 @@ stable.  Rationals are written as "num/den" strings (never floats); floats
 are rounded to 12 significant digits; unbounded bounds serialize as the
 literal string "unbounded".
 
-``canonical_bytes`` is the one encoder.  Its bytes are those of
-``json.dumps(document, sort_keys=True, indent=1) + "\\n"`` in UTF-8, but it
-builds them a group of tokens at a time, so its temporaries stay bounded
-whatever the document's size.
+One recursive encoder, ``_encode``, writes every document.  Its bytes are
+those of ``json.dumps(document, sort_keys=True, indent=1) + "\\n"`` in
+UTF-8, and its text goes to the output buffer a group of strings at a time,
+so its temporaries stay bounded whatever the document's size.
+``instance_bytes`` encodes an instance straight from its records, with no
+dict built per record.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
 from collections.abc import Callable
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .analysis import (
@@ -30,7 +32,14 @@ from .analysis import (
     CoherenceCertificate,
     EdgeReport,
 )
-from .core import Instance, parse_rational, rational_text, validate_instance
+from .core import (
+    HypothesisRecord,
+    Instance,
+    TestRecord,
+    parse_rational,
+    rational_text,
+    validate_instance,
+)
 from .engine import CostStats, Step, Transcript
 
 SCHEMA_VERSION = 1
@@ -102,59 +111,173 @@ def _parse_float12(value: Any) -> float | None:
     return float(value)
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=1)
-_CHUNK_GROUP = 2048  # encoder chunks joined per write into the output buffer
+# Encoded strings held before they are joined and written to the output
+# buffer.  Few enough that the join's temporaries stay small next to the
+# buffer, even when each is a 4 KB outcome row.
+_CHUNK_GROUP = 128
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key) -> str:
+    """A dict key as JSON writes it: a string, or a number, bool or null as text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        return encode_basestring_ascii(_float_text(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return encode_basestring_ascii(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+# The text of a value of exactly one of these types; instances of subclasses
+# take ``_encode``'s isinstance tests instead.
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _spill(parts: list[str], out: io.BytesIO) -> None:
+    out.write("".join(parts).encode("utf-8"))
+    parts.clear()
+
+
+def _encode(value, newline: str, parts: list[str], out: io.BytesIO) -> None:
+    """Append the ``sort_keys=True, indent=1`` JSON text of ``value`` to ``parts``.
+
+    ``newline`` is a line break and the indent of the line ``value`` starts
+    on.  After each item of a list or dict, once ``parts`` holds
+    ``_CHUNK_GROUP`` strings they are joined and written to ``out``.  A test
+    or hypothesis record is written as the object its instance document
+    holds.  Scalars of the exact JSON types are looked up in
+    ``_SCALAR_TEXT``; subclasses of str, int and float are written as the
+    stdlib writes them, and any other value raises TypeError as it does.  No
+    class can derive from two of dict, list, tuple, str, int and float, so
+    the order of the tests below changes no output.
+    """
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        parts.append(scalar(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + " "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            key = encode_basestring_ascii(key) if type(key) is str else _key_text(key)
+            _field(separator + key + ": ", item, inner, parts, out)
+            if len(parts) >= _CHUNK_GROUP:
+                _spill(parts, out)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + " "
+        separator = "[" + inner
+        for item in value:
+            _field(separator, item, inner, parts, out)
+            if len(parts) >= _CHUNK_GROUP:
+                _spill(parts, out)
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, (TestRecord, HypothesisRecord)):
+        _encode_record(value, newline, parts, out)
+    elif isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_float_text(value))
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _field(prefix: str, value, newline: str, parts: list[str], out: io.BytesIO) -> None:
+    """Append ``prefix`` and the JSON text of ``value``, as one string for a scalar."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        parts.append(prefix + scalar(value))
+    else:
+        parts.append(prefix)
+        _encode(value, newline, parts, out)
+
+
+def _encode_record(record: TestRecord | HypothesisRecord, newline, parts, out) -> None:
+    """The record's object: its id, its meta when nonempty, a hypothesis's outcomes."""
+    inner = newline + " "
+    _field("{" + inner + '"id": ', record.id, inner, parts, out)
+    meta = record.meta
+    if meta:
+        meta = meta if type(meta) is dict else dict(meta)
+        _field("," + inner + '"meta": ', meta, inner, parts, out)
+    if isinstance(record, HypothesisRecord):
+        _field("," + inner + '"outcomes": ', record.outcomes, inner, parts, out)
+    parts.append(newline + "}")
 
 
 def canonical_bytes(document: dict) -> bytes:
     """``(json.dumps(document, sort_keys=True, indent=1) + "\\n").encode("utf-8")``.
 
-    With ``indent`` the stdlib encodes in pure Python, and ``json.dumps``
-    keeps one string per token in a list before joining them, several times
-    the output's size.  Here the same encoder's ``iterencode`` chunks are
-    joined ``_CHUNK_GROUP`` at a time and written as UTF-8 into one buffer,
-    so the bytes are the same and the temporaries stay bounded.  A value
-    JSON cannot hold raises before anything is returned.
+    With ``indent`` the stdlib encodes in pure Python, one generator step
+    per token, and ``json.dumps`` keeps every token in a list before joining
+    them, several times the output's size.  ``_encode`` appends the same
+    text to one list, which is written as UTF-8 into one buffer every
+    ``_CHUNK_GROUP`` strings, so the temporaries stay bounded.  A value JSON
+    cannot hold raises before anything is returned.
     """
-    chunks = _ENCODER.iterencode(document)
     out = io.BytesIO()
-    while group := list(itertools.islice(chunks, _CHUNK_GROUP)):
-        out.write("".join(group).encode("utf-8"))
-    out.write(b"\n")
+    parts: list[str] = []
+    _encode(document, "\n", parts, out)
+    parts.append("\n")
+    _spill(parts, out)
     return out.getvalue()
-
-
-def digest_of(document: dict) -> str:
-    return hashlib.sha256(canonical_bytes(document)).hexdigest()
 
 
 # ---------------------------------------------------------------------------
 # Instances
 
 
-def instance_to_document(instance: Instance) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": instance.name,
-        "family": instance.family,
-        "params": dict(instance.params),
-        "tests": [
-            {"id": t.id, **({"meta": dict(t.meta)} if t.meta else {})}
-            for t in instance.tests
-        ],
-        "hypotheses": [
-            {
-                "id": h.id,
-                "outcomes": h.outcomes,
-                **({"meta": dict(h.meta)} if h.meta else {}),
-            }
-            for h in instance.hypotheses
-        ],
-    }
+def instance_bytes(instance: Instance) -> bytes:
+    """The instance's canonical bytes, encoded straight from its records.
+
+    Each record is written as its document object (see ``_encode_record``),
+    so no dict is built per record.
+    """
+    return canonical_bytes(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "name": instance.name,
+            "family": instance.family,
+            "params": dict(instance.params),
+            "tests": instance.tests,
+            "hypotheses": instance.hypotheses,
+        }
+    )
 
 
 def instance_digest(instance: Instance) -> str:
-    return digest_of(instance_to_document(instance))
+    return hashlib.sha256(instance_bytes(instance)).hexdigest()
 
 
 def instance_from_document(document: dict) -> Instance:
@@ -211,7 +334,7 @@ def write_instance(instance: Instance, sink, digest=None) -> int:
     the instance a second time.  Like ``write_report``, it encodes in full
     before the sink is opened, so a failed encode leaves a file as it was.
     """
-    payload = canonical_bytes(instance_to_document(instance))
+    payload = instance_bytes(instance)
     if digest is not None:
         digest.update(payload)
     return _write_bytes(payload, sink)

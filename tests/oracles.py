@@ -14,6 +14,12 @@ unreduced ``(num, den)`` pairs included.  Their int-bitset inputs come from ``co
 reads the outcome strings, not the library's outcome array.
 ``dumps_canonical_bytes`` is the one-call ``json.dumps`` encoding whose bytes
 ``persistence.canonical_bytes`` must reproduce.
+
+The last section keeps the ``gen`` pipeline as it ran one character and one
+record at a time: string-loop outcome rows for the hypercube families,
+``loop_validate_instance`` (whose exceptions, type and message alike, the
+bulk validator must raise) and ``instance_to_document``, the per-record document
+whose canonical bytes ``persistence.instance_bytes`` must write.
 """
 
 from __future__ import annotations
@@ -21,7 +27,12 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections.abc import Mapping
 from fractions import Fraction
+
+import numpy as np
+
+from splitfinder import core
 
 
 def split_of(rows: list[str], members: list[int], x: int) -> Fraction:
@@ -431,3 +442,209 @@ def loop_min_k(columns: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int, int
 def dumps_canonical_bytes(document) -> bytes:
     """The canonical encoding in one ``json.dumps`` call, all tokens joined at once."""
     return (json.dumps(document, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+
+def delta_set(instance, x: int, x_prime: int) -> np.ndarray:
+    """Indices, ascending, of the hypotheses answering 0 on x and 1 on x_prime, from the strings."""
+    rows = [h.outcomes for h in instance.hypotheses]
+    return np.array(delta_members(rows, x, x_prime), dtype=np.intp)
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the ``gen`` pipeline as one record and one character at
+# a time: the outcome rows of the hypercube families, ``validate_instance``
+# and the instance document that ``persistence.instance_bytes`` renders.
+
+
+def _cube_tests(d: int) -> list[int]:
+    """One mask per test of the d-cube, in id order; bit v-1 is character v-1 of the id."""
+    return [int(format(k, f"0{d}b")[::-1], 2) for k in range(1 << d)]
+
+
+def _bits(variables) -> int:
+    return sum(1 << (v - 1) for v in variables)
+
+
+def _row(cube: list[int], predicate) -> str:
+    return "".join("1" if predicate(t) else "0" for t in cube)
+
+
+def loop_disjunction(d: int, m: int) -> list[tuple]:
+    """(id, outcomes, meta) of every hypothesis of ``gen_disjunction(d, m)``."""
+    cube = _cube_tests(d)
+    out = []
+    for size in range(1, m + 1):
+        for variables in itertools.combinations(range(1, d + 1), size):
+            mask = _bits(variables)
+            out.append(("|".join(f"x{v}" for v in variables), _row(cube, lambda t: t & mask),
+                        {"vars": list(variables)}))
+    return out
+
+
+def loop_monotone_cnf(d: int, m: int, l: int) -> list[tuple]:
+    """(id, outcomes, meta) of ``gen_monotone_cnf(d, m, l)``: l disjoint m-clauses,
+    each collection once, clauses ordered by least element."""
+    cube = _cube_tests(d)
+    clause_sets = []
+
+    def rec(available, floor, acc):
+        if len(acc) == l:
+            clause_sets.append(acc)
+            return
+        for clause in itertools.combinations([v for v in available if v > floor], m):
+            rec(tuple(v for v in available if v not in clause), clause[0], acc + (clause,))
+
+    rec(tuple(range(1, d + 1)), 0, ())
+    out = []
+    for clauses in clause_sets:
+        masks = [_bits(c) for c in clauses]
+        out.append((
+            "&".join("(" + "|".join(f"x{v}" for v in c) + ")" for c in clauses),
+            _row(cube, lambda t: all(t & c for c in masks)),
+            {"clauses": [list(c) for c in clauses]},
+        ))
+    return out
+
+
+def _weight_id(w, b: int) -> str:
+    return "w" + "".join("+" if wi > 0 else "-" if wi < 0 else "0" for wi in w) + f"b{b}"
+
+
+def loop_discrete_linear(d: int, r: Fraction) -> list[tuple]:
+    """(id, outcomes, meta) of ``gen_discrete_linear(d, r)``, the first (w, b) of each row kept."""
+    margin = Fraction(d, 8)
+    cube = _cube_tests(d)
+    out, seen = [], set()
+    for w in itertools.product((-1, 0, 1), repeat=d):
+        plus, minus = w.count(1), w.count(-1)
+        w_plus = sum(1 << i for i, wi in enumerate(w) if wi > 0)
+        w_minus = sum(1 << i for i, wi in enumerate(w) if wi < 0)
+        for b in range(-d, d + 1):
+            over, under = plus - b, minus + b
+            if not (over <= r * under - margin and under <= r * (over - 1) - margin):
+                continue
+            row = _row(cube, lambda t: (t & w_plus).bit_count() - (t & w_minus).bit_count() > b)
+            if row not in seen:
+                seen.add(row)
+                out.append((_weight_id(w, b), row, {"w": list(w), "b": b}))
+    return out
+
+
+def loop_linear_kcase(d: int) -> list[tuple]:
+    """(id, outcomes, meta) of ``gen_linear_kcase(d)``."""
+    cube = _cube_tests(d)
+    b = d // 4 - 1
+    out = []
+    for ones in itertools.combinations(range(d), d // 2):
+        mask = sum(1 << i for i in ones)
+        w = [1 if i in ones else 0 for i in range(d)]
+        row = _row(cube, lambda t: (t & mask).bit_count() > b)
+        out.append((_weight_id(w, b), row, {"w": w, "b": b}))
+    return out
+
+
+def loop_cx_disjunction(m: int) -> list[tuple]:
+    """(id, outcomes, meta) of ``gen_counterexample_disjunction(m)``."""
+    d = m + 1
+    cube = _cube_tests(d)
+    out = []
+    for omitted in range(1, d + 1):
+        variables = [v for v in range(1, d + 1) if v != omitted]
+        mask = _bits(variables)
+        out.append(("|".join(f"x{v}" for v in variables), _row(cube, lambda t: t & mask),
+                    {"vars": variables, "omitted": omitted}))
+    return out
+
+
+def _loop_records(raw, key: str) -> list:
+    entries = raw.get(key)
+    if not entries:
+        raise core.EmptyInstance(f"instance has no {key}")
+    if not isinstance(entries, (list, tuple)):
+        raise core.MalformedInstance(f"{key!r} must be a list of objects")
+    for position, entry in enumerate(entries):
+        if not isinstance(entry, Mapping) or "id" not in entry:
+            raise core.MalformedInstance(f"{key}[{position}] must be an object with an 'id'")
+        meta = entry.get("meta")
+        if meta and not isinstance(meta, Mapping):
+            raise core.MalformedInstance(f"{key}[{position}]: 'meta' must be an object")
+    return entries
+
+
+def loop_validate_instance(raw):
+    """``core.validate_instance`` checking one record at a time, in record order."""
+    tests_raw = _loop_records(raw, "tests")
+    hyps_raw = _loop_records(raw, "hypotheses")
+
+    tests = []
+    seen_test_ids: set[str] = set()
+    for entry in tests_raw:
+        tid = str(entry["id"])
+        if tid in seen_test_ids:
+            raise core.DuplicateId(f"duplicate test id {tid!r}")
+        seen_test_ids.add(tid)
+        meta = entry.get("meta")
+        tests.append(core.TestRecord(tid, dict(meta) if meta else None))
+
+    m_tests = len(tests)
+    hypotheses = []
+    seen_hyp_ids: set[str] = set()
+    seen_rows: dict[str, str] = {}
+    for entry in hyps_raw:
+        hid = str(entry["id"])
+        if hid in seen_hyp_ids:
+            raise core.DuplicateId(f"duplicate hypothesis id {hid!r}")
+        seen_hyp_ids.add(hid)
+        outcomes = entry.get("outcomes")
+        if not isinstance(outcomes, str):
+            raise core.InvalidOutcome(f"hypothesis {hid!r}: outcomes must be a string")
+        if len(outcomes) != m_tests:
+            raise core.RowLengthMismatch(
+                f"hypothesis {hid!r}: row length {len(outcomes)} != {m_tests} tests"
+            )
+        if outcomes.count("0") + outcomes.count("1") != len(outcomes):
+            raise core.InvalidOutcome(f"hypothesis {hid!r}: outcomes must be '0'/'1'")
+        if outcomes in seen_rows:
+            raise core.DuplicateOutcomeRow(
+                f"hypotheses {seen_rows[outcomes]!r} and {hid!r} share an outcome row"
+            )
+        seen_rows[outcomes] = hid
+        meta = entry.get("meta")
+        hypotheses.append(core.HypothesisRecord(hid, outcomes, dict(meta) if meta else None))
+
+    core._check_meta(tests, hypotheses)
+    params = raw.get("params") or {}
+    if not isinstance(params, Mapping):
+        raise core.MalformedInstance("'params' must be an object")
+    matrix = np.array([[c == "1" for c in h.outcomes] for h in hypotheses], dtype=bool)
+    return core.Instance(
+        name=str(raw.get("name", "")),
+        family=str(raw.get("family", "")),
+        params=dict(params),
+        tests=tuple(tests),
+        hypotheses=tuple(hypotheses),
+        outcomes=matrix.reshape(len(hypotheses), m_tests),
+    )
+
+
+def instance_to_document(instance) -> dict:
+    """The instance's JSON document, one dict per record: the reference for
+    the bytes ``persistence.instance_bytes`` writes from the records."""
+    return {
+        "schema_version": 1,
+        "name": instance.name,
+        "family": instance.family,
+        "params": dict(instance.params),
+        "tests": [
+            {"id": t.id, **({"meta": dict(t.meta)} if t.meta else {})}
+            for t in instance.tests
+        ],
+        "hypotheses": [
+            {
+                "id": h.id,
+                "outcomes": h.outcomes,
+                **({"meta": dict(h.meta)} if h.meta else {}),
+            }
+            for h in instance.hypotheses
+        ],
+    }

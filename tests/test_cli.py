@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import instance_to_document
 from splitfinder import analysis, families, kernels, persistence
 from splitfinder.cli import main
 from splitfinder.core import validate_instance
@@ -110,9 +111,9 @@ class TestGen:
 
     def test_digest_hashes_the_written_bytes_encoded_once(self, tmp_path, capsys, monkeypatch):
         encoded = []
-        canonical_bytes = persistence.canonical_bytes
+        instance_bytes = persistence.instance_bytes
         monkeypatch.setattr(
-            persistence, "canonical_bytes", lambda doc: encoded.append(1) or canonical_bytes(doc)
+            persistence, "instance_bytes", lambda inst: encoded.append(1) or instance_bytes(inst)
         )
         path = tmp_path / "cnf.instance.json"
         code, out, _ = run_cli(
@@ -859,7 +860,7 @@ def _replaced(document, path, value):
 
 _TINY = families.generate("convex_polygon", {"m": "3"})
 _TINY_DOCUMENTS = {
-    "instance": persistence.instance_to_document(_TINY),
+    "instance": instance_to_document(_TINY),
     "report": persistence.report_to_document(analysis.analyze_instance(_TINY), _TINY),
 }
 

@@ -10,14 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import delta_set
 from splitfinder.core import (
     DuplicateId,
     DuplicateOutcomeRow,
     EmptyInstance,
+    Instance,
     InvalidMeta,
     InvalidOutcome,
     RowLengthMismatch,
-    delta_set,
     parse_rational,
     rational_text,
     validate_instance,
@@ -144,6 +145,93 @@ class TestValidateInstance:
                 bit = int(inst.hypotheses[h].outcomes[x])
                 assert inst.outcomes[h, x] == bit
                 assert ((columns[x] >> h) & 1) == bit
+
+
+# Faults a document can carry, each applied at a drawn position: (kind, position
+# draw, value).  Several may land in one document, so the first in record
+# order decides what the bulk validator must raise.
+FAULTS = (
+    "duplicate_test_id", "duplicate_hypothesis_id", "non_string_row", "short_row", "long_row",
+    "bad_ascii_character", "non_ascii_character", "duplicate_row", "non_dict_test",
+    "non_dict_hypothesis", "missing_id", "bad_meta", "bad_coords", "bad_params",
+)
+
+
+def apply_fault(doc: dict, kind: str, data) -> None:
+    tests, hyps = doc["tests"], doc["hypotheses"]
+    t = data.draw(st.integers(0, len(tests) - 1))
+    h = data.draw(st.integers(0, len(hyps) - 1))
+    other = data.draw(st.integers(0, len(hyps) - 1))
+    row = hyps[h].get("outcomes") if isinstance(hyps[h], dict) else None
+    if kind == "duplicate_test_id":
+        tests[t]["id"] = tests[data.draw(st.integers(0, len(tests) - 1))]["id"]
+    elif kind == "duplicate_hypothesis_id":
+        hyps[h]["id"] = hyps[other].get("id", "h0")
+    elif kind == "non_string_row":
+        hyps[h]["outcomes"] = data.draw(st.sampled_from([None, 101, ["0", "1"], b"01"]))
+    elif kind == "short_row" and isinstance(row, str):
+        hyps[h]["outcomes"] = row[:-1]
+    elif kind == "long_row" and isinstance(row, str):
+        hyps[h]["outcomes"] = row + data.draw(st.sampled_from("01x"))
+    elif kind in ("bad_ascii_character", "non_ascii_character") and isinstance(row, str) and row:
+        alphabet = "x2 \x00" if kind == "bad_ascii_character" else "é中\u0661１😀"
+        bad = data.draw(st.sampled_from(alphabet))
+        at = data.draw(st.integers(0, len(row) - 1))
+        hyps[h]["outcomes"] = row[:at] + bad + row[at + 1 :]
+    elif kind == "duplicate_row":
+        hyps[h]["outcomes"] = hyps[other].get("outcomes")
+    elif kind == "non_dict_test":
+        tests[t] = data.draw(st.sampled_from([None, "t", ["id"], ("id", "t")]))
+    elif kind == "non_dict_hypothesis":
+        hyps[h] = data.draw(st.sampled_from([None, "h", ["id"], 3]))
+    elif kind == "missing_id" and isinstance(hyps[h], dict):
+        hyps[h].pop("id", None)
+    elif kind == "bad_meta" and isinstance(hyps[h], dict):
+        hyps[h]["meta"] = data.draw(st.sampled_from([["coords"], "meta", 7]))
+    elif kind == "bad_coords" and isinstance(tests[t], dict):
+        tests[t]["meta"] = {"coords": data.draw(st.sampled_from([[0, 0], [1.5], "00", [True]]))}
+    elif kind == "bad_params":
+        doc["params"] = data.draw(st.sampled_from([["d"], "d=3", 3]))
+
+
+def outcome_of(validate, doc):
+    """What ``validate(doc)`` returns, or the type and message of what it raises."""
+    try:
+        inst = validate(doc)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+    return inst, inst.outcomes.tolist()
+
+
+class TestBulkValidation:
+    """``validate_instance`` against the record-by-record loop it checks in bulk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_instances(), st.lists(st.sampled_from(FAULTS), max_size=3), st.data())
+    def test_same_result_as_the_record_loop(self, inst, faults, data):
+        doc = make_doc([h.outcomes for h in inst.hypotheses])
+        # Entries are replaced by non-objects last, so every other fault finds an object.
+        for kind in sorted(faults, key=lambda kind: kind.startswith("non_dict")):
+            apply_fault(doc, kind, data)
+        expected = outcome_of(oracles.loop_validate_instance, doc)
+        assert outcome_of(validate_instance, doc) == expected
+        if not faults:
+            assert isinstance(expected[0], Instance)
+
+    @pytest.mark.parametrize("row", ["é1", "0é", "\u0661\u0660", "01\x00"[:2] + "\x00"])
+    def test_non_ascii_and_nul_rows(self, row):
+        doc = make_doc(["10", "01", "11"[: len(row)]])
+        doc["hypotheses"][1]["outcomes"] = row
+        assert outcome_of(validate_instance, doc) == outcome_of(oracles.loop_validate_instance, doc)
+        assert outcome_of(validate_instance, doc)[0] in (InvalidOutcome, RowLengthMismatch)
+
+    def test_string_subclass_rows_are_accepted(self):
+        class Row(str):
+            pass
+
+        doc = make_doc(["10", "01"])
+        doc["hypotheses"][0]["outcomes"] = Row("10")
+        assert validate_instance(doc).outcomes.tolist() == [[True, False], [False, True]]
 
 
 class TestSplitProbability:

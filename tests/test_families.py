@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from oracles import delta_set
 from splitfinder import families
 from splitfinder.analysis import min_k
-from splitfinder.core import delta_set
 from splitfinder.engine import best_split_test
 from splitfinder.families import (
     BadParams,
@@ -415,3 +417,79 @@ class TestDeterminismAndDispatch:
 def test_generated_instance_digest(family, params, digest):
     """Instance bytes pinned per family, so a generator rewrite that drifts fails here."""
     assert instance_digest(families.generate(family, params)) == digest
+
+
+@pytest.mark.parametrize(
+    "family, params, digest",
+    [
+        ("linear_kcase", {"d": "12"},
+         "801d5f2194f9328829aefc59e04a7bbc7eabe9cb843d2c8fb70822bc5db9a40d"),
+        ("discrete_linear", {"d": "8", "r": "2"},
+         "a1b8375b20decfdd26fda22a261b266732c695a62a502336a60d31fc227aa1bf"),
+        ("monotone_cnf", {"d": "9", "m": "2", "l": "2"},
+         "5dc263a0c6dbbb5f75530cc86682f6edbc4bcb295038e05b575174d7b09a385d"),
+        ("disjunction", {"d": "12", "m": "3"},
+         "77cea32d1e09cfb3e5a97a4889e9cc7e2b5807e619c26baebd46ba9d58a60c62"),
+    ],
+    ids=["kcase-d12", "linear-d8-r2", "cnf-d9-m2-l2", "disjunction-d12-m3"],
+)
+def test_large_generated_instance_digest(family, params, digest):
+    """Instance bytes pinned at sizes where the rows span several numpy blocks."""
+    assert instance_digest(families.generate(family, params)) == digest
+
+
+def records_of(instance) -> list[tuple]:
+    return [(h.id, h.outcomes, h.meta) for h in instance.hypotheses]
+
+
+class TestRowsMatchTheStringLoops:
+    """Each numpy-built hypercube family against its one-character-at-a-time loop in ``oracles``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))))
+    def test_disjunction(self, dm):
+        d, m = dm
+        assert records_of(gen_disjunction(d, m)) == oracles.loop_disjunction(d, m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda d: st.tuples(st.just(d), st.integers(1, d)).flatmap(
+                lambda dm: st.tuples(st.just(dm[0]), st.just(dm[1]), st.integers(1, dm[0] // dm[1]))
+            )
+        )
+    )
+    def test_monotone_cnf(self, dml):
+        d, m, l = dml
+        assert records_of(gen_monotone_cnf(d, m, l)) == oracles.loop_monotone_cnf(d, m, l)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.fractions(min_value=Fraction(1, 4), max_value=8, max_denominator=4),
+    )
+    def test_discrete_linear(self, d, r):
+        expected = oracles.loop_discrete_linear(d, r)
+        if not expected:
+            with pytest.raises(EmptyFamily):
+                gen_discrete_linear(d, r)
+            return
+        assert records_of(gen_discrete_linear(d, r)) == expected
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_linear_kcase(self, d):
+        assert records_of(gen_linear_kcase(d)) == oracles.loop_linear_kcase(d)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_cx_disjunction(self, m):
+        assert records_of(gen_counterexample_disjunction(m)) == oracles.loop_cx_disjunction(m)
+
+    def test_rows_span_several_blocks(self, monkeypatch):
+        # Blocks of 2 hypotheses: the block seams fall inside every family.
+        monkeypatch.setattr(families, "_BLOCK_CELLS", 2 * 64)
+        assert records_of(gen_disjunction(6, 2)) == oracles.loop_disjunction(6, 2)
+        assert records_of(gen_monotone_cnf(6, 1, 3)) == oracles.loop_monotone_cnf(6, 1, 3)
+        assert records_of(gen_discrete_linear(6, 2)) == oracles.loop_discrete_linear(6, Fraction(2))
+        assert records_of(gen_counterexample_disjunction(5)) == oracles.loop_cx_disjunction(5)
+        monkeypatch.setattr(families, "_BLOCK_CELLS", 1)
+        assert records_of(gen_linear_kcase(8)) == oracles.loop_linear_kcase(8)

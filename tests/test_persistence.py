@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -12,10 +13,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dumps_canonical_bytes
+from oracles import dumps_canonical_bytes, instance_to_document
 from test_engine import SMALL_FAMILY_INSTANCES
 
-from splitfinder import analysis, engine, persistence
+from splitfinder import analysis, engine, families, persistence
+from splitfinder.core import validate_instance
 from splitfinder.engine import CostStats, Step, Transcript
 from splitfinder.persistence import (
     EmptySummary,
@@ -23,7 +25,6 @@ from splitfinder.persistence import (
     UnsupportedSchemaVersion,
     canonical_bytes,
     instance_digest,
-    instance_to_document,
     read_instance,
     read_report_document,
     report_from_document,
@@ -260,6 +261,75 @@ class TestCanonicalBytes:
             tracemalloc.stop()
         assert len(payload) >= 1 << 20
         assert peak < 2 * len(payload)
+
+
+# Meta and params values: nested lists and dicts, non-ASCII text, floats, bools
+# and None.  Keys the validator reads ("coords", "cycle_index") are left out.
+meta_objects = st.dictionaries(
+    (st.text() | escaped_text).filter(lambda key: key not in ("coords", "cycle_index")),
+    json_values,
+    max_size=3,
+)
+
+
+@st.composite
+def written_instances(draw):
+    """Valid instances with arbitrary ids, names, params and meta."""
+    m_tests = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.integers(0, (1 << m_tests) - 1), min_size=1, max_size=5, unique=True))
+    ids = st.text() | escaped_text
+    test_ids = draw(st.lists(ids, min_size=m_tests, max_size=m_tests, unique=True))
+    hyp_ids = draw(st.lists(ids, min_size=len(rows), max_size=len(rows), unique=True))
+    metas = st.none() | meta_objects
+    return validate_instance({
+        "name": draw(ids),
+        "family": draw(ids),
+        "params": draw(meta_objects),
+        "tests": [{"id": tid, "meta": draw(metas)} for tid in test_ids],
+        "hypotheses": [
+            {"id": hid, "outcomes": format(row, f"0{m_tests}b"), "meta": draw(metas)}
+            for hid, row in zip(hyp_ids, rows)
+        ],
+    })
+
+
+class TestInstanceWriter:
+    """``instance_bytes`` against the per-record document it renders without building."""
+
+    def assert_writes_its_document(self, instance):
+        expected = dumps_canonical_bytes(instance_to_document(instance))
+        assert persistence.instance_bytes(instance) == expected
+        buffer, digest = io.BytesIO(), hashlib.sha256()
+        assert write_instance(instance, buffer, digest) == len(expected)
+        assert buffer.getvalue() == expected
+        assert digest.hexdigest() == hashlib.sha256(expected).hexdigest()
+        assert instance_digest(instance) == digest.hexdigest()
+
+    @pytest.mark.parametrize("family", sorted(SMALL_FAMILY_INSTANCES))
+    def test_matches_the_document_on_every_family(self, family):
+        self.assert_writes_its_document(SMALL_FAMILY_INSTANCES[family]())
+
+    @settings(max_examples=50, deadline=None)
+    @given(written_instances())
+    def test_matches_the_document_on_random_instances(self, instance):
+        self.assert_writes_its_document(instance)
+
+    @pytest.mark.parametrize("group", [1, 7])
+    def test_records_span_several_chunk_groups(self, monkeypatch, group):
+        monkeypatch.setattr(persistence, "_CHUNK_GROUP", group)
+        self.assert_writes_its_document(families.gen_convex_polygon(9, balanced=False))
+        self.assert_writes_its_document(families.gen_box_localization((1, 2)))
+
+    def test_peak_memory_stays_near_the_output_size(self, tmp_path):
+        instance = families.gen_convex_polygon(80, balanced=False)
+        tracemalloc.start()
+        try:
+            written = write_instance(instance, tmp_path / "polygon.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written >= 1 << 20
+        assert peak < 2 * written
 
 
 class Recorder(io.RawIOBase):
