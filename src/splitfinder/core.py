@@ -14,7 +14,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -105,90 +104,30 @@ def validate_instance(raw: Mapping[str, Any]) -> Instance:
     Raises MalformedInstance, EmptyInstance, DuplicateId, RowLengthMismatch,
     InvalidOutcome, DuplicateOutcomeRow, or InvalidMeta; anything that passes
     satisfies all instance invariants.
-
-    Ids, row types, row lengths, row characters and duplicate rows are
-    checked over all records at once.  Only when one of those checks fails
-    does ``_first_fault`` go through the records one at a time, so the
-    error raised is that of the first faulty record.
     """
     tests_raw = _records(raw, "tests")
     hyps_raw = _records(raw, "hypotheses")
-    test_ids = [str(entry["id"]) for entry in tests_raw]
-    hyp_ids = [str(entry["id"]) for entry in hyps_raw]
-    rows = [entry.get("outcomes") for entry in hyps_raw]
-    m_tests = len(test_ids)
 
-    matrix = None
-    if (
-        _distinct(test_ids)
-        and _distinct(hyp_ids)
-        and all(map(isinstance, rows, repeat(str)))
-        and set(map(len, rows)) == {m_tests}
-        and _distinct(rows)
-    ):
-        matrix = _parse_rows(rows, m_tests)
-    if matrix is None:
-        _first_fault(test_ids, hyp_ids, rows)
-        matrix = _parse_rows(rows, m_tests)
-
-    tests = [TestRecord(tid, _meta(entry)) for tid, entry in zip(test_ids, tests_raw)]
-    hypotheses = [
-        HypothesisRecord(hid, row, _meta(entry))
-        for hid, row, entry in zip(hyp_ids, rows, hyps_raw)
-    ]
-    _check_meta(tests, hypotheses)
-    params = raw.get("params") or {}
-    if not isinstance(params, Mapping):
-        raise MalformedInstance("'params' must be an object")
-
-    return Instance(
-        name=str(raw.get("name", "")),
-        family=str(raw.get("family", "")),
-        params=dict(params),
-        tests=tuple(tests),
-        hypotheses=tuple(hypotheses),
-        outcomes=matrix,
-    )
-
-
-def _distinct(values: list) -> bool:
-    return len(set(values)) == len(values)
-
-
-def _parse_rows(rows: list[str], width: int) -> np.ndarray | None:
-    """The read-only hypotheses x tests bool matrix of ``width``-character rows,
-    or None when a character is not '0'/'1'.
-
-    The rows are encoded as one fixed-width byte string each, viewed as
-    bytes and turned '0'/'1' -> 0/1 in place; a non-ASCII row fails to encode.
-    """
-    try:
-        codes = np.array(rows, dtype=f"S{width}").view(np.uint8)
-    except UnicodeEncodeError:
-        return None
-    codes -= ord("0")
-    if codes.max() > 1:
-        return None
-    matrix = codes.reshape(-1, width).view(bool)
-    matrix.flags.writeable = False
-    return matrix
-
-
-def _first_fault(test_ids: list[str], hyp_ids: list[str], rows: list) -> None:
-    """Check the records one at a time, raising on the first that fails."""
+    tests = []
     seen_test_ids: set[str] = set()
-    for tid in test_ids:
+    for entry in tests_raw:
+        tid = str(entry["id"])
         if tid in seen_test_ids:
             raise DuplicateId(f"duplicate test id {tid!r}")
         seen_test_ids.add(tid)
+        meta = entry.get("meta")
+        tests.append(TestRecord(tid, dict(meta) if meta else None))
 
-    m_tests = len(test_ids)
+    m_tests = len(tests)
+    hypotheses = []
     seen_hyp_ids: set[str] = set()
     seen_rows: dict[str, str] = {}
-    for hid, outcomes in zip(hyp_ids, rows):
+    for entry in hyps_raw:
+        hid = str(entry["id"])
         if hid in seen_hyp_ids:
             raise DuplicateId(f"duplicate hypothesis id {hid!r}")
         seen_hyp_ids.add(hid)
+        outcomes = entry.get("outcomes")
         if not isinstance(outcomes, str):
             raise InvalidOutcome(f"hypothesis {hid!r}: outcomes must be a string")
         if len(outcomes) != m_tests:
@@ -202,16 +141,33 @@ def _first_fault(test_ids: list[str], hyp_ids: list[str], rows: list) -> None:
                 f"hypotheses {seen_rows[outcomes]!r} and {hid!r} share an outcome row"
             )
         seen_rows[outcomes] = hid
+        meta = entry.get("meta")
+        hypotheses.append(HypothesisRecord(hid, outcomes, dict(meta) if meta else None))
+
+    _check_meta(tests, hypotheses)
+    params = raw.get("params") or {}
+    if not isinstance(params, Mapping):
+        raise MalformedInstance("'params' must be an object")
+
+    # Encoded as one fixed-width byte string per row, then '0'/'1' -> 0/1 in place.
+    codes = np.array([h.outcomes for h in hypotheses], dtype=f"S{m_tests}").view(np.uint8)
+    codes -= ord("0")
+    matrix = codes.reshape(-1, m_tests).view(bool)
+    matrix.flags.writeable = False
+
+    return Instance(
+        name=str(raw.get("name", "")),
+        family=str(raw.get("family", "")),
+        params=dict(params),
+        tests=tuple(tests),
+        hypotheses=tuple(hypotheses),
+        outcomes=matrix,
+    )
 
 
 def _is_mapping(value: Any) -> bool:
     # The exact-type test first: the ABC check costs far more per call.
     return type(value) is dict or isinstance(value, Mapping)
-
-
-def _meta(entry: Mapping[str, Any]) -> dict | None:
-    meta = entry.get("meta")
-    return dict(meta) if meta else None
 
 
 def _records(raw: Mapping[str, Any], key: str) -> list:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -166,16 +166,14 @@ def _row_strings(matrix: np.ndarray) -> list[str]:
 
 def _outcome_rows(
     test_masks: np.ndarray, keys, predicate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> list[str]:
-    """The row of each hypothesis key: ``predicate(test_masks, block)`` is the
-    bool matrix of a block of keys (int64 rows) against every test, and it is
-    evaluated ``_BLOCK_CELLS // len(test_masks)`` keys at a time."""
+) -> Iterator[str]:
+    """The row of each hypothesis key, in key order: ``predicate(test_masks, block)``
+    is the bool matrix of a block of keys (int64 rows) against every test, and
+    it is evaluated ``_BLOCK_CELLS // len(test_masks)`` keys at a time."""
     keys = np.asarray(keys, dtype=np.int64)
     step = max(1, _BLOCK_CELLS // len(test_masks))
-    rows: list[str] = []
     for start in range(0, len(keys), step):
-        rows += _row_strings(predicate(test_masks, keys[start : start + step]))
-    return rows
+        yield from _row_strings(predicate(test_masks, keys[start : start + step]))
 
 
 def _any_variable(test_masks: np.ndarray, var_masks: np.ndarray) -> np.ndarray:

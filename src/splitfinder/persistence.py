@@ -127,23 +127,6 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-def _key_text(key) -> str:
-    """A dict key as JSON writes it: a string, or a number, bool or null as text."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, float):
-        return encode_basestring_ascii(_float_text(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return encode_basestring_ascii(int.__repr__(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 # The text of a value of exactly one of these types; instances of subclasses
 # take ``_encode``'s isinstance tests instead.
 _SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
@@ -169,7 +152,9 @@ def _encode(value, newline: str, parts: list[str], out: io.BytesIO) -> None:
     or hypothesis record is written as the object its instance document
     holds.  Scalars of the exact JSON types are looked up in
     ``_SCALAR_TEXT``; subclasses of str, int and float are written as the
-    stdlib writes them, and any other value raises TypeError as it does.  No
+    stdlib writes them, and any other value raises TypeError as it does.
+    Every document the program writes keys its objects by strings, so a key
+    of any other type raises TypeError rather than being converted.  No
     class can derive from two of dict, list, tuple, str, int and float, so
     the order of the tests below changes no output.
     """
@@ -183,8 +168,9 @@ def _encode(value, newline: str, parts: list[str], out: io.BytesIO) -> None:
         inner = newline + " "
         separator = "{" + inner
         for key, item in sorted(value.items()):
-            key = encode_basestring_ascii(key) if type(key) is str else _key_text(key)
-            _field(separator + key + ": ", item, inner, parts, out)
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            _field(separator + encode_basestring_ascii(key) + ": ", item, inner, parts, out)
             if len(parts) >= _CHUNK_GROUP:
                 _spill(parts, out)
             separator = "," + inner

@@ -16,10 +16,9 @@ reads the outcome strings, not the library's outcome array.
 ``persistence.canonical_bytes`` must reproduce.
 
 The last section keeps the ``gen`` pipeline as it ran one character and one
-record at a time: string-loop outcome rows for the hypercube families,
-``loop_validate_instance`` (whose exceptions, type and message alike, the
-bulk validator must raise) and ``instance_to_document``, the per-record document
-whose canonical bytes ``persistence.instance_bytes`` must write.
+record at a time: string-loop outcome rows for the hypercube families and
+``instance_to_document``, the per-record document whose canonical bytes
+``persistence.instance_bytes`` must write.
 """
 
 from __future__ import annotations
@@ -27,12 +26,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
-
-from splitfinder import core
 
 
 def split_of(rows: list[str], members: list[int], x: int) -> Fraction:
@@ -554,77 +550,6 @@ def loop_cx_disjunction(m: int) -> list[tuple]:
         out.append(("|".join(f"x{v}" for v in variables), _row(cube, lambda t: t & mask),
                     {"vars": variables, "omitted": omitted}))
     return out
-
-
-def _loop_records(raw, key: str) -> list:
-    entries = raw.get(key)
-    if not entries:
-        raise core.EmptyInstance(f"instance has no {key}")
-    if not isinstance(entries, (list, tuple)):
-        raise core.MalformedInstance(f"{key!r} must be a list of objects")
-    for position, entry in enumerate(entries):
-        if not isinstance(entry, Mapping) or "id" not in entry:
-            raise core.MalformedInstance(f"{key}[{position}] must be an object with an 'id'")
-        meta = entry.get("meta")
-        if meta and not isinstance(meta, Mapping):
-            raise core.MalformedInstance(f"{key}[{position}]: 'meta' must be an object")
-    return entries
-
-
-def loop_validate_instance(raw):
-    """``core.validate_instance`` checking one record at a time, in record order."""
-    tests_raw = _loop_records(raw, "tests")
-    hyps_raw = _loop_records(raw, "hypotheses")
-
-    tests = []
-    seen_test_ids: set[str] = set()
-    for entry in tests_raw:
-        tid = str(entry["id"])
-        if tid in seen_test_ids:
-            raise core.DuplicateId(f"duplicate test id {tid!r}")
-        seen_test_ids.add(tid)
-        meta = entry.get("meta")
-        tests.append(core.TestRecord(tid, dict(meta) if meta else None))
-
-    m_tests = len(tests)
-    hypotheses = []
-    seen_hyp_ids: set[str] = set()
-    seen_rows: dict[str, str] = {}
-    for entry in hyps_raw:
-        hid = str(entry["id"])
-        if hid in seen_hyp_ids:
-            raise core.DuplicateId(f"duplicate hypothesis id {hid!r}")
-        seen_hyp_ids.add(hid)
-        outcomes = entry.get("outcomes")
-        if not isinstance(outcomes, str):
-            raise core.InvalidOutcome(f"hypothesis {hid!r}: outcomes must be a string")
-        if len(outcomes) != m_tests:
-            raise core.RowLengthMismatch(
-                f"hypothesis {hid!r}: row length {len(outcomes)} != {m_tests} tests"
-            )
-        if outcomes.count("0") + outcomes.count("1") != len(outcomes):
-            raise core.InvalidOutcome(f"hypothesis {hid!r}: outcomes must be '0'/'1'")
-        if outcomes in seen_rows:
-            raise core.DuplicateOutcomeRow(
-                f"hypotheses {seen_rows[outcomes]!r} and {hid!r} share an outcome row"
-            )
-        seen_rows[outcomes] = hid
-        meta = entry.get("meta")
-        hypotheses.append(core.HypothesisRecord(hid, outcomes, dict(meta) if meta else None))
-
-    core._check_meta(tests, hypotheses)
-    params = raw.get("params") or {}
-    if not isinstance(params, Mapping):
-        raise core.MalformedInstance("'params' must be an object")
-    matrix = np.array([[c == "1" for c in h.outcomes] for h in hypotheses], dtype=bool)
-    return core.Instance(
-        name=str(raw.get("name", "")),
-        family=str(raw.get("family", "")),
-        params=dict(params),
-        tests=tuple(tests),
-        hypotheses=tuple(hypotheses),
-        outcomes=matrix.reshape(len(hypotheses), m_tests),
-    )
 
 
 def instance_to_document(instance) -> dict:

@@ -241,6 +241,11 @@ class TestCanonicalBytes:
         document = {"rows": [value] * (groups * persistence._CHUNK_GROUP), "tail": value}
         assert canonical_bytes(document) == dumps_canonical_bytes(document)
 
+    @pytest.mark.parametrize("key", [1, 1.5, True, None])
+    def test_a_key_that_is_not_a_string_is_refused(self, key):
+        with pytest.raises(TypeError, match="keys must be str"):
+            canonical_bytes({"meta": {key: 0}})
+
     @pytest.mark.parametrize("family", sorted(SMALL_FAMILY_INSTANCES))
     def test_matches_json_dumps_on_every_family(self, family):
         instance = SMALL_FAMILY_INSTANCES[family]()
