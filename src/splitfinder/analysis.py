@@ -387,7 +387,7 @@ def _kernel_result(
     the inputs enumerated so far at this width to their values.  Every
     input is relabelled; one that relabels to an enumerated input takes its
     value, since the two differ only by a renaming of members, and scans
-    only as far as its own first witness at that value; at 1/2 it has none.
+    only as far as its own first witness at that value.
     """
     relabelled = kernels.canonical_input(masks, width)
     value = proved.get(relabelled)
@@ -395,8 +395,6 @@ def _kernel_result(
         num, den, wit = kernels.min_subset_split(masks.tolist(), width)
         value = proved[relabelled] = Fraction(num, den)
         return value, wit
-    if value == Fraction(1, 2):
-        return value, None
     return value, kernels.first_subset_at(masks.tolist(), width, value.numerator, value.denominator)
 
 
@@ -635,8 +633,6 @@ def candidate_edges(
 
 
 def _strongly_connected(n_nodes: int, edges: Sequence[tuple[int, int]]) -> bool:
-    if n_nodes <= 1:
-        return True
     forward: list[list[int]] = [[] for _ in range(n_nodes)]
     backward: list[list[int]] = [[] for _ in range(n_nodes)]
     for i, j in edges:

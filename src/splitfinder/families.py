@@ -351,7 +351,7 @@ def gen_box_localization(
     """
     radii = tuple(int(r) for r in radii)
     if not radii or any(r < 0 for r in radii):
-        raise BadParams(f"box radii must be nonnegative, got {radii!r}")
+        raise BadParams(f"box radii must be nonempty and nonnegative, got {radii!r}")
     d = len(radii)
     center = tuple(int(c) for c in (center or (0,) * d))
     if len(center) != d:

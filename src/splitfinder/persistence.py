@@ -143,16 +143,18 @@ def _spill(parts: list[str], out: io.BytesIO) -> None:
     parts.clear()
 
 
-def _encode(value, newline: str, parts: list[str], out: io.BytesIO) -> None:
-    """Append the ``sort_keys=True, indent=1`` JSON text of ``value`` to ``parts``.
+def _encode(prefix: str, value, newline: str, parts: list[str], out: io.BytesIO) -> None:
+    """Append ``prefix`` and the ``sort_keys=True, indent=1`` JSON text of ``value``.
 
-    ``newline`` is a line break and the indent of the line ``value`` starts
-    on.  After each item of a list or dict, once ``parts`` holds
+    ``prefix`` goes in front of the value, in one string with a scalar's
+    text.  ``newline`` is a line break and the indent of the line ``value``
+    starts on.  After each item of a list or dict, once ``parts`` holds
     ``_CHUNK_GROUP`` strings they are joined and written to ``out``.  A test
     or hypothesis record is written as the object its instance document
     holds.  Scalars of the exact JSON types are looked up in
-    ``_SCALAR_TEXT``; subclasses of str, int and float are written as the
-    stdlib writes them, and any other value raises TypeError as it does.
+    ``_SCALAR_TEXT``; subclasses of str, int and float, tested last so that
+    containers pay for no extra test, are written as the stdlib writes
+    them, and any other value raises TypeError as it does.
     Every document the program writes keys its objects by strings, so a key
     of any other type raises TypeError rather than being converted.  No
     class can derive from two of dict, list, tuple, str, int and float, so
@@ -160,66 +162,51 @@ def _encode(value, newline: str, parts: list[str], out: io.BytesIO) -> None:
     """
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
-        parts.append(scalar(value))
+        parts.append(prefix + scalar(value))
     elif isinstance(value, dict):
         if not value:
-            parts.append("{}")
+            parts.append(prefix + "{}")
             return
         inner = newline + " "
-        separator = "{" + inner
+        separator = prefix + "{" + inner
         for key, item in sorted(value.items()):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {key.__class__.__name__}")
-            _field(separator + encode_basestring_ascii(key) + ": ", item, inner, parts, out)
+            _encode(separator + encode_basestring_ascii(key) + ": ", item, inner, parts, out)
             if len(parts) >= _CHUNK_GROUP:
                 _spill(parts, out)
             separator = "," + inner
         parts.append(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
-            parts.append("[]")
+            parts.append(prefix + "[]")
             return
         inner = newline + " "
-        separator = "[" + inner
+        separator = prefix + "[" + inner
         for item in value:
-            _field(separator, item, inner, parts, out)
+            _encode(separator, item, inner, parts, out)
             if len(parts) >= _CHUNK_GROUP:
                 _spill(parts, out)
             separator = "," + inner
         parts.append(newline + "]")
     elif isinstance(value, (TestRecord, HypothesisRecord)):
-        _encode_record(value, newline, parts, out)
+        inner = newline + " "
+        _encode(prefix + "{" + inner + '"id": ', value.id, inner, parts, out)
+        meta = value.meta
+        if meta:
+            meta = meta if type(meta) is dict else dict(meta)
+            _encode("," + inner + '"meta": ', meta, inner, parts, out)
+        if isinstance(value, HypothesisRecord):
+            _encode("," + inner + '"outcomes": ', value.outcomes, inner, parts, out)
+        parts.append(newline + "}")
     elif isinstance(value, str):
-        parts.append(encode_basestring_ascii(value))
+        parts.append(prefix + encode_basestring_ascii(value))
     elif isinstance(value, int):
-        parts.append(int.__repr__(value))
+        parts.append(prefix + int.__repr__(value))
     elif isinstance(value, float):
-        parts.append(_float_text(value))
+        parts.append(prefix + _float_text(value))
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _field(prefix: str, value, newline: str, parts: list[str], out: io.BytesIO) -> None:
-    """Append ``prefix`` and the JSON text of ``value``, as one string for a scalar."""
-    scalar = _SCALAR_TEXT.get(type(value))
-    if scalar is not None:
-        parts.append(prefix + scalar(value))
-    else:
-        parts.append(prefix)
-        _encode(value, newline, parts, out)
-
-
-def _encode_record(record: TestRecord | HypothesisRecord, newline, parts, out) -> None:
-    """The record's object: its id, its meta when nonempty, a hypothesis's outcomes."""
-    inner = newline + " "
-    _field("{" + inner + '"id": ', record.id, inner, parts, out)
-    meta = record.meta
-    if meta:
-        meta = meta if type(meta) is dict else dict(meta)
-        _field("," + inner + '"meta": ', meta, inner, parts, out)
-    if isinstance(record, HypothesisRecord):
-        _field("," + inner + '"outcomes": ', record.outcomes, inner, parts, out)
-    parts.append(newline + "}")
 
 
 def canonical_bytes(document: dict) -> bytes:
@@ -234,7 +221,7 @@ def canonical_bytes(document: dict) -> bytes:
     """
     out = io.BytesIO()
     parts: list[str] = []
-    _encode(document, "\n", parts, out)
+    _encode("", document, "\n", parts, out)
     parts.append("\n")
     _spill(parts, out)
     return out.getvalue()
@@ -247,8 +234,8 @@ def canonical_bytes(document: dict) -> bytes:
 def instance_bytes(instance: Instance) -> bytes:
     """The instance's canonical bytes, encoded straight from its records.
 
-    Each record is written as its document object (see ``_encode_record``),
-    so no dict is built per record.
+    ``_encode`` writes each record as its document object, so no dict is
+    built per record.
     """
     return canonical_bytes(
         {
@@ -266,15 +253,6 @@ def instance_digest(instance: Instance) -> str:
     return hashlib.sha256(instance_bytes(instance)).hexdigest()
 
 
-def instance_from_document(document: dict) -> Instance:
-    version = document.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise UnsupportedSchemaVersion(
-            f"schema_version {version!r}; this build reads {SCHEMA_VERSION}"
-        )
-    return validate_instance(document)
-
-
 def _write_bytes(payload: bytes, sink) -> int:
     try:
         if isinstance(sink, (str, os.PathLike)):
@@ -287,20 +265,18 @@ def _write_bytes(payload: bytes, sink) -> int:
     return len(payload)
 
 
-def _read_text(source) -> str:
+def _read_document(source) -> dict:
+    """Read and parse one JSON object whose ``schema_version`` this build reads."""
     try:
         if isinstance(source, (str, os.PathLike)):
             with open(source, "rb") as handle:
-                return handle.read().decode("utf-8")
-        data = source.read()
+                text = handle.read().decode("utf-8")
+        else:
+            text = source.read()
     except OSError as exc:
         raise ParseError(str(exc)) from exc
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
-
-
-def _parse_json(text: str) -> dict:
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -309,6 +285,11 @@ def _parse_json(text: str) -> dict:
         raise ParseError("JSON nested too deeply") from None
     if not isinstance(document, dict):
         raise ParseError("top-level JSON value must be an object")
+    version = document.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise UnsupportedSchemaVersion(
+            f"schema_version {version!r}; this build reads {SCHEMA_VERSION}"
+        )
     return document
 
 
@@ -327,7 +308,7 @@ def write_instance(instance: Instance, sink, digest=None) -> int:
 
 
 def read_instance(source) -> Instance:
-    return instance_from_document(_parse_json(_read_text(source)))
+    return validate_instance(_read_document(source))
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +482,7 @@ def write_report(
 
 
 def read_report_document(source) -> dict:
-    document = _parse_json(_read_text(source))
-    version = document.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise UnsupportedSchemaVersion(
-            f"schema_version {version!r}; this build reads {SCHEMA_VERSION}"
-        )
+    document = _read_document(source)
     if document.get("kind") not in ("analysis_report", "transcript", "cost_stats"):
         raise ParseError(f"unknown report kind {document.get('kind')!r}")
     return document

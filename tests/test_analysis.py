@@ -201,6 +201,11 @@ class TestVerifyCertificate:
                 CoherenceCertificate({0: Fraction(3, 2), 1: Fraction(-1, 2)}, Fraction(0)),
             )
 
+    def test_rejects_weight_on_a_test_past_the_last(self, pentagon):
+        cert = CoherenceCertificate({pentagon.m_tests: Fraction(1)}, Fraction(0))
+        with pytest.raises(NotADistribution, match="unknown test index"):
+            verify_certificate(pentagon, cert)
+
     def test_rejects_overstated_value(self, pentagon):
         with pytest.raises(OverstatedCertificate):
             verify_certificate(
@@ -596,6 +601,10 @@ class TestBoundFormulas:
         expected = -(p * math.log2(p) + 0.8 * math.log2(0.8))
         assert abs(binary_entropy(Fraction(1, 5)) - expected) < 1e-9
         assert abs(binary_entropy(Fraction(1, 5)) - 0.721928094887) < 1e-9
+
+    def test_binary_entropy_rejects_a_probability_above_one(self):
+        with pytest.raises(ValueError, match="probability out of range"):
+            binary_entropy(Fraction(3, 2))
 
     def test_compute_bounds_examples(self):
         b = compute_bounds(10, Fraction(1, 2), 1, Fraction(1, 5))

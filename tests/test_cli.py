@@ -503,6 +503,86 @@ class TestAnalyzeRunVerify:
 HUGE = "1e10000000"  # ten characters that Fraction would expand for seconds
 
 
+def _gen(family, *params, out="{dir}/x.json"):
+    pairs = [arg for param in params for arg in ("--param", param)]
+    return ["gen", "--family", family, *pairs, "--out", out]
+
+
+# Refusals as (argv, error type), all exit 2.  In argv "{dir}" is an empty
+# directory, "{instance}" a disjunction d4 m2 instance, "{stats}" the
+# `run --oracle all --out` file of that instance and "{listed}" a file
+# holding the JSON list [1].
+REFUSALS = {
+    "verify-a-cost-stats-report": (
+        ["verify", "--in", "{instance}", "--report", "{stats}"], "UsageError"),
+    "param-without-equals": (_gen("disjunction", "d3"), "UsageError"),
+    "grid-without-values": (
+        ["sweep", "--family", "disjunction", "--param", "m=1", "--grid", "d=",
+         "--out", "{dir}/x.csv"], "UsageError"),
+    "balanced-maybe": (_gen("convex_polygon", "m=5", "balanced=maybe"), "BadParams"),
+    "offsets-not-integers": (_gen("shape_localization", "offsets=0,a"), "BadParams"),
+    "shape-without-a-shape": (_gen("shape_localization"), "BadParams"),
+    "shape-with-no-offsets": (_gen("shape_localization", "offsets="), "BadParams"),
+    "offsets-of-mixed-dimensions": (_gen("shape_localization", "offsets=0,0;1"), "BadParams"),
+    "linear-ratio-zero": (_gen("discrete_linear", "d=2", "r=0"), "BadParams"),
+    "box-center-of-another-dimension": (_gen("box_localization", "r=1,1", "center=0"), "BadParams"),
+    "instance-not-an-object": (["analyze", "--in", "{listed}"], "ParseError"),
+    "out-in-a-missing-directory": (
+        _gen("disjunction", "d=3", "m=1", out="{dir}/missing/x.json"), "SinkFailure"),
+    "out-a-directory": (_gen("disjunction", "d=3", "m=1", out="{dir}"), "SinkFailure"),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv, error", REFUSALS.values(), ids=REFUSALS)
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, argv, error):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        instance = inputs / "dj.instance.json"
+        write_instance(families.gen_disjunction(4, 2), instance)
+        stats = inputs / "dj.stats.json"
+        assert main(["run", "--in", str(instance), "--out", str(stats)]) == 0
+        listed = inputs / "listed.json"
+        listed.write_text("[1]")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        capsys.readouterr()
+        argv = [a.format(dir=empty, instance=instance, stats=stats, listed=listed) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ERROR {error}: ") and err.count("\n") == 1
+        assert list(empty.iterdir()) == []
+
+    def test_balanced_yes_builds_the_balanced_polygon(self, tmp_path, capsys):
+        outputs = {}
+        for balanced in ("true", "yes", "no"):
+            path = tmp_path / f"{balanced}.instance.json"
+            code, out, _ = run_cli(
+                capsys, "gen", "--family", "convex_polygon", "--param", "m=6",
+                "--param", f"balanced={balanced}", "--out", str(path),
+            )
+            assert code == 0
+            outputs[balanced] = (out, json.loads(path.read_text())["name"])
+        assert outputs["yes"] == outputs["true"] != outputs["no"]
+        assert outputs["yes"][1] == "polygon_m6_balanced"
+
+    def test_l1_edges_without_geometry_fall_back_to_all(self, tmp_path, capsys):
+        # No coords, no cycle indices, and ids that are not bit strings.
+        instance = validate_instance({
+            "name": "plain",
+            "family": "",
+            "params": {},
+            "tests": [{"id": tid} for tid in ("ta", "tb", "tc")],
+            "hypotheses": [{"id": f"h{row}", "outcomes": row} for row in ("001", "010", "100", "111")],
+        })
+        instance_path, report = tmp_path / "plain.instance.json", tmp_path / "plain.report.json"
+        write_instance(instance, instance_path)
+        code, _, err = run_cli(
+            capsys, "analyze", "--in", str(instance_path), "--edges", "l1", "--out", str(report))
+        assert (code, err) == (0, "")
+        assert json.loads(report.read_text())["knobs"]["edge_mode"] == "all"
+
+
 def _timed_cli(capsys, *argv):
     start = time.perf_counter()
     result = run_cli(capsys, *argv)

@@ -165,6 +165,13 @@ class TestBoxLocalization:
         with pytest.raises(BadParams):
             gen_box_localization((1, 1), center=(0,))
 
+    @pytest.mark.parametrize("radii", [(), (1, -1)])
+    def test_bad_radii_message_names_both_conditions(self, radii):
+        with pytest.raises(BadParams, match=r"nonempty and nonnegative, got \("):
+            gen_box_localization(radii)
+        with pytest.raises(BadParams, match="nonempty and nonnegative"):
+            families.generate("box_localization", {"r": ",".join(map(str, radii))})
+
 
 class TestShapeLocalization:
     def test_box_offsets_match_box_generator(self):

@@ -495,3 +495,28 @@ def test_first_subset_at_refuses_a_value_no_subset_reaches_first():
         kernels.first_subset_at(masks, width, 1, 2)  # the vacuous 1/2 has no witness
     with pytest.raises(RuntimeError):
         kernels.first_subset_at([0b0011], width, 1, 3)  # {0, 1} splits at 0 first
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=3, max_value=10).flatmap(
+    lambda width: st.tuples(st.just(width), st.lists(st.integers(0, (1 << width) - 1), max_size=12))))
+def test_inputs_of_three_or_more_members_split_at_most_a_third(recipe):
+    # Each holds a 3-member subset, which no mask splits above 1/3, so a
+    # relabelled hit in the edge pass always has a witness to scan for.
+    width, raw = recipe
+    num, den, witness = min_subset_split(prepare_masks(raw, width), width)
+    assert 3 * num <= den and witness is not None
+
+
+def test_the_two_width_2_inputs_are_not_renamings_of_each_other():
+    # So a width-2 input, the only kind that splits at 1/2, is never a relabelled hit.
+    assert kernels.canonical_input([], 2) != kernels.canonical_input([1], 2)
+    assert min_subset_split([1], 2) == (1, 2, None)
+
+
+def test_first_min_decides_a_float_tie_by_integers():
+    # 1/3 and 2**53 / (3 * 2**53 + 1) round to one float, so argmin proposes row 0.
+    best = np.array([1, 2**53])
+    sizes = np.array([3, 3 * 2**53 + 1])
+    assert best[0] / sizes[0] == best[1] / sizes[1]
+    assert kernels._first_min(best, sizes) == (2**53, 3 * 2**53 + 1, 1)

@@ -97,6 +97,12 @@ class TestInstanceRoundTrip:
         with pytest.raises(UnsupportedSchemaVersion):
             read_instance(path)
 
+    def test_text_mode_file_is_read(self, pentagon, tmp_path):
+        path = tmp_path / "pentagon.instance.json"
+        write_instance(pentagon, path)
+        with open(path, encoding="utf-8") as handle:
+            assert read_instance(handle) == pentagon
+
 
 class TestReportRoundTrip:
     def test_exact_fields_survive(self, disjunction_d4m2):
@@ -179,6 +185,12 @@ class TestReportRoundTrip:
         report = analysis.analyze_instance(disjunction_d4m2)
         with pytest.raises(ValueError):
             write_report(report, io.BytesIO())
+
+    def test_unknown_schema_rejected(self, disjunction_d4m2):
+        doc = persistence.report_to_document(analysis.analyze_instance(disjunction_d4m2), disjunction_d4m2)
+        doc["schema_version"] = 99
+        with pytest.raises(UnsupportedSchemaVersion, match="schema_version 99; this build reads 1"):
+            read_report_document(io.BytesIO(canonical_bytes(doc)))
 
 
 # Strings that need escapes: quotes, backslashes, control and non-ASCII characters.
@@ -317,6 +329,30 @@ class TestInstanceWriter:
     @settings(max_examples=50, deadline=None)
     @given(written_instances())
     def test_matches_the_document_on_random_instances(self, instance):
+        self.assert_writes_its_document(instance)
+
+    def test_subclass_values_are_written_as_their_base_types(self):
+        class Text(str):
+            pass
+
+        class Whole(int):
+            pass
+
+        class Real(float):
+            pass
+
+        meta = {"label": Text("é"), "count": Whole(7), "ratio": Real(0.25), "rows": [Whole(-1)]}
+        instance = validate_instance({
+            "name": "subclassed",
+            "family": "",
+            "params": {},
+            "tests": [{"id": "t0", "meta": meta}, {"id": "t1"}],
+            "hypotheses": [
+                {"id": "h0", "outcomes": Text("01"), "meta": meta},
+                {"id": "h1", "outcomes": Text("10")},
+            ],
+        })
+        assert type(instance.hypotheses[0].outcomes) is Text
         self.assert_writes_its_document(instance)
 
     @pytest.mark.parametrize("group", [1, 7])
