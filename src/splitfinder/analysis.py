@@ -93,10 +93,6 @@ class AnalysisReport:
     seed: int
     edge_mode: str
 
-    @property
-    def lam(self) -> Fraction:
-        return self.bounds.lam
-
 
 @dataclass(frozen=True)
 class BoundCheck:
@@ -613,15 +609,16 @@ def candidate_edges(
     Returns the mode actually used, which matters when a preset is
     requested but no adjacency structure is derivable.
     """
+    source = "edge mode"
     if mode is None:
-        mode = str(instance.params.get("edge_preset", "all"))
+        mode, source = str(instance.params.get("edge_preset", "all")), "edge_preset"
     if mode in ("l1", "cycle"):
         pairs = _adjacency_pairs(instance)
         if pairs is not None:
             return "l1", pairs
         mode = "all"
     if mode != "all":
-        raise ValueError(f"unknown edge mode {mode!r}")
+        raise ValueError(f"unknown {source} {mode!r}")
     # Row i of the packed columns, negated and ANDed with every row, counts
     # the delta sets from test i to every test at once.
     packed = _packed_columns(instance.outcomes)

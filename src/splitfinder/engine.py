@@ -8,12 +8,13 @@ members, and picks every node's test in one numpy pass.
 
 `run_gbs` calls it on a single node per query, then keeps the members that
 fit the answer (`restrict`), until one hypothesis remains; it serves one
-simulated, scripted or interactive oracle.  Query costs over every hidden
-hypothesis come from `gbs_tree`, which calls it once per depth on every
-live node, so each node is visited once instead of once per hypothesis
-below it.  Its leaf depths equal the `run_gbs` query counts, and it also
-reports the least split any node chose, the per-step quantity that the
-split bounds assume is at least beta.
+simulated, scripted or interactive oracle.  A scripted run is any answer
+callable (test index -> 0 or 1) passed to `run_gbs`.  Query costs over
+every hidden hypothesis come from `gbs_tree`, which calls it once per depth
+on every live node, so each node is visited once instead of once per
+hypothesis below it.  Its leaf depths equal the `run_gbs` query counts,
+and it also reports the least split any node chose, the per-step quantity
+that the split bounds assume is at least beta.
 
 Both read `Instance.outcomes`, the C-contiguous hypotheses x tests array,
 so gathering a node's members copies whole contiguous rows.
@@ -22,7 +23,7 @@ so gathering a node's members copies whole contiguous rows.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO
@@ -86,19 +87,6 @@ def hypothesis_oracle(instance: Instance, hypothesis: int) -> AnswerSource:
     """Answers every test the way one fixed hypothesis would."""
     row = instance.outcomes[hypothesis]
     return lambda x: int(row[x])
-
-
-def scripted_oracle(answers: Iterable[int]) -> AnswerSource:
-    """Replays a fixed answer list; raises if queried past the end."""
-    feed = iter(answers)
-
-    def answer(_x: int) -> int:
-        try:
-            return int(next(feed))
-        except StopIteration:
-            raise InconsistentOracle("scripted oracle ran out of answers") from None
-
-    return answer
 
 
 def best_split_test(

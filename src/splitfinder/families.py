@@ -353,7 +353,7 @@ def gen_box_localization(
     if not radii or any(r < 0 for r in radii):
         raise BadParams(f"box radii must be nonempty and nonnegative, got {radii!r}")
     d = len(radii)
-    center = tuple(int(c) for c in (center or (0,) * d))
+    center = (0,) * d if center is None else tuple(int(c) for c in center)
     if len(center) != d:
         raise BadParams("center dimension must match radii")
     _check_size(
@@ -416,7 +416,7 @@ def gen_shape_localization(
     if any(len(p) != d for p in offsets):
         raise BadParams("offsets must share one dimension")
     _check_shape(offsets, d)
-    center = tuple(int(c) for c in (center or (0,) * d))
+    center = (0,) * d if center is None else tuple(int(c) for c in center)
     if len(center) != d:
         raise BadParams("center dimension must match offsets")
 
@@ -641,8 +641,6 @@ def _as_int_list(params: dict, key: str) -> list[int]:
         raw = params[key]
     except KeyError:
         raise BadParams(f"missing required param {key!r}") from None
-    if isinstance(raw, (list, tuple)):
-        return [int(v) for v in raw]
     try:
         return [int(part) for part in str(raw).split(",") if part != ""]
     except ValueError:

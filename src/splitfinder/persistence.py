@@ -40,7 +40,7 @@ from .core import (
     rational_text,
     validate_instance,
 )
-from .engine import CostStats, Step, Transcript
+from .engine import CostStats, Transcript
 
 SCHEMA_VERSION = 1
 
@@ -435,16 +435,6 @@ def transcript_to_document(transcript: Transcript) -> dict:
     }
 
 
-def transcript_from_document(document: dict) -> Transcript:
-    return Transcript(
-        oracle_id=str(document["oracle_id"]),
-        steps=tuple(
-            Step(str(t), int(o), int(r)) for t, o, r in document["steps"]
-        ),
-        identified=str(document["identified"]),
-    )
-
-
 def stats_to_document(stats: CostStats) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -453,14 +443,6 @@ def stats_to_document(stats: CostStats) -> dict:
         "average": rational_text(stats.average),
         "per_oracle": dict(sorted(stats.per_oracle.items())),
     }
-
-
-def stats_from_document(document: dict) -> CostStats:
-    return CostStats(
-        worst_case=int(document["worst_case"]),
-        average=_parse_fraction(document["average"]),
-        per_oracle={k: int(v) for k, v in document["per_oracle"].items()},
-    )
 
 
 def write_report(

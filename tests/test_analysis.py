@@ -855,7 +855,7 @@ class TestAnalyzeAndVerify:
     def test_report_invariants(self, disjunction_d6m2):
         report = analyze_instance(disjunction_d6m2)
         assert report.beta == beta_of(report.coherence.value, report.alpha_star)
-        assert report.lam == 1 - min(
+        assert report.bounds.lam == 1 - min(
             report.coherence.value, Fraction(1, report.k_min + 2)
         )
         assert report.edge_mode == "l1"

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import instance_to_document
 from splitfinder import analysis, families, kernels, persistence
-from splitfinder.cli import main
+from splitfinder.cli import build_parser, main
 from splitfinder.core import validate_instance
 from splitfinder.persistence import write_instance
 from test_analysis import counting_kernels
@@ -526,6 +529,13 @@ REFUSALS = {
     "offsets-of-mixed-dimensions": (_gen("shape_localization", "offsets=0,0;1"), "BadParams"),
     "linear-ratio-zero": (_gen("discrete_linear", "d=2", "r=0"), "BadParams"),
     "box-center-of-another-dimension": (_gen("box_localization", "r=1,1", "center=0"), "BadParams"),
+    "box-center-empty": (_gen("box_localization", "r=1", "center="), "BadParams"),
+    "box-without-r": (_gen("box_localization"), "BadParams"),
+    "box-r-not-integers": (_gen("box_localization", "r=1,x"), "BadParams"),
+    "linear-without-r": (_gen("discrete_linear", "d=2"), "BadParams"),
+    "shape-center-empty": (_gen("shape_localization", "offsets=0,0;1,0;-1,0", "center="), "BadParams"),
+    "shape-center-of-another-dimension": (
+        _gen("shape_localization", "offsets=0,0;1,0;-1,0", "center=1"), "BadParams"),
     "instance-not-an-object": (["analyze", "--in", "{listed}"], "ParseError"),
     "out-in-a-missing-directory": (
         _gen("disjunction", "d=3", "m=1", out="{dir}/missing/x.json"), "SinkFailure"),
@@ -552,6 +562,25 @@ class TestRefusals:
         assert (code, out) == (2, "")
         assert err.startswith(f"ERROR {error}: ") and err.count("\n") == 1
         assert list(empty.iterdir()) == []
+
+    def test_unknown_edge_preset_is_named_as_the_instance_param(self, tmp_path, capsys):
+        instance = validate_instance({
+            "params": {"edge_preset": "grid"},
+            "tests": [{"id": "t"}],
+            "hypotheses": [{"id": "a", "outcomes": "0"}, {"id": "b", "outcomes": "1"}],
+        })
+        instance_path, report = tmp_path / "grid.instance.json", tmp_path / "grid.report.json"
+        write_instance(instance, instance_path)
+        code, out, err = run_cli(capsys, "analyze", "--in", str(instance_path), "--out", str(report))
+        assert (code, out, err) == (2, "", "ERROR ValueError: unknown edge_preset 'grid'\n")
+        assert not report.exists()
+
+    def test_verify_refuses_an_unknown_report_kind(self, dj_instance, tmp_path, capsys):
+        instance_path, _ = dj_instance
+        mystery = tmp_path / "mystery.json"
+        mystery.write_text('{"kind": "mystery", "schema_version": 1}\n')
+        code, out, err = run_cli(capsys, "verify", "--in", str(instance_path), "--report", str(mystery))
+        assert (code, out, err) == (2, "", "ERROR ParseError: unknown report kind 'mystery'\n")
 
     def test_balanced_yes_builds_the_balanced_polygon(self, tmp_path, capsys):
         outputs = {}
@@ -1047,3 +1076,27 @@ class TestInteractiveSubprocess:
         assert doc["kind"] == "transcript" and doc["oracle_id"] == "interactive"
         assert out.splitlines()[-1] == f"IDENTIFIED {doc['identified']}"
         assert len(doc["steps"]) == out.count("QUERY ")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+ANALYZE_FLAGS = "--edges --limit --samples --seed"
+
+
+class TestCommandTable:
+    def test_readme_names_each_commands_flags(self):
+        # The fenced block under "## Commands" lists one line per command;
+        # "[analyze flags]" there stands for the flags analyze and sweep share.
+        section = README.read_text(encoding="utf-8").split("## Commands", 1)[1]
+        block = section.split("```", 2)[1]
+        documented = {}
+        for line in block.strip().splitlines():
+            _, command, rest = line.split(" ", 2)
+            rest = rest.replace("[analyze flags]", ANALYZE_FLAGS)
+            documented[command] = set(re.findall(r"--[a-z][a-z-]*", rest))
+        (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        defined = {
+            name: {flag for action in sub._actions for flag in action.option_strings
+                   if flag.startswith("--")} - {"--help"}
+            for name, sub in commands.choices.items()
+        }
+        assert documented == defined

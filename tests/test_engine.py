@@ -25,7 +25,6 @@ from splitfinder.engine import (
     restrict,
     run_all_oracles,
     run_gbs,
-    scripted_oracle,
 )
 
 
@@ -113,13 +112,9 @@ class TestRunGbs:
             tr = run_gbs(inst, lambda _x: rng.randint(0, 1), "adversary")
             assert tr.identified in inst.hypothesis_index
 
-    def test_scripted_oracle_exhaustion(self, disjunction_d4m2):
-        with pytest.raises(InconsistentOracle, match="scripted oracle ran out of answers"):
-            run_gbs(disjunction_d4m2, scripted_oracle([1]))
-
     def test_non_binary_answer_rejected(self, disjunction_d4m2):
         with pytest.raises(InconsistentOracle, match="oracle answered 2, expected 0 or 1"):
-            run_gbs(disjunction_d4m2, scripted_oracle([2, 0, 0]))
+            run_gbs(disjunction_d4m2, lambda _x: 2)
 
 
 class TestRunAllOracles:
@@ -313,7 +308,7 @@ class TestInteractiveSession:
         # both hypotheses answer 0 everywhere and no query can tell them apart.
         inst = dataclasses.replace(pair_instance(), outcomes=np.zeros((2, 1), dtype=bool))
         with pytest.raises(QueryBudgetExceeded) as simulated:
-            run_gbs(inst, scripted_oracle([1]))
+            run_gbs(inst, lambda _x: 1)
         writer = io.StringIO()
         with pytest.raises(QueryBudgetExceeded) as interactive:
             interactive_session(inst, io.StringIO("1\n"), writer)
