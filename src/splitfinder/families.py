@@ -641,19 +641,16 @@ def _as_int_list(params: dict, key: str) -> list[int]:
         raw = params[key]
     except KeyError:
         raise BadParams(f"missing required param {key!r}") from None
+    text = str(raw)
     try:
-        return [int(part) for part in str(raw).split(",") if part != ""]
+        return [int(part) for part in text.split(",")] if text else []
     except ValueError:
         raise BadParams(f"param {key!r} must be a comma list of integers") from None
 
 
 def _parse_offsets(raw: str) -> list[tuple[int, ...]]:
     try:
-        return [
-            tuple(int(c) for c in point.split(","))
-            for point in raw.split(";")
-            if point != ""
-        ]
+        return [tuple(int(c) for c in point.split(",")) for point in raw.split(";")] if raw else []
     except ValueError:
         raise BadParams("offsets must look like 'x,y;x,y;...'") from None
 

@@ -5,44 +5,44 @@ at least two members count, and the "best split" of S is ``max over masks of
 min(|S & m|, |S| - |S & m|)``, taken as a fraction of ``|S|`` (0 when there
 are no masks).
 
-Subsets are rows of ``ceil(width / 32)`` little-endian ``uint32`` words
-(``_words``).  Inside the kernels they are held word-major, so each word of
+Subsets are rows of little-endian words (``_layout``): one ``uint32`` word
+up to 32 members, ``uint64`` words past that, which halves the AND and
+count passes of wider rows (one ``uint32`` word is faster than one
+``uint64``).  Inside the kernels they are held word-major, so each word of
 a block is one contiguous row, and masks are packed to the same words.
-Every kernel runs on one block helper, ``_folded_counts``: for every word
-it ANDs each mask against every subset of the block, giving a masks x rows
-array, and ``np.bitwise_count`` sums the words' counts into it.  Counts stay
-in the narrowest unsigned type that holds the width (``uint8`` up to 255
-bits, so a sum over words past that cannot wrap) and are folded in place to
-``min(c, |S| - c)``; the kernels reduce them across masks by an element-wise
-maximum over contiguous rows.  Blocks hold about
-``BLOCK_CELLS`` mask-by-subset-by-word cells, so temporaries stay well under
-a megabyte whatever the number of masks; any width works.
+``_folded_counts`` scores a block: for every word it ANDs each mask against
+every subset of the block, giving a masks x rows array, and
+``np.bitwise_count`` sums the words' counts into it.  Counts stay in the
+narrowest unsigned type that holds the width (``uint8`` up to 255 bits, so
+a sum over words past that cannot wrap) and are folded in place to
+``min(c, |S| - c)``; the best split of a row is their maximum over masks.
+Blocks hold about ``BLOCK_CELLS`` mask-by-subset-by-word cells, so
+temporaries stay well under a megabyte whatever the number of masks; any
+width works.
 
-``min_subset_split`` enumerates subsets as ascending integers, one block of
-``uint32`` ranges at a time, and stops early once some subset splits at 0.
-``first_subset_at`` runs the same scan with an already proved minimum as
-its floor, so it stops in the first block that reaches it, and returns the
-first subset there.  ``canonical_input`` relabels a kernel input's members
-in an order fixed by colour refinement; two inputs with equal relabelled
-masks differ only by a renaming of members, so they share their minimum
-(though not their first witness).
-``batch_min_split`` takes subsets as word rows in the given order; rows
-wider than one word are regrouped into ``uint64`` words, which halves the
-AND and count passes (one ``uint32`` word is faster than one ``uint64``).
-It scores the first block in full; that block's minimum bounds the batch
-minimum from above, so a later row that some mask splits at or above it
-cannot be the witness (the first block already holds a row at that value)
-and is dropped unscored (``_bounded_best``); at a minimum of 0 no later
-row is scored at all.  Fractions are compared exactly in integers, and the
-witness is the first subset in that order that strictly attains the
-minimum (none when every subset splits at exactly 1/2), with the
-``(num, den)`` of that subset itself.  Results are therefore reproducible
-bit for bit.
+Every kernel is one scan, ``_scan``, over a sequence of rows.  It scores a
+first block in full; the masks that rule out the most of its rows go first
+from then on, and each later block goes through ``_bounded_best``, which
+drops a row once some mask splits it at or above the running minimum (an
+earlier row already holds that value, so the row cannot be the witness).
+The scan stops after the first block whose minimum is at or below a floor:
+0 for ``min_subset_split`` (every subset, as ascending integers) and
+``batch_min_split`` (given word rows, in order), an already proved minimum
+for ``first_subset_at``.  Fractions are compared exactly in integers, and
+the witness is the first row that strictly attains the minimum (none when
+every subset splits at exactly 1/2), with the ``(num, den)`` of that row
+itself.  Results are therefore reproducible bit for bit, whatever the
+block boundaries.
+
+``canonical_input`` relabels a kernel input's members in an order fixed by
+colour refinement; two inputs with equal relabelled masks differ only by a
+renaming of members, so they share their minimum (though not their first
+witness).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -50,6 +50,9 @@ BACKEND = "numpy"
 
 # Mask-by-subset-by-word cells evaluated per block.
 BLOCK_CELLS = 1 << 16
+
+# rows(start, count): rows start .. start + count - 1 as a words x count block.
+Rows = Callable[[int, int], np.ndarray]
 
 
 def _word_count(width: int, word_bits: int = 32) -> int:
@@ -71,8 +74,14 @@ def _row_int(row: np.ndarray) -> int:
     return int.from_bytes(row.astype("<u4").tobytes(), "little")
 
 
+def _layout(width: int) -> tuple[int, int]:
+    """(bits per word, words) of a subset row of ``width`` members."""
+    bits = 32 if width <= 32 else 64
+    return bits, _word_count(width, bits)
+
+
 def _block_rows(n_masks: int, words: int) -> int:
-    """Rows per block: a power of two, so enumerated blocks never straddle a word."""
+    """Rows per block: a power of two."""
     return 1 << max(0, (BLOCK_CELLS // (max(n_masks, 1) * words)).bit_length() - 1)
 
 
@@ -122,40 +131,56 @@ def _first_min(best: np.ndarray, sizes: np.ndarray) -> tuple[int, int, int] | No
     return int(best[row]), int(sizes[row]), row
 
 
-def _subset_blocks(width: int, rows: int) -> Iterable[tuple[int, np.ndarray]]:
-    """(first subset, words x rows block) for consecutive blocks of 0 .. 2^width - 1."""
-    words = _word_count(width)
-    total = 1 << width
-    for start in range(0, total, rows):
-        count = min(rows, total - start)
-        # start is a multiple of rows, so adding to the low word never carries.
-        block = np.repeat(_words([start], words).T, count, axis=1)
-        block[0] += np.arange(count, dtype=np.uint32)
-        yield start, block
+def _limit(num: int, den: int, sizes: np.ndarray) -> np.ndarray:
+    """Per row, the largest best-split count strictly below num/den of the row's size."""
+    return (np.maximum(num * sizes.astype(np.int64) - 1, 0) // den).astype(sizes.dtype)
 
 
 def _scan(
-    masks: Sequence[int], width: int, floor_num: int, floor_den: int
+    masks: np.ndarray, rows: Rows, total: int, floor_num: int, floor_den: int
 ) -> tuple[int, int, int | None]:
-    """Running minimum over subsets in ascending order, starting from 1/2.
+    """Running minimum over rows 0 .. total - 1, starting from 1/2.
 
-    The scan stops after the first block whose minimum is at most
-    floor_num/floor_den.  Returns ``(num, den, witness)``: the running
-    minimum, with ``witness`` the first subset that strictly attains it, or
-    None when no subset splits below 1/2.
+    ``masks`` is words x masks, packed to the words of the rows.  The scan
+    stops after the first block whose minimum is at most floor_num/floor_den.
+    Returns ``(num, den, row)``: the running minimum, with ``row`` the index
+    of the first row that strictly attains it, or None when no row splits
+    below 1/2.
     """
-    words = _word_count(width)
-    mask_words = _words(masks, words).T
-    best_num, best_den, witness = 1, 2, None
-    for start, block in _subset_blocks(width, _block_rows(len(masks), words)):
+    words, n_masks = masks.shape
+    head = min(total, _block_rows(n_masks, words))
+    block = rows(0, head)
+    sizes = _sizes(block)
+    counts = _folded_counts(masks, block, sizes)
+    found = _first_min(counts.max(axis=0, initial=0), sizes)  # 0 with no masks
+    num, den, witness = (1, 2, None) if found is None or 2 * found[0] == found[1] else found
+    step = _block_rows(16, words)  # the first chunk's temporaries stay at half a block
+    for start in range(head, total, step):
+        if num * floor_den <= floor_num * den:
+            break  # nothing below the floor is sought
+        if start == head:  # the masks that rule out the most first-block rows go first
+            ruled = (counts > _limit(num, den, sizes)).sum(axis=1).tolist()
+            masks = masks[:, sorted(range(n_masks), key=ruled.__getitem__, reverse=True)]
+        block = rows(start, min(step, total - start))
         sizes = _sizes(block)
-        best = _folded_counts(mask_words, block, sizes).max(axis=0, initial=0)
-        found = _first_min(best, sizes)
-        if found is not None and found[0] * best_den < best_num * found[1]:
-            best_num, best_den, witness = found[0], found[1], start + found[2]
-            if best_num * floor_den <= floor_num * best_den:
-                break  # nothing below the floor is sought
-    return best_num, best_den, witness
+        kept, best = _bounded_best(masks, block, sizes, _limit(num, den, sizes))
+        found = _first_min(best, sizes[kept])
+        if found is not None:  # every kept row of two or more members is below num/den
+            num, den, witness = found[0], found[1], start + int(kept[found[2]])
+    return num, den, witness
+
+
+def _ascending(masks: Sequence[int], width: int) -> tuple[np.ndarray, Rows, int]:
+    """``_scan``'s masks, rows and total for the subsets 0 .. 2^width - 1, in ascending order."""
+    bits, words = _layout(width)
+    dtype = np.dtype(f"<u{bits // 8}")
+
+    def rows(start: int, count: int) -> np.ndarray:
+        if words == 1:
+            return np.arange(start, start + count, dtype=dtype)[None]
+        return np.ascontiguousarray(_words(range(start, start + count), words, bits).T)
+
+    return _words(masks, words, bits).T, rows, 1 << width
 
 
 def min_subset_split(masks: Sequence[int], width: int) -> tuple[int, int, int | None]:
@@ -166,7 +191,7 @@ def min_subset_split(masks: Sequence[int], width: int) -> tuple[int, int, int | 
     that strictly attains it, or None when every subset splits at exactly
     1/2 (the vacuous maximum).
     """
-    return _scan(masks, width, 0, 1)  # nothing splits below zero
+    return _scan(*_ascending(masks, width), 0, 1)  # nothing splits below zero
 
 
 def first_subset_at(masks: Sequence[int], width: int, num: int, den: int) -> int:
@@ -176,7 +201,7 @@ def first_subset_at(masks: Sequence[int], width: int, num: int, den: int) -> int
     when the scan finds no subset at num/den or one below it first, so a
     wrong minimum fails loudly instead of yielding a witness.
     """
-    found_num, found_den, witness = _scan(masks, width, num, den)
+    found_num, found_den, witness = _scan(*_ascending(masks, width), num, den)
     if witness is None or found_num * den != num * found_den:
         raise RuntimeError(
             f"no subset of the {width}-member input splits first at {num}/{den}"
@@ -260,38 +285,15 @@ def batch_min_split(masks: Sequence[int], subsets: np.ndarray) -> tuple[int, int
 
     Rows with fewer than two members are ignored; the witness is the first
     row, in the given order, that strictly attains the minimum, as an int.
-    A row after the first block is dropped once some mask splits it at or
-    above that block's minimum, masks that rule out most first-block rows
-    going first.
     """
+    bits, words = _layout(32 * subsets.shape[1])
     wide = subsets
-    if subsets.shape[1] > 1:
-        # Regrouped into uint64 words, wider rows take half the AND and count passes.
-        wide = np.pad(subsets, ((0, 0), (0, subsets.shape[1] % 2))).view("<u8")
+    if bits == 64:
+        wide = np.pad(subsets, ((0, 0), (0, 2 * words - subsets.shape[1]))).view("<u8")
     columns = np.ascontiguousarray(wide.T)
-    words = len(columns)
-    mask_words = _words(masks, words, 8 * columns.dtype.itemsize).T
-    sizes = _sizes(columns)
-    head = slice(0, _block_rows(len(masks), words))
-    counts = _folded_counts(mask_words, columns[:, head], sizes[head])
-    best = counts.max(axis=0, initial=0)  # 0 with no masks
-    rows, bests = [np.arange(len(best))], [best]
-    found = _first_min(best, sizes[head])
-    num, den = (1, 2) if found is None else found[:2]
-    if len(sizes) > len(best) and num > 0:  # nothing splits below 0
-        # A count is within limit exactly when count / size < num / den: a
-        # later row that only ties the first block's minimum is never the witness.
-        limit = (np.maximum(num * sizes.astype(np.int64) - 1, 0) // den).astype(sizes.dtype)
-        ruled = (counts > limit[head]).sum(axis=1).tolist()
-        mask_words = mask_words[:, sorted(range(len(masks)), key=ruled.__getitem__, reverse=True)]
-        step = _block_rows(16, words)  # the first chunk's temporaries stay at half a block
-        for start in range(len(best), len(sizes), step):
-            part = slice(start, start + step)
-            kept, kept_best = _bounded_best(mask_words, columns[:, part], sizes[part], limit[part])
-            rows.append(start + kept)
-            bests.append(kept_best)
-    rows = np.concatenate(rows)
-    found = _first_min(np.concatenate(bests), sizes[rows])
-    if found is None or 2 * found[0] == found[1]:
-        return 1, 2, None
-    return found[0], found[1], _row_int(subsets[rows[found[2]]])
+    num, den, row = _scan(
+        _words(masks, words, bits).T,
+        lambda start, count: columns[:, start : start + count],
+        len(subsets), 0, 1,  # nothing splits below zero
+    )
+    return num, den, None if row is None else _row_int(subsets[row])

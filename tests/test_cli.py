@@ -532,6 +532,9 @@ REFUSALS = {
     "box-center-empty": (_gen("box_localization", "r=1", "center="), "BadParams"),
     "box-without-r": (_gen("box_localization"), "BadParams"),
     "box-r-not-integers": (_gen("box_localization", "r=1,x"), "BadParams"),
+    "box-r-with-an-empty-part": (_gen("box_localization", "r=1,,1"), "BadParams"),
+    "box-r-with-a-trailing-comma": (_gen("box_localization", "r=1,1,"), "BadParams"),
+    "offsets-with-an-empty-point": (_gen("shape_localization", "offsets=0,0;;1,0;-1,0"), "BadParams"),
     "linear-without-r": (_gen("discrete_linear", "d=2"), "BadParams"),
     "shape-center-empty": (_gen("shape_localization", "offsets=0,0;1,0;-1,0", "center="), "BadParams"),
     "shape-center-of-another-dimension": (

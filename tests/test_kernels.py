@@ -116,7 +116,10 @@ def test_results_do_not_depend_on_block_boundaries(monkeypatch):
         monkeypatch.setattr(kernels, "BLOCK_CELLS", cells)
         for width, masks, subsets in cases:
             assert kernels._block_rows(len(masks), 1) < 1 << width  # several blocks
-            assert min_subset_split(masks, width) == oracles.loop_min_subset_split(masks, width)
+            num, den, witness = oracles.loop_min_subset_split(masks, width)
+            assert min_subset_split(masks, width) == (num, den, witness)
+            if 2 * num < den:
+                assert kernels.first_subset_at(masks, width, num, den) == witness
             assert batch_min_split(masks, subsets) == oracles.loop_batch_min_split(masks, subsets)
 
 
@@ -147,8 +150,8 @@ def test_batch_min_split_wider_than_one_word():
 
 
 def first_block_rows(n_masks: int, width: int) -> int:
-    """``batch_min_split``'s first block; rows past 32 members go as uint64 words."""
-    return kernels._block_rows(n_masks, kernels._word_count(width, 64))
+    """The scan's first block; rows past 32 members go as uint64 words."""
+    return kernels._block_rows(n_masks, kernels._layout(width)[1])
 
 
 def sparse_rows(rng: random.Random, width: int, count: int) -> list[int]:
@@ -220,12 +223,17 @@ class TestLongBatches:
     def test_minimum_only_after_the_first_block(self, monkeypatch, width):
         masks, block, pool, values = long_batch_pool(width)
         subsets = list(pool)
-        subsets[2 * block + 5] = UNSPLIT[0]
+        zero = 2 * block + 5
+        subsets[zero] = UNSPLIT[0]
         assert min(values[:block]) > 0
         calls = scored_with_filter(monkeypatch)
         assert assert_batch_matches_loop(masks, subsets) == (0, 3, UNSPLIT[0])
-        assert sum(rows for rows, _ in calls) == len(subsets) - block
-        assert sum(kept for _, kept in calls) < len(subsets) - block  # the filter dropped rows
+        # Later blocks are scored up to and including the one that holds the zero.
+        step = kernels._block_rows(16, kernels._layout(width)[1])
+        scored = min(len(subsets), block + (zero - block) // step * step + step) - block
+        assert scored < len(subsets) - block  # no block past the zero's is scored
+        assert sum(rows for rows, _ in calls) == scored
+        assert sum(kept for _, kept in calls) < scored  # the filter dropped rows
 
     def test_first_of_tied_rows_after_the_first_block_is_the_witness(self, width):
         masks, block, pool, _ = long_batch_pool(width)
@@ -286,6 +294,36 @@ class TestLongBatches:
         small = [SMALL[k % 4] for k in range(3 * block + 3)]
         assert assert_batch_matches_loop([], small + [0b110, 0b111, 0b11]) == (0, 2, 0b110)
         assert assert_batch_matches_loop([], small) == (1, 2, None)
+
+
+# ---------------------------------------------------------------------------
+# Enumerations of several blocks go through the same filter
+
+
+def test_enumeration_filters_blocks_after_the_first(monkeypatch):
+    rng = random.Random(61)
+    width = 12
+    masks = random_masks(rng, width, 40)
+    later = (1 << width) - kernels._block_rows(len(masks), 1)
+    calls = scored_with_filter(monkeypatch)
+    num, den, witness = min_subset_split(masks, width)
+    assert (num, den, witness) == oracles.loop_min_subset_split(masks, width)
+    assert num > 0  # so no block is skipped
+    assert sum(rows for rows, _ in calls) == later
+    assert sum(kept for _, kept in calls) < later  # the filter dropped rows
+
+
+@pytest.mark.parametrize("width", [33, 64, 65])  # one uint64 word; two
+def test_enumeration_past_32_members_stops_at_a_zero_in_the_first_block(monkeypatch, width):
+    rng = random.Random(width)
+    # Members 2 and 5 always side together, so {2, 5} splits at 0; the loop shows no earlier subset does.
+    raw = [rng.getrandbits(width) for _ in range(20)]
+    masks = prepare_masks([m & ~(1 << 5) | (m >> 2 & 1) << 5 for m in raw], width)
+    assert oracles.loop_batch_min_split(masks, list(range(64))) == (0, 2, 0b100100)
+    calls = scored_with_filter(monkeypatch)
+    assert min_subset_split(masks, width) == (0, 2, 0b100100)
+    assert kernels.first_subset_at(masks, width, 0, 1) == 0b100100
+    assert calls == []
 
 
 def batch_across_blocks(recipe: tuple[int, int, int, int, int]) -> tuple[list[int], list[int]]:
