@@ -3,18 +3,13 @@
 The rule is the textbook one: query the test whose positive fraction over
 the live version space is closest to 1/2, with ties to the lowest test index
 so runs are bit-for-bit reproducible.  `best_split_test` is its only
-implementation.  It takes a batch of nodes, each a contiguous run of
-members, and picks every node's test in one numpy pass.
-
-`run_gbs` calls it on a single node per query, then keeps the members that
-fit the answer (`restrict`), until one hypothesis remains; it serves one
-simulated, scripted or interactive oracle.  A scripted run is any answer
-callable (test index -> 0 or 1) passed to `run_gbs`.  Query costs over
-every hidden hypothesis come from `gbs_tree`, which calls it once per depth
-on every live node, so each node is visited once instead of once per
-hypothesis below it.  Its leaf depths equal the `run_gbs` query counts,
-and it also reports the least split any node chose, the per-step quantity
-that the split bounds assume is at least beta.
+implementation; it picks the test of every node in a batch from the nodes'
+positive counts per test.  `run_gbs` calls it once per query and keeps the
+members that fit the answer (`restrict`); it serves one simulated, scripted
+(any answer callable) or interactive oracle.  `gbs_tree` calls it once per
+depth on every live node and yields the `run_gbs` query count of every
+hidden hypothesis and the least split any node chose, the per-step
+quantity that the split bounds assume is at least beta.
 
 Both read `Instance.outcomes`, the C-contiguous hypotheses x tests array,
 so gathering a node's members copies whole contiguous rows.
@@ -23,6 +18,7 @@ so gathering a node's members copies whole contiguous rows.
 from __future__ import annotations
 
 import json
+import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -90,27 +86,25 @@ def hypothesis_oracle(instance: Instance, hypothesis: int) -> AnswerSource:
 
 
 def best_split_test(
-    outcomes: np.ndarray, members: np.ndarray, starts: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ones: np.ndarray, sizes: Sequence[int] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The greedy step for every node: its first test with the largest split.
 
-    ``outcomes`` is the hypotheses x tests bool matrix; ``members`` lists
-    hypothesis rows grouped by node, and node i is the run that begins at
-    ``starts[i]``.  The ones per (node, test) are summed with
-    ``np.add.reduceat`` and folded to ``min(ones, size - ones)``; ``argmax``
-    takes the first maximum, so ties go to the lowest test index.  Returns
-    per node the chosen test, its split count and the node size.
+    ``ones`` holds each node's positive count per test (nodes x tests, in an
+    integer type that holds every node size), ``sizes`` each node's size.
+    The counts are folded to ``min(ones, size - ones)`` in a new array, and
+    ``argmax`` takes the first maximum.  Returns per node the chosen test
+    and its split count, the size of the node's smaller child.
     """
-    sizes = np.diff(starts, append=len(members))
-    dtype = np.min_scalar_type(outcomes.shape[0])  # every count is at most n
-    ones = np.add.reduceat(outcomes[members], starts, axis=0, dtype=dtype)
-    np.minimum(ones, sizes.astype(dtype)[:, None] - ones, out=ones)
-    tests = ones.argmax(axis=1)
-    best = ones[np.arange(len(starts)), tests]
+    sizes = np.asarray(sizes, dtype=ones.dtype)
+    folded = np.subtract(sizes[:, None], ones)
+    np.minimum(folded, ones, out=folded)
+    tests = folded.argmax(axis=1)
+    best = folded[np.arange(sizes.size), tests]
     if not best.all():
         size = int(sizes[best == 0][0])
         raise QueryBudgetExceeded(f"no test splits a version space of {size} hypotheses")
-    return tests, best, sizes
+    return tests, best
 
 
 def restrict(outcomes: np.ndarray, members: np.ndarray, x: int, y: int) -> np.ndarray:
@@ -121,18 +115,24 @@ def restrict(outcomes: np.ndarray, members: np.ndarray, x: int, y: int) -> np.nd
 def run_gbs(instance: Instance, answer: AnswerSource, oracle_id: str = "oracle") -> Transcript:
     """Query the greedy test of the live version space until one hypothesis remains.
 
-    Every chosen test splits the space, so each answer keeps at least one
-    hypothesis and the run ends within n - 1 queries.
+    Every chosen test splits the space, so the run ends within n - 1
+    queries.  An answer must be 0 or 1 as an integer (a bool or numpy
+    integer) or numpy bool; 1.7 or "1" raises `InconsistentOracle`.
     """
     outcomes = instance.outcomes
+    dtype = np.min_scalar_type(instance.n)  # every count is at most n
     members = np.arange(instance.n)
     steps: list[Step] = []
     while members.size > 1:
-        tests, _, _ = best_split_test(outcomes, members, [0])
+        tests, _ = best_split_test(outcomes[members].sum(axis=0, dtype=dtype)[None], [members.size])
         x = int(tests[0])
-        y = int(answer(x))
+        given = answer(x)
+        try:
+            y = operator.index(given)
+        except TypeError:
+            y = int(given) if isinstance(given, np.bool_) else None
         if y not in (0, 1):
-            raise InconsistentOracle(f"oracle answered {y!r}, expected 0 or 1")
+            raise InconsistentOracle(f"oracle answered {given!r}, expected 0 or 1")
         members = restrict(outcomes, members, x, y)
         steps.append(Step(instance.tests[x].id, y, members.size))
     return Transcript(oracle_id, tuple(steps), instance.hypotheses[members[0]].id)
@@ -141,38 +141,62 @@ def run_gbs(instance: Instance, answer: AnswerSource, oracle_id: str = "oracle")
 def gbs_tree(instance: Instance) -> GbsTree:
     """Build the greedy decision tree of `run_gbs` once, one depth at a time.
 
-    The live hypotheses (those in a node of >= 2 members) are kept grouped
-    by node, so every node is one contiguous run and one `best_split_test`
-    call chooses the tests of a whole depth.  Each member moves to the child
-    its outcome on the chosen test names, and a child of one member is a
-    leaf at the next depth.  Node ids are positions within one depth, so
-    they stay below n however deep the tree grows.
+    Live nodes (>= 2 members) carry their counts per test, and one
+    `best_split_test` call chooses a whole depth's tests.  A node of two
+    members ends in two leaves.  For every other node only the smaller
+    child's rows are summed; the larger child's counts are the parent's
+    minus those (sibling subtraction), exact since the smaller child is a
+    subset.  Ranked by smaller-child size, the smaller children of one size
+    are one run of members, summed as one (nodes, size, tests) block.
     """
     n = instance.n
     if n == 1:
         return GbsTree((0,), None)
     outcomes = instance.outcomes
+    dtype = np.min_scalar_type(n)  # every count is at most n
     depths = np.zeros(n, dtype=np.int64)
-    members = np.arange(n)
-    starts = np.zeros(1, dtype=np.intp)  # first member of each node
+    members = np.arange(n)  # live hypotheses, grouped by node
+    sizes = np.array([n])
+    ones = outcomes.sum(axis=0, dtype=dtype)[None]
     chosen_splits, node_sizes = [], []
     depth = 0
-    while members.size:
-        tests, best, sizes = best_split_test(outcomes, members, starts)
+    while sizes.size:
+        tests, best = best_split_test(ones, sizes)
         chosen_splits.append(best)
         node_sizes.append(sizes)
-        answers = outcomes[members, np.repeat(tests, sizes)]
-        child = 2 * np.repeat(np.arange(starts.size), sizes) + answers
-        order = np.argsort(child, kind="stable")
-        members, child = members[order], child[order]
-        child_starts = np.flatnonzero(np.diff(child, prepend=-1))
-        child_sizes = np.diff(child_starts, append=members.size)
         depth += 1
-        live = np.repeat(child_sizes > 1, child_sizes)
-        depths[members[~live]] = depth
-        members = members[live]
-        kept = child_sizes[child_sizes > 1]
-        starts = np.cumsum(kept) - kept
+        best = best.astype(np.intp)  # uint8/16 compares and sorts would load more numpy code
+        nodes = np.arange(sizes.size)
+        node = np.repeat(nodes, sizes)
+        # Per member: does it go to the smaller child (the positive one on a tie)?
+        small = outcomes[members, tests[node]] == (ones[nodes, tests] == best)[node]
+        # Members sort by slot: -1 for both leaves of a two-member node, then
+        # the ranked smaller children, then their larger siblings.
+        split = np.flatnonzero(sizes > 2)
+        ranked = split[np.argsort(best[split], kind="stable")]
+        k = ranked.size
+        slot = np.full((sizes.size, 2), -1)
+        slot[ranked, 1] = np.arange(k)
+        slot[ranked, 0] = np.arange(k, 2 * k)
+        members = members[np.argsort(slot[node, small.astype(np.intp)], kind="stable")]
+        per_size = np.bincount(best[ranked], minlength=2)
+        singles = int(per_size[1])  # smaller children of one member are leaves
+        start = 2 * (sizes.size - k)
+        leaves = members[: start + singles]
+        depths[leaves] = depth
+        counts = np.empty((2 * k, ones.shape[1]), dtype=dtype)
+        row = 0
+        for s in np.flatnonzero(per_size).tolist():
+            c = int(per_size[s])
+            block = outcomes[members[start : start + c * s].reshape(c, s)]
+            block.sum(axis=1, dtype=dtype, out=counts[row : row + c])
+            start, row = start + c * s, row + c
+        larger = counts[k:]
+        np.take(ones, ranked, axis=0, out=larger)
+        np.subtract(larger, counts[:k], out=larger)
+        members = members[leaves.size :]
+        ones = counts[singles:]
+        sizes = np.concatenate((best[ranked], sizes[ranked] - best[ranked]))[singles:]
     num, den, _ = kernels._first_min(
         np.concatenate(chosen_splits).astype(np.int64), np.concatenate(node_sizes)
     )

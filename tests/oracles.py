@@ -51,6 +51,18 @@ def best_split(rows: list[str], members: list[int]) -> tuple[int, Fraction]:
     return best_x, best_value
 
 
+def ones_per_test(rows: list[str], nodes) -> np.ndarray:
+    """Per node (a list of hypotheses) and test, the members that answer 1.
+
+    The nodes x tests counts that `engine.best_split_test` takes, by a
+    plain loop over the outcome strings.
+    """
+    return np.array(
+        [[sum(rows[h][x] == "1" for h in node) for x in range(len(rows[0]))] for node in nodes],
+        dtype=np.int64,
+    )
+
+
 def greedy_tree(rows: list[str]) -> tuple[list[tuple[tuple[int, int, int], ...]], Fraction | None]:
     """The greedy decision tree, grown recursively from `best_split`.
 

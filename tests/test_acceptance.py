@@ -120,8 +120,9 @@ def test_criterion_4_box_localization():
 def test_criterion_5_counterexample_certificates():
     with criterion(5, "counterexample certificates", 1.0):
         for inst in (families.gen_counterexample_disjunction(3), families.gen_counterexample_plus(2, 2)):
-            _, best, sizes = engine.best_split_test(inst.outcomes, np.arange(inst.n), [0])
-            value = Fraction(int(best[0]), int(sizes[0]))
+            ones = oracles.ones_per_test([h.outcomes for h in inst.hypotheses], [range(inst.n)])
+            _, best = engine.best_split_test(ones, [inst.n])
+            value = Fraction(int(best[0]), inst.n)
             assert value == Fraction(1, 4)
             assert value < Fraction(1, 3)
 

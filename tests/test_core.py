@@ -57,17 +57,21 @@ def everyone(inst) -> np.ndarray:
     return np.arange(inst.n)
 
 
+def node_counts(inst, members) -> np.ndarray:
+    """The one-node counts of `best_split_test`, from a plain loop."""
+    return oracles.ones_per_test([h.outcomes for h in inst.hypotheses], [list(members)])
+
+
 def best_split(inst, members) -> tuple[int, Fraction]:
     """The greedy step on one node: its test and that test's split fraction."""
-    tests, best, sizes = best_split_test(inst.outcomes, np.asarray(members), [0])
-    return int(tests[0]), Fraction(int(best[0]), int(sizes[0]))
+    tests, best = best_split_test(node_counts(inst, members), [len(members)])
+    return int(tests[0]), Fraction(int(best[0]), len(members))
 
 
 def split_of_test(inst, members, x) -> Fraction:
     """The split fraction of test x alone, through the greedy step."""
-    outcomes = inst.outcomes[:, [x]]
-    _, best, sizes = best_split_test(outcomes, np.asarray(members), [0])
-    return Fraction(int(best[0]), int(sizes[0]))
+    _, best = best_split_test(node_counts(inst, members)[:, [x]], [len(members)])
+    return Fraction(int(best[0]), len(members))
 
 
 class TestValidateInstance:
@@ -291,13 +295,12 @@ class TestBestSplitTest:
     def test_nodes_of_one_call_are_chosen_independently(self, disjunction_d4m2):
         inst = disjunction_d4m2
         nodes = [[0, 3, 4, 9], [1, 2], [5, 6, 7, 8]]
-        members = np.array([h for node in nodes for h in node])
-        starts = [0, 4, 6]
-        tests, best, sizes = best_split_test(inst.outcomes, members, starts)
         rows = [h.outcomes for h in inst.hypotheses]
+        ones = oracles.ones_per_test(rows, nodes)
+        tests, best = best_split_test(ones, [len(node) for node in nodes])
         for i, node in enumerate(nodes):
             x, value = oracles.best_split(rows, node)
-            assert (int(tests[i]), Fraction(int(best[i]), int(sizes[i]))) == (x, value)
+            assert (int(tests[i]), Fraction(int(best[i]), len(node))) == (x, value)
             assert best_split(inst, node) == (x, value)
 
 

@@ -116,6 +116,21 @@ class TestRunGbs:
         with pytest.raises(InconsistentOracle, match="oracle answered 2, expected 0 or 1"):
             run_gbs(disjunction_d4m2, lambda _x: 2)
 
+    @pytest.mark.parametrize("given", [1.7, "1", 0.2, None, 1.0])
+    def test_answer_that_is_not_an_integer_is_rejected(self, given):
+        # int() would have taken 1.7 and "1" as 1 and 0.2 as 0.
+        inst = instance_of(["00", "01", "11"])
+        with pytest.raises(InconsistentOracle, match=f"oracle answered {given!r}, expected 0 or 1"):
+            run_gbs(inst, lambda _x: given)
+
+    @pytest.mark.parametrize("yes", [True, np.int64(1), np.uint8(1), np.True_])
+    def test_bool_and_numpy_answers_are_accepted(self, yes):
+        inst = instance_of(["00", "01", "11"])
+        no = type(yes)(0)
+        assert run_gbs(inst, lambda _x: yes) == run_gbs(inst, lambda _x: 1)
+        assert run_gbs(inst, lambda _x: no) == run_gbs(inst, lambda _x: 0)
+        assert all(type(step.outcome) is int for step in run_gbs(inst, lambda _x: yes).steps)
+
 
 class TestRunAllOracles:
     def test_two_hypotheses_one_query(self):
@@ -203,6 +218,33 @@ def identifiable_instances(draw):
     return instance_of([format(value, f"0{m_tests}b") for value in rows])
 
 
+@st.composite
+def wide_instances(draw):
+    """Up to 96 tests: far wider count rows than `identifiable_instances` gives."""
+    m_tests = draw(st.integers(min_value=9, max_value=96))
+    rows = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=(1 << m_tests) - 1),
+            min_size=2,
+            max_size=60,
+            unique=True,
+        )
+    )
+    return instance_of([format(value, f"0{m_tests}b") for value in rows])
+
+
+def random_instance(n, m_tests=12):
+    """n distinct seeded random rows: a tree of many nodes of many sizes."""
+    rows = random.Random(n).sample(range(1 << m_tests), n)
+    return instance_of([format(value, f"0{m_tests}b") for value in rows])
+
+
+def complement(inst):
+    """Every outcome flipped, which leaves every split and so the greedy tree as it was."""
+    flip = str.maketrans("01", "10")
+    return instance_of([h.outcomes.translate(flip) for h in inst.hypotheses])
+
+
 def assert_outcomes_match_strings(inst):
     outcomes = inst.outcomes
     assert outcomes.dtype == bool and outcomes.flags.c_contiguous
@@ -246,6 +288,41 @@ class TestGbsTree:
     @given(identifiable_instances())
     def test_matches_the_loop_on_random_instances(self, inst):
         assert_matches_reference(inst)
+
+    @settings(max_examples=25, deadline=None)
+    @given(wide_instances())
+    def test_matches_the_loop_on_wide_random_instances(self, inst):
+        assert_matches_reference(inst)
+
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    def test_matches_the_loop_across_the_uint8_count_boundary(self, n):
+        # Counts are uint8 up to n = 255 and uint16 past it.
+        assert_matches_reference(random_instance(n))
+        # Every root count of the flipped peel is n - 1, past uint8 at n = 257:
+        # a count that wrapped to 0 there would leave no test that splits.
+        peel = peel_instance(n)
+        flipped = complement(peel)
+        expected = engine.GbsTree(tuple(range(1, n - 1)) + (n - 1, n - 1), Fraction(1, n))
+        assert gbs_tree(flipped) == gbs_tree(peel) == expected
+        assert run_gbs(flipped, hypothesis_oracle(flipped, n - 1)).query_count == n - 1
+
+    def test_calls_the_greedy_step_once_per_depth(self, monkeypatch):
+        calls = []
+        step = engine.best_split_test
+
+        def counted(ones, sizes):
+            calls.append(len(sizes))
+            return step(ones, sizes)
+
+        monkeypatch.setattr(engine, "best_split_test", counted)
+        tree = gbs_tree(peel_instance(70))
+        assert len(calls) == max(tree.depths) == 69
+        assert calls == [1] * 69  # one live node per depth
+
+    def test_disjunction_d12_m2_costs(self):
+        # 4096 tests in uint8 counts; the entry point's check in CI pins the same figures.
+        stats = run_all_oracles(families.gen_disjunction(12, 2))
+        assert (stats.worst_case, stats.average) == (7, Fraction(497, 78))
 
     def test_peel_deeper_than_62_levels(self):
         # Labels of the form 2 * parent + answer would overflow int64 here.

@@ -6,7 +6,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -253,7 +252,8 @@ class TestLinearKcase:
 
 def root_split(inst) -> Fraction:
     """The split fraction the greedy step chooses on the full version space."""
-    _, best, _ = best_split_test(inst.outcomes, np.arange(inst.n), [0])
+    ones = oracles.ones_per_test([h.outcomes for h in inst.hypotheses], [range(inst.n)])
+    _, best = best_split_test(ones, [inst.n])
     return Fraction(int(best[0]), inst.n)
 
 
