@@ -468,14 +468,17 @@ def _edge_reports(
     ``index`` with seed ``seed ^ index``.  InstanceTooLarge refuses an
     enumerated set of more than 64 members, or a first draw of more than
     ``families.MAX_OUTCOMES`` random bits (``_sample_subsets``), before
-    anything runs.  The other pairs are grouped by size, a block of about
-    ``kernels.BLOCK_CELLS`` member-by-test cells at a time, and each
-    block's members (the set bits of its packed delta sets, ascending) are
-    unpacked once.  Per width, the bytes of an enumerated input's masks
-    (``_restricted_rows``) key its (value, witness), and on a miss
-    ``_kernel_result`` keys the value by the relabelled masks, so each
-    relabelling class is enumerated once.  Every pair decodes its witness
-    through its own members.
+    anything runs.  The other pairs are grouped by size and taken a block
+    of rows at a time, and each block's members (the set bits of its
+    packed delta sets, ascending) are unpacked once.  A block's largest
+    temporaries are its rows x tests restriction words, its rows x width
+    members and its rows x n unpacked bits (a byte each, n rounded up to
+    whole words); each holds at most ``kernels.BLOCK_CELLS // 2`` 8-byte
+    words (256 KB), whatever the width.  Per width, the bytes of an
+    enumerated input's masks (``_restricted_rows``) key its (value,
+    witness), and on a miss ``_kernel_result`` keys the value by the
+    relabelled masks, so each relabelling class is enumerated once.  Every
+    pair decodes its witness through its own members.
     """
     endpoints = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     packed = _packed_columns(instance.outcomes)
@@ -510,7 +513,7 @@ def _edge_reports(
             continue
         known: dict[bytes, tuple[Fraction, int | None]] = {}
         proved: dict[bytes, Fraction] = {}
-        step = max(1, kernels.BLOCK_CELLS // (width * instance.m_tests))
+        step = max(1, kernels.BLOCK_CELLS // (2 * max(instance.m_tests, width, 8 * packed.shape[1])))
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
             delta = ~packed[endpoints[block, 0]] & packed[endpoints[block, 1]]

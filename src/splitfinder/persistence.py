@@ -10,8 +10,10 @@ One recursive encoder, ``_encode``, writes every document.  Its bytes are
 those of ``json.dumps(document, sort_keys=True, indent=1) + "\\n"`` in
 UTF-8, and its text goes to the output buffer a group of strings at a time,
 so its temporaries stay bounded whatever the document's size.
-``instance_bytes`` encodes an instance straight from its records, with no
-dict built per record.
+``instance_bytes`` encodes an instance straight from its records, and
+``write_report`` an analysis report's edges straight from its
+``EdgeReport``s, one template string per edge, so no dict is built per
+record or edge.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .analysis import (
+    DIAG_DISCONNECTED,
+    DIAG_UNVERIFIED,
+    FALSIFIED_WITNESS,
+    UNKNOWN_SAMPLED,
+    VERIFIED_EXHAUSTIVE,
     AnalysisReport,
     BoundSet,
     CoherenceCertificate,
@@ -151,10 +158,11 @@ def _encode(prefix: str, value, newline: str, parts: list[str], out: io.BytesIO)
     starts on.  After each item of a list or dict, once ``parts`` holds
     ``_CHUNK_GROUP`` strings they are joined and written to ``out``.  A test
     or hypothesis record is written as the object its instance document
-    holds.  Scalars of the exact JSON types are looked up in
-    ``_SCALAR_TEXT``; subclasses of str, int and float, tested last so that
-    containers pay for no extra test, are written as the stdlib writes
-    them, and any other value raises TypeError as it does.
+    holds, and a report's ``_Edges`` as its edge list.  Scalars of the
+    exact JSON types are looked up in ``_SCALAR_TEXT``; subclasses of str,
+    int and float, tested last so that containers pay for no extra test,
+    are written as the stdlib writes them, and any other value raises
+    TypeError as it does.
     Every document the program writes keys its objects by strings, so a key
     of any other type raises TypeError rather than being converted.  No
     class can derive from two of dict, list, tuple, str, int and float, so
@@ -199,6 +207,8 @@ def _encode(prefix: str, value, newline: str, parts: list[str], out: io.BytesIO)
         if isinstance(value, HypothesisRecord):
             _encode("," + inner + '"outcomes": ', value.outcomes, inner, parts, out)
         parts.append(newline + "}")
+    elif isinstance(value, _Edges):
+        _encode_edges(prefix, value, newline, parts, out)
     elif isinstance(value, str):
         parts.append(prefix + encode_basestring_ascii(value))
     elif isinstance(value, int):
@@ -335,42 +345,88 @@ def _certificate_from_doc(
     return CoherenceCertificate(dist, fraction(doc["value"]))
 
 
-def _edge_to_doc(instance: Instance, edge: EdgeReport) -> dict:
-    return {
-        "from": instance.tests[edge.from_test].id,
-        "to": instance.tests[edge.to_test].id,
-        "delta_size": edge.delta_size,
-        "status": edge.status,
-        "edge_value": rational_text(edge.edge_value),
-        "witness": (
-            None
-            if edge.witness is None
-            else [instance.hypotheses[h].id for h in edge.witness]
-        ),
-        "samples_tried": edge.samples_tried,
-    }
+def _whole(value: Any) -> int:
+    """A JSON integer; a bool, float or string raises TypeError where ``int()`` would take it."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _one_of(value: Any, allowed: tuple) -> Any:
+    if value not in allowed:
+        raise ValueError(f"expected one of {allowed}, got {value!r}")
+    return value
+
+
+_STATUSES = (VERIFIED_EXHAUSTIVE, FALSIFIED_WITNESS, UNKNOWN_SAMPLED)
 
 
 def _edge_from_doc(
     instance: Instance, doc: dict, fraction: Callable[[Any], Fraction]
 ) -> EdgeReport:
     witness = doc.get("witness")
+    if witness is not None and type(witness) is not list:
+        raise TypeError(f"a witness must be null or a list, got {witness!r}")
     return EdgeReport(
         from_test=instance.test_index[doc["from"]],
         to_test=instance.test_index[doc["to"]],
-        delta_size=int(doc["delta_size"]),
-        status=str(doc["status"]),
+        delta_size=_whole(doc["delta_size"]),
+        status=_one_of(doc["status"], _STATUSES),
         edge_value=fraction(doc["edge_value"]),
-        witness=(
-            None
-            if witness is None
-            else tuple(instance.hypothesis_index[h] for h in witness)
-        ),
-        samples_tried=int(doc["samples_tried"]),
+        witness=None if witness is None else tuple(instance.hypothesis_index[h] for h in witness),
+        samples_tried=_whole(doc["samples_tried"]),
     )
 
 
-def report_to_document(report: AnalysisReport, instance: Instance) -> dict:
+class _Edges:
+    """A report's edges, which ``_encode`` writes straight from the ``EdgeReport``s."""
+
+    def __init__(self, edges: tuple[EdgeReport, ...], instance: Instance):
+        self.edges = edges
+        self.instance = instance
+
+
+def _encode_edges(prefix: str, value: _Edges, newline: str, parts: list[str], out: io.BytesIO) -> None:
+    """``_encode`` of a report's edge list, one template string per edge.
+
+    Each test and hypothesis id is escaped once.  An edge's keys are in
+    sorted order, its value is written as ``"num/den"`` and its witness as
+    null or a list of hypothesis ids.
+    """
+    if not value.edges:
+        parts.append(prefix + "[]")
+        return
+    tests = [encode_basestring_ascii(t.id) for t in value.instance.tests]
+    hypotheses = [encode_basestring_ascii(h.id) for h in value.instance.hypotheses]
+    item = newline + " "
+    key = item + " "
+    member = "," + key + " "
+    template = (
+        "{" + key + '"delta_size": %s,' + key + '"edge_value": "%s/%s",' + key + '"from": %s,'
+        + key + '"samples_tried": %s,' + key + '"status": %s,' + key + '"to": %s,'
+        + key + '"witness": %s' + item + "}"
+    )
+    separator = prefix + "[" + item
+    for edge in value.edges:
+        witness = edge.witness
+        if witness is None:
+            witness = "null"
+        elif witness:
+            witness = "[" + key + " " + member.join([hypotheses[h] for h in witness]) + key + "]"
+        else:
+            witness = "[]"
+        fraction = edge.edge_value
+        parts.append(separator + template % (
+            edge.delta_size, fraction.numerator, fraction.denominator, tests[edge.from_test],
+            edge.samples_tried, encode_basestring_ascii(edge.status), tests[edge.to_test], witness,
+        ))
+        if len(parts) >= _CHUNK_GROUP:
+            _spill(parts, out)
+        separator = "," + item
+    parts.append(newline + "]")
+
+
+def _report_document(report: AnalysisReport, instance: Instance) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "analysis_report",
@@ -378,7 +434,7 @@ def report_to_document(report: AnalysisReport, instance: Instance) -> dict:
         "instance_digest": instance_digest(instance),
         "k_min": report.k_min,
         "coherence": _certificate_to_doc(instance, report.coherence),
-        "edges": [_edge_to_doc(instance, e) for e in report.edges],
+        "edges": _Edges(report.edges, instance),
         "alpha_star": rational_text(report.alpha_star),
         "alpha_diagnostic": report.alpha_diagnostic,
         "beta": rational_text(report.beta),
@@ -401,11 +457,13 @@ def report_from_document(document: dict, instance: Instance) -> AnalysisReport:
     fraction = _fraction_reader()
     try:
         return AnalysisReport(
-            k_min=int(document["k_min"]),
+            k_min=_whole(document["k_min"]),
             coherence=_certificate_from_doc(instance, document["coherence"], fraction),
             edges=tuple(_edge_from_doc(instance, e, fraction) for e in document["edges"]),
             alpha_star=fraction(document["alpha_star"]),
-            alpha_diagnostic=document.get("alpha_diagnostic"),
+            alpha_diagnostic=_one_of(
+                document.get("alpha_diagnostic"), (None, DIAG_UNVERIFIED, DIAG_DISCONNECTED)
+            ),
             beta=fraction(document["beta"]),
             bounds=BoundSet(
                 lam=fraction(document["lambda"]),
@@ -413,10 +471,10 @@ def report_from_document(document: dict, instance: Instance) -> AnalysisReport:
                 split_worst=_parse_float12(document["bound_split_worst"]),
                 split_average=_parse_float12(document["bound_split_average"]),
             ),
-            exhaustive_limit=int(document["knobs"]["exhaustive_limit"]),
-            sample_count=int(document["knobs"]["samples"]),
-            seed=int(document["knobs"]["seed"]),
-            edge_mode=str(document["knobs"]["edge_mode"]),
+            exhaustive_limit=_whole(document["knobs"]["exhaustive_limit"]),
+            sample_count=_whole(document["knobs"]["samples"]),
+            seed=_whole(document["knobs"]["seed"]),
+            edge_mode=_one_of(document["knobs"]["edge_mode"], ("all", "l1")),
         )
     except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(
@@ -453,7 +511,7 @@ def write_report(
     if isinstance(payload, AnalysisReport):
         if instance is None:
             raise ValueError("writing an analysis report needs its instance")
-        document = report_to_document(payload, instance)
+        document = _report_document(payload, instance)
     elif isinstance(payload, Transcript):
         document = transcript_to_document(payload)
     elif isinstance(payload, CostStats):

@@ -18,11 +18,14 @@ reads the outcome strings, not the library's outcome array.
 The last section keeps the ``gen`` pipeline as it ran one character and one
 record at a time: string-loop outcome rows for the hypercube families and
 ``instance_to_document``, the per-record document whose canonical bytes
-``persistence.instance_bytes`` must write.
+``persistence.instance_bytes`` must write.  ``report_to_document`` likewise
+keeps the analysis report as one dict per edge, the document whose canonical
+bytes ``persistence.write_report`` must write.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import random
@@ -584,4 +587,58 @@ def instance_to_document(instance) -> dict:
             }
             for h in instance.hypotheses
         ],
+    }
+
+
+def _rational(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _float12(value: float | None) -> float | str:
+    return "unbounded" if value is None else float(f"{value:.12g}")
+
+
+def report_to_document(report, instance) -> dict:
+    """The analysis report's JSON document, one dict per edge: the reference
+    for the bytes ``persistence.write_report`` writes from the edge reports."""
+    tests = [t.id for t in instance.tests]
+    hypotheses = [h.id for h in instance.hypotheses]
+    instance_bytes = dumps_canonical_bytes(instance_to_document(instance))
+    return {
+        "schema_version": 1,
+        "kind": "analysis_report",
+        "instance_name": instance.name,
+        "instance_digest": hashlib.sha256(instance_bytes).hexdigest(),
+        "k_min": report.k_min,
+        "coherence": {
+            "distribution": {
+                tests[x]: _rational(w) for x, w in sorted(report.coherence.distribution.items())
+            },
+            "value": _rational(report.coherence.value),
+        },
+        "edges": [
+            {
+                "from": tests[e.from_test],
+                "to": tests[e.to_test],
+                "delta_size": e.delta_size,
+                "status": e.status,
+                "edge_value": _rational(e.edge_value),
+                "witness": None if e.witness is None else [hypotheses[h] for h in e.witness],
+                "samples_tried": e.samples_tried,
+            }
+            for e in report.edges
+        ],
+        "alpha_star": _rational(report.alpha_star),
+        "alpha_diagnostic": report.alpha_diagnostic,
+        "beta": _rational(report.beta),
+        "lambda": _rational(report.bounds.lam),
+        "bound_nowak_worst": _float12(report.bounds.nowak_worst),
+        "bound_split_worst": _float12(report.bounds.split_worst),
+        "bound_split_average": _float12(report.bounds.split_average),
+        "knobs": {
+            "exhaustive_limit": report.exhaustive_limit,
+            "samples": report.sample_count,
+            "seed": report.seed,
+            "edge_mode": report.edge_mode,
+        },
     }

@@ -398,6 +398,36 @@ class TestEdgePass:
         monkeypatch.setattr(kernels, "BLOCK_CELLS", cells)
         assert analysis._edge_reports(inst, pairs, 18, 0, 0, None) == expected
 
+    @pytest.mark.parametrize("cells", [1 << 8, 1 << 12])
+    @pytest.mark.parametrize(
+        "family, params, limit",
+        [
+            ("disjunction", {"d": "10", "m": "2"}, 18),  # 1024 tests
+            ("disjunction", {"d": "10", "m": "2"}, 6),  # widths 7 to 10 sampled
+            ("box_localization", {"r": "4,4"}, 18),  # 81 hypotheses, two packed words
+            ("monotone_cnf", {"d": "7", "m": "2", "l": "2"}, 18),  # 105 hypotheses, sampled past 18
+        ],
+        ids=["disjunction-d10", "disjunction-d10-sampled", "box-r4-4", "cnf-d7"],
+    )
+    def test_small_blocks_match_the_loop_on_large_instances(self, monkeypatch, family, params, limit, cells):
+        """At 1 << 8 cells every block is one row; at 1 << 12, a few rows.  Six
+        pairs of each width, so block boundaries fall inside every width."""
+        inst = families.generate(family, params)
+        _, candidates = candidate_edges(inst)
+        rows = [h.outcomes for h in inst.hypotheses]
+        taken: dict[int, int] = {}
+        pairs = []
+        for x, x_prime in candidates:
+            width = len(oracles.delta_members(rows, x, x_prime))
+            if taken.get(width, 0) < 6:
+                taken[width] = taken.get(width, 0) + 1
+                pairs.append((x, x_prime))
+        assert len(taken) >= 4
+        expected = oracles.loop_edge_reports(inst, pairs, limit, 20, 3, Fraction(1, 3))
+        monkeypatch.setattr(kernels, "BLOCK_CELLS", cells)
+        got = analysis._edge_reports(inst, pairs, limit, 20, 3, Fraction(1, 3))
+        assert [dataclasses.astuple(r) for r in got] == expected
+
     def test_each_distinct_kernel_input_is_enumerated_once(self, monkeypatch):
         inst = SMALL_FAMILY_INSTANCES["discrete_linear"]()
         _, pairs = candidate_edges(inst)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import instance_to_document
+from oracles import instance_to_document, report_to_document
 from splitfinder import analysis, families, kernels, persistence
 from splitfinder.cli import build_parser, main
 from splitfinder.core import validate_instance
@@ -334,8 +334,24 @@ class TestAnalyzeRunVerify:
             lambda doc: doc.pop("beta"),
             lambda doc: doc["edges"][0].update({"from": "nope"}),
             lambda doc: doc["edges"].append(1),
+            lambda doc: doc["edges"][0].update({"delta_size": 10.7}),
+            lambda doc: doc["edges"][0].update({"delta_size": "10"}),
+            lambda doc: doc["edges"][0].update({"delta_size": True}),
+            lambda doc: doc["edges"][0].update({"samples_tried": 0.5}),
+            lambda doc: doc["edges"][0].update({"status": "bogus"}),
+            lambda doc: doc["edges"][0].update({"status": 5}),
+            lambda doc: doc.update({"alpha_diagnostic": 5}),
+            lambda doc: [e.update({"witness": "".join(e["witness"])}) for e in doc["edges"] if e["witness"]],
+            lambda doc: doc.update({"k_min": float(doc["k_min"])}),
+            lambda doc: doc["knobs"].update({"exhaustive_limit": "18"}),
+            lambda doc: doc["knobs"].update({"samples": True}),
+            lambda doc: doc["knobs"].update({"seed": 0.5}),
+            lambda doc: doc["knobs"].update({"edge_mode": 5}),
         ],
-        ids=["missing-beta", "unknown-test-id", "edge-not-an-object"],
+        ids=["missing-beta", "unknown-test-id", "edge-not-an-object", "delta-size-a-float",
+             "delta-size-a-string", "delta-size-a-bool", "samples-tried-a-float", "unknown-status",
+             "status-a-number", "diagnostic-a-number", "witness-a-string", "k-min-a-float",
+             "limit-a-string", "samples-a-bool", "seed-a-float", "edge-mode-a-number"],
     )
     def test_verify_malformed_report_exit_2(self, dj_instance, tmp_path, capsys, doctor):
         instance_path, _ = dj_instance
@@ -973,7 +989,7 @@ def _replaced(document, path, value):
 _TINY = families.generate("convex_polygon", {"m": "3"})
 _TINY_DOCUMENTS = {
     "instance": instance_to_document(_TINY),
-    "report": persistence.report_to_document(analysis.analyze_instance(_TINY), _TINY),
+    "report": report_to_document(analysis.analyze_instance(_TINY), _TINY),
 }
 
 

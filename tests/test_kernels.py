@@ -425,7 +425,7 @@ def test_restricted_masks_match_bit_by_bit_loop():
     assert _restricted_masks(instance, range(instance.n)) == prepare_masks(list(columns), instance.n)
 
 
-@pytest.mark.parametrize("width", [2, 17, 33, 47, 63, 64])
+@pytest.mark.parametrize("width", [2, 16, 17, 32, 33, 47, 63, 64])
 def test_edge_pass_packer_matches_bit_by_bit_loop(width):
     # One block of rows, each an ascending member set; only the packer runs.
     rng = random.Random(width)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dumps_canonical_bytes, instance_to_document
+from oracles import dumps_canonical_bytes, instance_to_document, report_to_document
 from test_engine import SMALL_FAMILY_INSTANCES
 
 from splitfinder import analysis, engine, families, persistence
@@ -117,7 +117,7 @@ class TestReportRoundTrip:
 
     def test_each_distinct_rational_is_parsed_once(self, disjunction_d6m2, monkeypatch):
         report = analysis.analyze_instance(disjunction_d6m2)
-        doc = persistence.report_to_document(report, disjunction_d6m2)
+        doc = report_to_document(report, disjunction_d6m2)
         parsed = []
         parse = persistence._parse_fraction
         monkeypatch.setattr(persistence, "_parse_fraction", lambda text: parsed.append(text) or parse(text))
@@ -186,6 +186,19 @@ class TestReportRoundTrip:
         with pytest.raises(ValueError):
             write_report(report, io.BytesIO())
 
+    def test_a_string_witness_is_not_read_character_by_character(self):
+        instance = validate_instance({
+            "tests": [{"id": "t0"}, {"id": "t1"}],
+            "hypotheses": [{"id": h, "outcomes": row} for h, row in zip("abc", ["00", "01", "11"])],
+        })
+        doc = report_to_document(analysis.analyze_instance(instance), instance)
+        edge = doc["edges"][0]
+        edge["witness"] = ["a", "b"]
+        assert report_from_document(doc, instance)
+        edge["witness"] = "ab"
+        with pytest.raises(persistence.PersistenceError, match="a witness must be null or a list"):
+            report_from_document(doc, instance)
+
     def test_write_report_refuses_other_payloads(self):
         sink = io.BytesIO()
         with pytest.raises(TypeError, match="^cannot serialize int$"):
@@ -193,7 +206,7 @@ class TestReportRoundTrip:
         assert sink.getvalue() == b""
 
     def test_unknown_schema_rejected(self, disjunction_d4m2):
-        doc = persistence.report_to_document(analysis.analyze_instance(disjunction_d4m2), disjunction_d4m2)
+        doc = report_to_document(analysis.analyze_instance(disjunction_d4m2), disjunction_d4m2)
         doc["schema_version"] = 99
         with pytest.raises(UnsupportedSchemaVersion, match="schema_version 99; this build reads 1"):
             read_report_document(io.BytesIO(canonical_bytes(doc)))
@@ -270,7 +283,7 @@ class TestCanonicalBytes:
         report = analysis.analyze_instance(instance)
         for document in (
             instance_to_document(instance),
-            persistence.report_to_document(report, instance),
+            report_to_document(report, instance),
         ):
             assert canonical_bytes(document) == dumps_canonical_bytes(document)
 
@@ -372,6 +385,64 @@ class TestInstanceWriter:
         tracemalloc.start()
         try:
             written = write_instance(instance, tmp_path / "polygon.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written >= 1 << 20
+        assert peak < 2 * written
+
+
+class TestReportWriter:
+    """``write_report`` against the one-dict-per-edge document it renders without building."""
+
+    def assert_writes_its_document(self, report, instance):
+        expected = dumps_canonical_bytes(report_to_document(report, instance))
+        buffer = io.BytesIO()
+        assert write_report(report, buffer, instance) == len(expected)
+        assert buffer.getvalue() == expected
+
+    @staticmethod
+    def sampled_report():
+        """Polygon m12 at limit 4: 24 sampled 11-member edges, with witnesses."""
+        instance = families.gen_convex_polygon(12, balanced=False)
+        return analysis.analyze_instance(instance, exhaustive_limit=4, samples=50), instance
+
+    @pytest.mark.parametrize("family", sorted(SMALL_FAMILY_INSTANCES))
+    def test_matches_the_document_on_every_family(self, family):
+        instance = SMALL_FAMILY_INSTANCES[family]()
+        self.assert_writes_its_document(analysis.analyze_instance(instance), instance)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        written_instances().filter(lambda i: not {"alpha_hint", "edge_preset"} & set(i.params)),
+        st.sampled_from([0, 2, 18]),
+    )
+    def test_matches_the_document_on_random_instances(self, instance, limit):
+        report = analysis.analyze_instance(instance, exhaustive_limit=limit, samples=3)
+        self.assert_writes_its_document(report, instance)
+
+    def test_no_edges_null_witnesses_and_sampled_edges(self):
+        report, instance = self.sampled_report()
+        assert {e.status for e in report.edges} == {analysis.UNKNOWN_SAMPLED}
+        assert all(e.witness for e in report.edges)
+        unwitnessed = tuple(dataclasses.replace(e, witness=None) for e in report.edges)
+        for edges in ((), unwitnessed, report.edges):
+            self.assert_writes_its_document(dataclasses.replace(report, edges=edges), instance)
+
+    @pytest.mark.parametrize("group", [1, 2])
+    def test_edges_span_several_chunk_groups(self, monkeypatch, group):
+        monkeypatch.setattr(persistence, "_CHUNK_GROUP", group)
+        self.assert_writes_its_document(*self.sampled_report())
+        instance = families.gen_disjunction(6, 2)
+        self.assert_writes_its_document(analysis.analyze_instance(instance), instance)
+
+    def test_peak_memory_stays_near_the_output_size(self, tmp_path):
+        report, instance = self.sampled_report()
+        edges = report.edges * (10_000 // len(report.edges) + 1)
+        report = dataclasses.replace(report, edges=edges[:10_000])
+        tracemalloc.start()
+        try:
+            written = write_report(report, tmp_path / "report.json", instance)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
