@@ -897,15 +897,7 @@ def verify_bounds(
     ]
     if instance.n <= optimal_cap:
         optimal = optimal_worst_case(instance, optimal_cap)
-        checks.append(
-            BoundCheck(
-                "optimal<=worst_case",
-                worst,
-                float(optimal),
-                optimal <= stats.worst_case,
-                worst - optimal,
-            )
-        )
+        checks.append(check("optimal<=worst_case", worst, float(optimal)))
     chosen = stats.min_chosen_split
     if chosen is not None:  # None: n = 1, so GBS chose no split at all
         checks.append(

@@ -15,8 +15,10 @@ linear_kcase, cx_disjunction) build their outcome rows in numpy:
 ``_hypercube`` gives one int64 variable mask per test, each family evaluates
 its predicate on every test at once for a block of hypotheses
 (``_outcome_rows``), and ``_row_strings`` turns each bool block into the
-'0'/'1' row strings.  The localization and polygon families build their
-rows as strings.
+'0'/'1' row strings.  cx_disjunction's records come from the disjunction
+builder (``_disjunctions``).  The localization and polygon families build
+their rows as strings; a box is the shape ``box_offsets(radii)``, built by
+the shape builder (``_shape_instance``).
 """
 
 from __future__ import annotations
@@ -189,20 +191,11 @@ def _every_clause(test_masks: np.ndarray, clause_masks: np.ndarray) -> np.ndarra
     return hit
 
 
-def gen_disjunction(d: int, m: int) -> Instance:
-    """Monotone disjunctions of at most m of d variables; tests are all 2^d inputs."""
-    if not 1 <= m <= d:
-        raise BadParams(f"disjunction needs 1 <= m <= d, got d={d}, m={m}")
-    cube = _cube_tests("disjunction", d)
-    _check_size("disjunction", cube, sum(math.comb(d, size) for size in range(1, m + 1)))
+def _disjunctions(d: int, var_sets: list) -> tuple[list[dict], list[dict]]:
+    """The 2^d tests, and the record of the disjunction of each variable set."""
     tests, test_masks = _hypercube(d)
-    var_sets = [
-        variables
-        for size in range(1, m + 1)
-        for variables in itertools.combinations(range(1, d + 1), size)
-    ]
     rows = _outcome_rows(test_masks, [_var_mask(v) for v in var_sets], _any_variable)
-    hypotheses = [
+    return tests, [
         {
             "id": "|".join(f"x{v}" for v in variables),
             "outcomes": outcomes,
@@ -210,6 +203,20 @@ def gen_disjunction(d: int, m: int) -> Instance:
         }
         for variables, outcomes in zip(var_sets, rows)
     ]
+
+
+def gen_disjunction(d: int, m: int) -> Instance:
+    """Monotone disjunctions of at most m of d variables; tests are all 2^d inputs."""
+    if not 1 <= m <= d:
+        raise BadParams(f"disjunction needs 1 <= m <= d, got d={d}, m={m}")
+    cube = _cube_tests("disjunction", d)
+    _check_size("disjunction", cube, sum(math.comb(d, size) for size in range(1, m + 1)))
+    var_sets = [
+        variables
+        for size in range(1, m + 1)
+        for variables in itertools.combinations(range(1, d + 1), size)
+    ]
+    tests, hypotheses = _disjunctions(d, var_sets)
     params = {
         "d": d,
         "m": m,
@@ -278,18 +285,12 @@ def gen_monotone_cnf(d: int, m: int, l: int) -> Instance:
 
 def box_offsets(radii: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All integer points of the axis-symmetric box with the given radii."""
-    return [
-        tuple(p) for p in itertools.product(*[range(-r, r + 1) for r in radii])
-    ]
+    return list(itertools.product(*[range(-r, r + 1) for r in radii]))
 
 
 def l1_ball_offsets(d: int, radius: int) -> list[tuple[int, ...]]:
     """All integer points with L1 norm at most radius in d dimensions."""
-    pts = []
-    for p in itertools.product(range(-radius, radius + 1), repeat=d):
-        if sum(abs(c) for c in p) <= radius:
-            pts.append(p)
-    return pts
+    return [p for p in box_offsets((radius,) * d) if sum(map(abs, p)) <= radius]
 
 
 def _check_l1_ball(d: int, radius: int) -> None:
@@ -340,6 +341,17 @@ def _localization_instance(
     return _build(name, family, params, tests, hypotheses)
 
 
+def _shape_instance(name, family, params, offsets, center, reach) -> Instance:
+    """An axis-symmetric shape's instance: hypotheses at ``center`` plus each
+    offset, and tests filling their region dilated by ``reach`` + 1 per axis,
+    where ``reach`` is the shape's largest offset on each axis."""
+    hyp_points = [tuple(c + o for c, o in zip(center, off)) for off in offsets]
+    test_ranges = [range(c - 2 * r - 1, c + 2 * r + 2) for c, r in zip(center, reach)]
+    return _localization_instance(
+        name, family, params, offsets, hyp_points, list(itertools.product(*test_ranges))
+    )
+
+
 def gen_box_localization(
     radii: tuple[int, ...] | list[int], center: tuple[int, ...] | None = None
 ) -> Instance:
@@ -361,15 +373,6 @@ def gen_box_localization(
         math.prod(4 * r + 3 for r in radii),
         math.prod(2 * r + 1 for r in radii),
     )
-
-    hyp_points = [
-        tuple(c + o for c, o in zip(center, off)) for off in box_offsets(radii)
-    ]
-    test_ranges = [
-        range(center[i] - 2 * radii[i] - 1, center[i] + 2 * radii[i] + 2)
-        for i in range(d)
-    ]
-    test_points = [tuple(p) for p in itertools.product(*test_ranges)]
     params = {
         "r": list(radii),
         "center": list(center),
@@ -378,9 +381,7 @@ def gen_box_localization(
         "alpha_hint": "1/4",
     }
     name = f"box_d{d}_r{'x'.join(str(r) for r in radii)}"
-    return _localization_instance(
-        name, "box_localization", params, box_offsets(radii), hyp_points, test_points
-    )
+    return _shape_instance(name, "box_localization", params, box_offsets(radii), center, radii)
 
 
 def _check_shape(offsets: list[tuple[int, ...]], d: int) -> None:
@@ -413,24 +414,16 @@ def gen_shape_localization(
     if not offsets:
         raise BadParams("shape needs at least one offset")
     d = len(offsets[0])
+    if d < 1:
+        raise BadParams("offsets must have dimension >= 1, got 0")
     if any(len(p) != d for p in offsets):
         raise BadParams("offsets must share one dimension")
     _check_shape(offsets, d)
     center = (0,) * d if center is None else tuple(int(c) for c in center)
     if len(center) != d:
         raise BadParams("center dimension must match offsets")
-
-    hyp_points = [tuple(c + o for c, o in zip(center, off)) for off in offsets]
-    bbox = [max(abs(p[i]) for p in offsets) for i in range(d)]
-    test_ranges = [
-        range(
-            min(z[i] for z in hyp_points) - bbox[i] - 1,
-            max(z[i] for z in hyp_points) + bbox[i] + 2,
-        )
-        for i in range(d)
-    ]
-    _check_size("shape_localization", math.prod(map(len, test_ranges)), len(hyp_points))
-    test_points = [tuple(p) for p in itertools.product(*test_ranges)]
+    reach = [max(abs(p[i]) for p in offsets) for i in range(d)]
+    _check_size("shape_localization", math.prod(4 * r + 3 for r in reach), len(offsets))
     params = {
         "offsets": [list(p) for p in offsets],
         "center": list(center),
@@ -439,9 +432,7 @@ def gen_shape_localization(
         "alpha_hint": rational_text(Fraction(1, 4 * d + 1)),
     }
     name = f"shape_d{d}_s{len(offsets)}"
-    return _localization_instance(
-        name, "shape_localization", params, offsets, hyp_points, test_points
-    )
+    return _shape_instance(name, "shape_localization", params, offsets, center, reach)
 
 
 # ---------------------------------------------------------------------------
@@ -570,17 +561,10 @@ def gen_counterexample_disjunction(m: int) -> Instance:
         raise BadParams(f"cx_disjunction needs m >= 2, got {m}")
     d = m + 1
     _check_size("cx_disjunction", _cube_tests("cx_disjunction", d), d)
-    tests, test_masks = _hypercube(d)
     var_sets = [[v for v in range(1, d + 1) if v != omitted] for omitted in range(1, d + 1)]
-    rows = _outcome_rows(test_masks, [_var_mask(v) for v in var_sets], _any_variable)
-    hypotheses = [
-        {
-            "id": "|".join(f"x{v}" for v in variables),
-            "outcomes": outcomes,
-            "meta": {"vars": variables, "omitted": omitted},
-        }
-        for omitted, (variables, outcomes) in enumerate(zip(var_sets, rows), 1)
-    ]
+    tests, hypotheses = _disjunctions(d, var_sets)
+    for omitted, record in enumerate(hypotheses, 1):
+        record["meta"]["omitted"] = omitted
     params = {"m": m, "d": d, "edge_preset": "l1"}
     return _build(f"cx_disjunction_m{m}", "cx_disjunction", params, tests, hypotheses)
 
@@ -598,14 +582,8 @@ def gen_counterexample_plus(d: int, l: int) -> Instance:
     # Tests: the origin and 2(2l+1) points per axis; hypotheses: the 2d arm tips.
     _check_size("cx_plus", 1 + 2 * d * (2 * l + 1), 2 * d)
     offsets = plus_offsets(d, l)
-    tips = []
-    for i in range(d):
-        for sign in (-1, 1):
-            p = [0] * d
-            p[i] = sign * l
-            tips.append(tuple(p))
-    tips.sort()
-    test_points = sorted(set(plus_offsets(d, 2 * l + 1)))
+    tips = [p for p in offsets if l in map(abs, p)]
+    test_points = plus_offsets(d, 2 * l + 1)
     params = {"d": d, "l": l, "edge_preset": "l1"}
     return _localization_instance(
         f"cx_plus_d{d}_l{l}", "cx_plus", params, offsets, tips, test_points
@@ -664,6 +642,8 @@ def _shape_offsets(params: dict) -> list[tuple[int, ...]]:
         return _parse_offsets(str(params["offsets"]))
     if "l1_radius" in params:
         d, radius = _as_int(params, "d"), _as_int(params, "l1_radius")
+        if d < 1:
+            raise BadParams(f"shape_localization needs d >= 1, got d={d}")
         _check_l1_ball(d, radius)
         return l1_ball_offsets(d, radius)
     raise BadParams("shape_localization needs offsets=... or d= and l1_radius=")

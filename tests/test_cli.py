@@ -543,6 +543,9 @@ REFUSALS = {
     "shape-without-a-shape": (_gen("shape_localization"), "BadParams"),
     "shape-with-no-offsets": (_gen("shape_localization", "offsets="), "BadParams"),
     "offsets-of-mixed-dimensions": (_gen("shape_localization", "offsets=0,0;1"), "BadParams"),
+    "l1-ball-of-negative-dimension": (
+        _gen("shape_localization", "d=-1", "l1_radius=1"), "BadParams"),
+    "l1-ball-of-dimension-zero": (_gen("shape_localization", "d=0", "l1_radius=1"), "BadParams"),
     "linear-ratio-zero": (_gen("discrete_linear", "d=2", "r=0"), "BadParams"),
     "box-center-of-another-dimension": (_gen("box_localization", "r=1,1", "center=0"), "BadParams"),
     "box-center-empty": (_gen("box_localization", "r=1", "center="), "BadParams"),

@@ -171,13 +171,51 @@ class TestBoxLocalization:
         with pytest.raises(BadParams, match="nonempty and nonnegative"):
             families.generate("box_localization", {"r": ",".join(map(str, radii))})
 
+    def test_size_is_refused_before_any_offset_exists(self, monkeypatch):
+        def refuse(radii):
+            raise AssertionError("box_offsets ran before the size check")
+
+        monkeypatch.setattr(families, "box_offsets", refuse)
+        with pytest.raises(families.InstanceTooLarge, match="box_localization: "):
+            gen_box_localization((100000, 100000))
+
 
 class TestShapeLocalization:
-    def test_box_offsets_match_box_generator(self):
-        box = gen_box_localization((1, 2))
-        shape = gen_shape_localization(families.box_offsets((1, 2)))
+    @pytest.mark.parametrize(
+        "radii, center",
+        [
+            ((1, 2), None),
+            ((0,), None),
+            ((0, 0), None),
+            ((3,), (-4,)),
+            ((0, 2), (5, -1)),
+            ((2, 0), (-3, 7)),
+            ((1, 0, 1), None),
+            ((1, 1, 0), (-1, 2, -3)),
+        ],
+    )
+    def test_box_offsets_match_box_generator(self, radii, center):
+        box = gen_box_localization(radii, center)
+        shape = gen_shape_localization(families.box_offsets(radii), center)
         assert [t.id for t in box.tests] == [t.id for t in shape.tests]
         assert [h.outcomes for h in box.hypotheses] == [h.outcomes for h in shape.hypotheses]
+        assert box.tests == shape.tests
+        assert box.hypotheses == shape.hypotheses
+
+    @pytest.mark.parametrize("d, radius", itertools.product(range(1, 5), range(4)))
+    def test_l1_ball_offsets_are_the_points_within_the_radius(self, d, radius):
+        points = itertools.product(range(-radius, radius + 1), repeat=d)
+        expected = [p for p in points if sum(abs(c) for c in p) <= radius]
+        assert families.l1_ball_offsets(d, radius) == expected
+
+    @pytest.mark.parametrize("d", ["-1", "0"])
+    def test_l1_ball_needs_a_dimension(self, d):
+        with pytest.raises(BadParams, match=f"needs d >= 1, got d={d}"):
+            families.generate("shape_localization", {"d": d, "l1_radius": "1"})
+
+    def test_rejects_zero_dimensional_offsets(self):
+        with pytest.raises(BadParams, match="dimension >= 1"):
+            gen_shape_localization([()])
 
     def test_l1_ball_count(self):
         inst = gen_shape_localization(families.l1_ball_offsets(2, 1))
@@ -269,6 +307,16 @@ class TestCounterexamples:
         inst = gen_counterexample_disjunction(2)
         assert inst.n == 3
         assert root_split(inst) == Fraction(1, 3)
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_disjunction_holds_the_disjunctions_of_m_of_m_plus_1_variables(self, m):
+        cx = gen_counterexample_disjunction(m)
+        full = gen_disjunction(m + 1, m)
+        assert cx.tests == full.tests
+        size_m = [(h.id, h.outcomes) for h in full.hypotheses if len(h.meta["vars"]) == m]
+        assert sorted((h.id, h.outcomes) for h in cx.hypotheses) == sorted(size_m)
+        for h in cx.hypotheses:
+            assert h.meta["vars"] == [v for v in range(1, m + 2) if v != h.meta["omitted"]]
 
     def test_plus_d2l2_split_exactly_quarter(self, cx_plus_d2l2):
         inst = cx_plus_d2l2
