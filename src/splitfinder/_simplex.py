@@ -14,8 +14,8 @@ and the simplex terminates.
 Both players' optimal mixed strategies come out of the final tableau: the
 row player's from the duals on the slack columns, and the column player's
 (the dual certificate) from the basic packing variables.  Sized for the
-desk-scale games ``analysis.coherence`` builds: tens of rows and at most a
-few hundred columns.
+quotient games ``analysis.coherence`` solves after colour refinement: tens
+of rows and at most a few hundred columns.
 """
 
 from __future__ import annotations

@@ -197,9 +197,14 @@ def coherence(instance: Instance) -> CoherenceCertificate:
 
     In the game the tests are rows and each (hypothesis, desired outcome)
     response is a 0/1 payoff column.  A column that is >= another entrywise
-    never helps the minimizer, so only the minimal columns are solved; that
-    keeps the value and the set of optimal test distributions.  The solver's
-    optimal response mix is checked too: no test may score above the value
+    never helps the minimizer, so only the minimal columns are kept; that
+    keeps the value and the set of optimal test distributions.  The game is
+    then solved on its quotient by the coarsest equitable partition of rows
+    and columns (``_equitable_classes``; Grohe, Kersting, Mladenov and
+    Selman, "Dimension reduction via colour refinement", ESA 2014): entry
+    (I, J) is the share of ones in block I x J, and a quotient strategy
+    spread evenly over each class earns the same against the full game.  The
+    lifted response mix is checked too: no test may score above the value
     against it, which proves the value optimal, not only achievable.
     """
     outcomes = instance.outcomes
@@ -225,19 +230,56 @@ def coherence(instance: Instance) -> CoherenceCertificate:
     for h, ones in enumerate(_column_ints(outcomes[:, reps].T)):
         responses.setdefault(ones, (h, 1))
         responses.setdefault(all_rows ^ ones, (h, 0))
-    kept = _minimal_masks(list(responses))
-    matrix = [[(mask >> i) & 1 for mask in kept] for i in range(len(reps))]
+    kept = [responses[mask] for mask in _minimal_masks(list(responses))]
+    hyps, desired = zip(*kept)
+    payoff = (outcomes[list(hyps)][:, reps] == np.array(desired)[:, None]).T
 
+    rows, cols = _equitable_classes(payoff)
+    row_sizes, col_sizes = np.bincount(rows).tolist(), np.bincount(cols).tolist()
+    blocks = _one_hot(rows).T @ payoff @ _one_hot(cols)
+    matrix = [
+        [Fraction(ones, r * c) for ones, c in zip(block_row, col_sizes)]
+        for block_row, r in zip(blocks.tolist(), row_sizes)
+    ]
     value, weights, mix = matrix_game_value(matrix)
-    dist = {reps[i]: w for i, w in enumerate(weights) if w != 0}
+    dist = {reps[i]: weights[r] / row_sizes[r] for i, r in enumerate(rows.tolist()) if weights[r]}
     achieved = _achieved_value(instance, dist)
     if achieved != value:
         raise RuntimeError(f"game value {value} is not achieved by its strategy ({achieved})")
-    response_mix = {responses[mask]: q for mask, q in zip(kept, mix) if q != 0}
+    response_mix = {kept[j]: mix[c] / col_sizes[c] for j, c in enumerate(cols.tolist()) if mix[c]}
     bound = _best_test_score(instance, response_mix)
     if bound != value:
         raise RuntimeError(f"game value {value} is not optimal: the response mix allows {bound}")
     return CoherenceCertificate(dist, achieved)
+
+
+def _equitable_classes(payoff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column classes of the coarsest equitable partition of a 0/1 matrix.
+
+    Colour refinement: every class starts whole and is split by each
+    member's count of ones in every class of the other side, until each row
+    of a row class has the same counts and so does each column.  Classes are
+    numbered in order of their first member.
+    """
+    rows = np.zeros(payoff.shape[0], dtype=np.intp)
+    cols = np.zeros(payoff.shape[1], dtype=np.intp)
+    while True:
+        new_rows = _split_classes(rows, payoff @ _one_hot(cols))
+        new_cols = _split_classes(cols, payoff.T @ _one_hot(new_rows))
+        if new_rows.max() == rows.max() and new_cols.max() == cols.max():
+            return rows, cols
+        rows, cols = new_rows, new_cols
+
+
+def _one_hot(classes: np.ndarray) -> np.ndarray:
+    return np.eye(classes.max() + 1, dtype=np.int64)[classes]
+
+
+def _split_classes(classes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Classes split by their members' count rows, numbered by first member."""
+    ranks: dict[bytes, int] = {}
+    signatures = np.column_stack([classes, counts])
+    return np.array([ranks.setdefault(s.tobytes(), len(ranks)) for s in signatures], dtype=np.intp)
 
 
 def _minimal_masks(masks: list[int]) -> list[int]:
@@ -264,29 +306,28 @@ def _best_test_score(
     the desired one.  No distribution over tests can beat this score, so it
     bounds coherence from above.
     """
-    den, nums = _over_common_denominator(response_mix)
-    hyps = [h for h, _ in nums]
-    desired = np.array([d for _, d in nums], dtype=bool)
-    earns = (instance.outcomes[hyps] == desired[:, None]).T.tolist()  # tests x responses
-    weights = list(nums.values())
-    best = max(sum(q for q, hit in zip(weights, row) if hit) for row in earns)
-    return Fraction(best, den)
+    hyps = [h for h, _ in response_mix]
+    desired = np.array([d for _, d in response_mix], dtype=bool)
+    den, scores = _exact_sums((instance.outcomes[hyps] == desired[:, None]).T, response_mix)
+    return Fraction(int(scores.max()), den)
 
 
 def _achieved_value(instance: Instance, dist: Mapping[int, Fraction]) -> Fraction:
-    den, nums = _over_common_denominator(dist)
-    weights = list(nums.values())
-    worst = den
-    for row in instance.outcomes[:, list(nums)].tolist():
-        expected = sum(w for w, hit in zip(weights, row) if hit)
-        worst = min(worst, expected, den - expected)
+    den, expected = _exact_sums(instance.outcomes[:, list(dist)], dist)
+    worst = min(int(expected.min()), den - int(expected.max()))
     return min(Fraction(1, 2), Fraction(worst, den))
 
 
-def _over_common_denominator(weights: Mapping) -> tuple[int, dict]:
-    """(den, integer numerators over den) of a mapping of Fractions, for exact int sums."""
+def _exact_sums(bits: np.ndarray, weights: Mapping) -> tuple[int, np.ndarray]:
+    """(den, ``bits @ weights`` times den) of Fraction weights, summed exactly.
+
+    The sums are integers over the weights' common denominator: int64 while
+    ``den * len(weights)`` fits, Python ints past it.
+    """
     den = math.lcm(*(w.denominator for w in weights.values()))
-    return den, {k: w.numerator * (den // w.denominator) for k, w in weights.items()}
+    dtype = np.int64 if den * len(weights) < 1 << 63 else object
+    nums = np.array([w.numerator * (den // w.denominator) for w in weights.values()], dtype=dtype)
+    return den, bits.astype(dtype) @ nums
 
 
 def verify_certificate(

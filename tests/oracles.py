@@ -278,6 +278,14 @@ def fraction_matrix_game_value(matrix: list[list]) -> tuple[Fraction, list[Fract
     return 1 / total - shift, [obj[cols + i] / total for i in range(rows)]
 
 
+def first_tests(rows: list[str]) -> list[int]:
+    """The first test of each distinct test column: the coherence game's rows."""
+    first: dict[str, int] = {}
+    for x in range(len(rows[0])):
+        first.setdefault("".join(row[x] for row in rows), x)
+    return list(first.values())
+
+
 def unreduced_coherence(rows: list[str]) -> tuple[Fraction, dict[int, Fraction]]:
     """Coherence game over every distinct (hypothesis, desired) payoff column.
 
@@ -285,10 +293,7 @@ def unreduced_coherence(rows: list[str]) -> tuple[Fraction, dict[int, Fraction]]
     every distinct payoff vector in first-seen order; returns the value and
     the test distribution, solved by ``fraction_matrix_game_value``.
     """
-    first_test: dict[str, int] = {}
-    for x in range(len(rows[0])):
-        first_test.setdefault("".join(row[x] for row in rows), x)
-    reps = list(first_test.values())
+    reps = first_tests(rows)
     payoffs: dict[tuple[int, ...], None] = {}
     for row in rows:
         for desired in "10":

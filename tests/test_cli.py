@@ -765,7 +765,7 @@ class TestGoldenReports:
             ("discrete_linear", ["d=4", "r=3"], [],
              "66f5a4f740184c53aa44be263576cf072bb32490e8b11bc1e45df56c54c15e5e"),
             ("discrete_linear", ["d=5", "r=2"], [],
-             "4db99f2fd81c85be74fa47661618caddde58bd57266cdc98e64612cde5dbc5c7"),
+             "db8de123a6d65aeffd380ea2a09bb34acd6069997782cf0a447f0114c62597b4"),
             ("monotone_cnf", ["d=7", "m=2", "l=2"], ["--seed", "5"],
              "fa0b649c428180b124e0eb24527c7177c51e23a27bd06e07a60aeca84896524e"),
             ("convex_polygon", ["m=40", "balanced=false"], ["--seed", "5"],
