@@ -528,7 +528,7 @@ def _edge_reports(
 
     def edge(i: int) -> str:
         x, x_prime = pairs[i]
-        return f"edge {instance.tests[x].id!r} -> {instance.tests[x_prime].id!r}"
+        return f"edge {instance.test_ids[x]!r} -> {instance.test_ids[x_prime]!r}"
 
     wide = np.flatnonzero(~sampled & (sizes > 64))
     if wide.size:  # 2^65 subsets and more
@@ -615,19 +615,19 @@ def _adjacency_pairs(instance: Instance) -> list[tuple[int, int]] | None:
     later test is the one found.  A digit step off {0, 1} finds no test,
     so on ids a step is a bit flip.  None when no test geometry applies.
     """
-    tests = instance.tests
-    m = len(tests)
+    ids, metas = instance.test_ids, instance.test_meta
+    m = len(ids)
     wrap = 0
-    if all(t.meta and "coords" in t.meta for t in tests):
-        points = [tuple(t.meta["coords"]) for t in tests]
-    elif all(t.meta and "cycle_index" in t.meta for t in tests):
-        by_cycle = sorted(range(m), key=lambda i: tests[i].meta["cycle_index"])
+    if all(meta and "coords" in meta for meta in metas):
+        points = [tuple(meta["coords"]) for meta in metas]
+    elif all(meta and "cycle_index" in meta for meta in metas):
+        by_cycle = sorted(range(m), key=lambda i: metas[i]["cycle_index"])
         points = [()] * m
         for rank, i in enumerate(by_cycle):
             points[i] = (rank,)
         wrap = m
-    elif len({len(t.id) for t in tests}) == 1 and not any(t.id.strip("01") for t in tests):
-        points = [tuple(map(int, t.id)) for t in tests]
+    elif len(set(map(len, ids))) == 1 and not any(tid.strip("01") for tid in ids):
+        points = [tuple(map(int, tid)) for tid in ids]
     else:
         return None
     index = {point: j for j, point in enumerate(points)}

@@ -2,14 +2,21 @@
 
 An instance is a finite binary outcome matrix: every hypothesis answers 0 or
 1 on every test, and no two hypotheses share an outcome row (identifiability).
-The outcomes are kept in two forms: the validated '0'/'1' strings, which
-decide equality and are what gets written, and `outcomes`, a read-only,
-C-contiguous hypotheses x tests bool array parsed from them once, which
-every computation reads.
+`Instance` keeps its records as columns: test ids and meta, hypothesis ids
+and meta, and the validated '0'/'1' rows, which decide equality and are what
+gets written.  `outcomes`, a read-only, C-contiguous hypotheses x tests bool
+array parsed from the rows once, is what every computation reads.  The
+per-record views `tests` and `hypotheses` are built only when read.
+
+`validate_instance` checks a plain JSON document in bulk, a few set and
+array operations per column.  A document that fails there is walked one
+record at a time, in document order, so its first fault raises the same
+exception and message as a per-record check.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,31 +78,46 @@ class HypothesisRecord:
 
 @dataclass(frozen=True)
 class Instance:
-    """Validated, immutable hypothesis/test outcome matrix."""
+    """Validated, immutable hypothesis/test outcome matrix, kept as columns.
+
+    ``tests`` and ``hypotheses`` are the same columns as one record per
+    test and per hypothesis, built the first time a caller reads them.
+    """
 
     name: str
     family: str
     params: Mapping[str, Any]
-    tests: tuple[TestRecord, ...]
-    hypotheses: tuple[HypothesisRecord, ...]
+    test_ids: tuple[str, ...]
+    test_meta: tuple[dict[str, Any] | None, ...]
+    hypothesis_ids: tuple[str, ...]
+    rows: tuple[str, ...]  # '0'/'1' strings, one per hypothesis, in test order
+    hypothesis_meta: tuple[dict[str, Any] | None, ...]
     # Hypotheses x tests, read-only; the strings above already decide equality.
     outcomes: np.ndarray = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
-        return len(self.hypotheses)
+        return len(self.hypothesis_ids)
 
     @property
     def m_tests(self) -> int:
-        return len(self.tests)
+        return len(self.test_ids)
+
+    @cached_property
+    def tests(self) -> tuple[TestRecord, ...]:
+        return tuple(map(TestRecord, self.test_ids, self.test_meta))
+
+    @cached_property
+    def hypotheses(self) -> tuple[HypothesisRecord, ...]:
+        return tuple(map(HypothesisRecord, self.hypothesis_ids, self.rows, self.hypothesis_meta))
 
     @cached_property
     def test_index(self) -> dict[str, int]:
-        return {t.id: i for i, t in enumerate(self.tests)}
+        return {tid: i for i, tid in enumerate(self.test_ids)}
 
     @cached_property
     def hypothesis_index(self) -> dict[str, int]:
-        return {h.id: i for i, h in enumerate(self.hypotheses)}
+        return {hid: i for i, hid in enumerate(self.hypothesis_ids)}
 
 
 def validate_instance(raw: Mapping[str, Any]) -> Instance:
@@ -103,27 +125,121 @@ def validate_instance(raw: Mapping[str, Any]) -> Instance:
 
     Raises MalformedInstance, EmptyInstance, DuplicateId, RowLengthMismatch,
     InvalidOutcome, DuplicateOutcomeRow, or InvalidMeta; anything that passes
-    satisfies all instance invariants.
+    satisfies all instance invariants.  A document is checked in bulk first;
+    only one that fails there is walked a record at a time, in document
+    order, so the first fault decides the exception and its message.
     """
-    tests_raw = _records(raw, "tests")
-    hyps_raw = _records(raw, "hypotheses")
+    test_ids, test_meta, hypothesis_ids, rows, hypothesis_meta, codes = (
+        _bulk_columns(raw) or _walked_columns(raw)
+    )
+    params = raw.get("params") or {}
+    if not isinstance(params, Mapping):
+        raise MalformedInstance("'params' must be an object")
+    for key in ("name", "family"):
+        if not isinstance(raw.get(key, ""), str):
+            raise MalformedInstance(f"{key!r} must be a string")
 
-    tests = []
+    matrix = codes.view(bool)
+    matrix.flags.writeable = False
+    return Instance(
+        name=raw.get("name", ""),
+        family=raw.get("family", ""),
+        params=dict(params),
+        test_ids=tuple(test_ids),
+        test_meta=tuple(test_meta),
+        hypothesis_ids=tuple(hypothesis_ids),
+        rows=tuple(rows),
+        hypothesis_meta=tuple(hypothesis_meta),
+        outcomes=matrix,
+    )
+
+
+def _row_codes(rows: list[str], m_tests: int) -> np.ndarray:
+    """The rows as a hypotheses x tests uint8 array, each character's code minus '0'.
+
+    Encoded as one fixed-width byte string per row, so a non-ASCII
+    character raises UnicodeEncodeError; on '0'/'1' rows every entry is 0 or 1.
+    """
+    codes = np.array(rows, dtype=f"S{m_tests}").view(np.uint8)
+    codes -= ord("0")
+    return codes.reshape(-1, m_tests)
+
+
+def _bulk_columns(raw: Mapping[str, Any]) -> tuple | None:
+    """The columns and row codes of a plain valid document, checked in bulk; else None.
+
+    Plain means JSON's own types: lists of dicts, str ids and rows, meta
+    null or a dict.  None sends the document to ``_walked_columns``, which
+    raises its first fault or, for other mappings and subclasses, accepts it.
+    """
+    tests, hyps = raw.get("tests"), raw.get("hypotheses")
+    if type(tests) is not list or type(hyps) is not list or not tests or not hyps:
+        return None
+    if {*map(type, tests), *map(type, hyps)} != {dict}:
+        return None
+    try:
+        test_ids = [entry["id"] for entry in tests]
+        hypothesis_ids = [entry["id"] for entry in hyps]
+        rows = [entry["outcomes"] for entry in hyps]
+    except KeyError:
+        return None
+    test_meta = [entry.get("meta") for entry in tests]
+    hypothesis_meta = [entry.get("meta") for entry in hyps]
+    m_tests = len(tests)
+    if (
+        {*map(type, test_ids), *map(type, hypothesis_ids), *map(type, rows)} != {str}
+        or len(set(test_ids)) != m_tests
+        or len(set(hypothesis_ids)) != len(hyps)
+        or set(map(len, rows)) != {m_tests}
+        or len(set(rows)) != len(rows)
+        or not _meta_in_bulk(test_meta + hypothesis_meta)
+    ):
+        return None
+    try:
+        codes = _row_codes(rows, m_tests)
+    except UnicodeEncodeError:
+        return None
+    if codes.max() > 1:
+        return None
+    # An empty meta object is kept as None, as the walk keeps it.
+    test_meta = [meta or None for meta in test_meta]
+    hypothesis_meta = [meta or None for meta in hypothesis_meta]
+    return test_ids, test_meta, hypothesis_ids, rows, hypothesis_meta, codes
+
+
+def _meta_in_bulk(metas: list) -> bool:
+    """Each meta is null or a dict; cycle indices are ints, coords int lists of one length."""
+    if not {*map(type, metas)} <= {dict, type(None)}:
+        return False
+    keyed = [meta for meta in metas if meta and ("coords" in meta or "cycle_index" in meta)]
+    cycle = [meta["cycle_index"] for meta in keyed if "cycle_index" in meta]
+    coords = [meta["coords"] for meta in keyed if "coords" in meta]
+    return (
+        {*map(type, cycle)} <= {int}
+        and {*map(type, coords)} <= {list}
+        and len({*map(len, coords)}) <= 1
+        and {*map(type, itertools.chain.from_iterable(coords))} <= {int}
+    )
+
+
+def _walked_columns(raw: Mapping[str, Any]) -> tuple:
+    """The columns and row codes, checked one record at a time; the first fault raises."""
+    tests = _records(raw, "tests")
+    hyps = _records(raw, "hypotheses")
+
+    test_ids = [entry["id"] for entry in tests]
     seen_test_ids: set[str] = set()
-    for entry in tests_raw:
-        tid = str(entry["id"])
+    for tid in test_ids:
         if tid in seen_test_ids:
             raise DuplicateId(f"duplicate test id {tid!r}")
         seen_test_ids.add(tid)
-        meta = entry.get("meta")
-        tests.append(TestRecord(tid, dict(meta) if meta else None))
 
     m_tests = len(tests)
-    hypotheses = []
+    hypothesis_ids, rows = [], []
     seen_hyp_ids: set[str] = set()
     seen_rows: dict[str, str] = {}
-    for entry in hyps_raw:
-        hid = str(entry["id"])
+    for entry in hyps:
+        hid = entry["id"]
         if hid in seen_hyp_ids:
             raise DuplicateId(f"duplicate hypothesis id {hid!r}")
         seen_hyp_ids.add(hid)
@@ -141,28 +257,18 @@ def validate_instance(raw: Mapping[str, Any]) -> Instance:
                 f"hypotheses {seen_rows[outcomes]!r} and {hid!r} share an outcome row"
             )
         seen_rows[outcomes] = hid
-        meta = entry.get("meta")
-        hypotheses.append(HypothesisRecord(hid, outcomes, dict(meta) if meta else None))
+        hypothesis_ids.append(hid)
+        rows.append(outcomes)
 
-    _check_meta(tests, hypotheses)
-    params = raw.get("params") or {}
-    if not isinstance(params, Mapping):
-        raise MalformedInstance("'params' must be an object")
+    test_meta = [_meta_copy(entry) for entry in tests]
+    hypothesis_meta = [_meta_copy(entry) for entry in hyps]
+    _check_meta(test_ids + hypothesis_ids, test_meta + hypothesis_meta)
+    return test_ids, test_meta, hypothesis_ids, rows, hypothesis_meta, _row_codes(rows, m_tests)
 
-    # Encoded as one fixed-width byte string per row, then '0'/'1' -> 0/1 in place.
-    codes = np.array([h.outcomes for h in hypotheses], dtype=f"S{m_tests}").view(np.uint8)
-    codes -= ord("0")
-    matrix = codes.reshape(-1, m_tests).view(bool)
-    matrix.flags.writeable = False
 
-    return Instance(
-        name=str(raw.get("name", "")),
-        family=str(raw.get("family", "")),
-        params=dict(params),
-        tests=tuple(tests),
-        hypotheses=tuple(hypotheses),
-        outcomes=matrix,
-    )
+def _meta_copy(entry: Mapping[str, Any]) -> dict | None:
+    meta = entry.get("meta")
+    return dict(meta) if meta else None
 
 
 def _is_mapping(value: Any) -> bool:
@@ -171,7 +277,8 @@ def _is_mapping(value: Any) -> bool:
 
 
 def _records(raw: Mapping[str, Any], key: str) -> list:
-    """The nonempty list under `key`, each entry an object with an "id"."""
+    """The nonempty list under `key`, each entry an object with a string "id"
+    and a "meta" that is null or an object."""
     entries = raw.get(key)
     if not entries:
         raise EmptyInstance(f"instance has no {key}")
@@ -180,8 +287,10 @@ def _records(raw: Mapping[str, Any], key: str) -> list:
     for position, entry in enumerate(entries):
         if not _is_mapping(entry) or "id" not in entry:
             raise MalformedInstance(f"{key}[{position}] must be an object with an 'id'")
+        if not isinstance(entry["id"], str):
+            raise MalformedInstance(f"{key}[{position}]: 'id' must be a string")
         meta = entry.get("meta")
-        if meta and not _is_mapping(meta):
+        if meta is not None and not _is_mapping(meta):
             raise MalformedInstance(f"{key}[{position}]: 'meta' must be an object")
     return entries
 
@@ -190,23 +299,23 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_meta(tests, hypotheses) -> None:
+def _check_meta(ids: list[str], metas: list) -> None:
     """Coordinates are int lists of one dimension; cycle indices are ints."""
     dim = None
-    for rec in (*tests, *hypotheses):
-        meta = rec.meta or {}
+    for rid, meta in zip(ids, metas):
+        meta = meta or {}
         if "cycle_index" in meta and not _is_int(meta["cycle_index"]):
-            raise InvalidMeta(f"record {rec.id!r}: cycle_index must be an integer")
+            raise InvalidMeta(f"record {rid!r}: cycle_index must be an integer")
         if "coords" not in meta:
             continue
         coords = meta["coords"]
         if not isinstance(coords, list) or not all(_is_int(c) for c in coords):
-            raise InvalidMeta(f"record {rec.id!r}: coords must be a list of integers")
+            raise InvalidMeta(f"record {rid!r}: coords must be a list of integers")
         if dim is None:
             dim = len(coords)
         elif len(coords) != dim:
             raise InvalidMeta(
-                f"record {rec.id!r}: coords dimension {len(coords)} != {dim}"
+                f"record {rid!r}: coords dimension {len(coords)} != {dim}"
             )
 
 

@@ -134,8 +134,8 @@ def run_gbs(instance: Instance, answer: AnswerSource, oracle_id: str = "oracle")
         if y not in (0, 1):
             raise InconsistentOracle(f"oracle answered {given!r}, expected 0 or 1")
         members = restrict(outcomes, members, x, y)
-        steps.append(Step(instance.tests[x].id, y, members.size))
-    return Transcript(oracle_id, tuple(steps), instance.hypotheses[members[0]].id)
+        steps.append(Step(instance.test_ids[x], y, members.size))
+    return Transcript(oracle_id, tuple(steps), instance.hypothesis_ids[members[0]])
 
 
 def gbs_tree(instance: Instance) -> GbsTree:
@@ -210,7 +210,7 @@ def run_all_oracles(instance: Instance) -> CostStats:
     return CostStats(
         worst_case=max(counts),
         average=Fraction(sum(counts), len(counts)),
-        per_oracle={h.id: c for h, c in zip(instance.hypotheses, counts)},
+        per_oracle=dict(zip(instance.hypothesis_ids, counts)),
         min_chosen_split=tree.min_chosen_split,
     )
 
@@ -224,10 +224,9 @@ def interactive_session(instance: Instance, reader: IO[str], writer: IO[str]) ->
     """
 
     def answer(x: int) -> int:
-        test = instance.tests[x]
-        meta_json = json.dumps(test.meta or {}, sort_keys=True, separators=(",", ":"))
+        meta_json = json.dumps(instance.test_meta[x] or {}, sort_keys=True, separators=(",", ":"))
         while True:
-            writer.write(f"QUERY {test.id} {meta_json}\n")
+            writer.write(f"QUERY {instance.test_ids[x]} {meta_json}\n")
             writer.flush()
             line = reader.readline()
             if line == "":

@@ -10,7 +10,7 @@ One recursive encoder, ``_encode``, writes every document.  Its bytes are
 those of ``json.dumps(document, sort_keys=True, indent=1) + "\\n"`` in
 UTF-8, and its text goes to the output buffer a group of strings at a time,
 so its temporaries stay bounded whatever the document's size.
-``instance_bytes`` encodes an instance straight from its records, and
+``instance_bytes`` encodes an instance straight from its columns, and
 ``write_report`` an analysis report's edges straight from its
 ``EdgeReport``s, one template string per edge, so no dict is built per
 record or edge.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -40,9 +41,7 @@ from .analysis import (
     EdgeReport,
 )
 from .core import (
-    HypothesisRecord,
     Instance,
-    TestRecord,
     parse_rational,
     rational_text,
     validate_instance,
@@ -197,16 +196,8 @@ def _encode(prefix: str, value, newline: str, parts: list[str], out: io.BytesIO)
                 _spill(parts, out)
             separator = "," + inner
         parts.append(newline + "]")
-    elif isinstance(value, (TestRecord, HypothesisRecord)):
-        inner = newline + " "
-        _encode(prefix + "{" + inner + '"id": ', value.id, inner, parts, out)
-        meta = value.meta
-        if meta:
-            meta = meta if type(meta) is dict else dict(meta)
-            _encode("," + inner + '"meta": ', meta, inner, parts, out)
-        if isinstance(value, HypothesisRecord):
-            _encode("," + inner + '"outcomes": ', value.outcomes, inner, parts, out)
-        parts.append(newline + "}")
+    elif isinstance(value, _Records):
+        _encode_records(prefix, value, newline, parts, out)
     elif isinstance(value, _Edges):
         _encode_edges(prefix, value, newline, parts, out)
     elif isinstance(value, str):
@@ -241,11 +232,47 @@ def canonical_bytes(document: dict) -> bytes:
 # Instances
 
 
-def instance_bytes(instance: Instance) -> bytes:
-    """The instance's canonical bytes, encoded straight from its records.
+class _Records:
+    """An instance's tests or hypotheses, which ``_encode`` writes straight from its columns."""
 
-    ``_encode`` writes each record as its document object, so no dict is
-    built per record.
+    def __init__(self, ids: tuple[str, ...], metas: tuple, rows: tuple[str, ...] | None = None):
+        self.ids = ids
+        self.metas = metas
+        self.rows = rows
+
+
+def _encode_records(prefix: str, value: _Records, newline: str, parts: list[str], out: io.BytesIO) -> None:
+    """``_encode`` of a record list, each record written as its document object.
+
+    Keys are in sorted order ("id", "meta", "outcomes"); a record without
+    meta has no "meta" key.  Ids and rows are strings, so each is escaped
+    directly.
+    """
+    item = newline + " "
+    key = item + " "
+    head = "{" + key + '"id": '
+    meta_key = "," + key + '"meta": '
+    row_key = "," + key + '"outcomes": '
+    separator = prefix + "[" + item
+    rows = value.rows or itertools.repeat(None)
+    for rid, meta, row in zip(value.ids, value.metas, rows):
+        parts.append(separator + head + encode_basestring_ascii(rid))
+        if meta:
+            _encode(meta_key, meta, key, parts, out)
+        if row is not None:
+            parts.append(row_key + encode_basestring_ascii(row))
+        parts.append(item + "}")
+        if len(parts) >= _CHUNK_GROUP:
+            _spill(parts, out)
+        separator = "," + item
+    parts.append(newline + "]")
+
+
+def instance_bytes(instance: Instance) -> bytes:
+    """The instance's canonical bytes, encoded straight from its columns.
+
+    ``_encode_records`` writes each record as its document object, so no
+    dict and no record object is built per test or hypothesis.
     """
     return canonical_bytes(
         {
@@ -253,8 +280,8 @@ def instance_bytes(instance: Instance) -> bytes:
             "name": instance.name,
             "family": instance.family,
             "params": dict(instance.params),
-            "tests": instance.tests,
-            "hypotheses": instance.hypotheses,
+            "tests": _Records(instance.test_ids, instance.test_meta),
+            "hypotheses": _Records(instance.hypothesis_ids, instance.hypothesis_meta, instance.rows),
         }
     )
 
@@ -328,7 +355,7 @@ def read_instance(source) -> Instance:
 def _certificate_to_doc(instance: Instance, cert: CoherenceCertificate) -> dict:
     return {
         "distribution": {
-            instance.tests[x].id: rational_text(w)
+            instance.test_ids[x]: rational_text(w)
             for x, w in sorted(cert.distribution.items())
         },
         "value": rational_text(cert.value),
@@ -396,8 +423,8 @@ def _encode_edges(prefix: str, value: _Edges, newline: str, parts: list[str], ou
     if not value.edges:
         parts.append(prefix + "[]")
         return
-    tests = [encode_basestring_ascii(t.id) for t in value.instance.tests]
-    hypotheses = [encode_basestring_ascii(h.id) for h in value.instance.hypotheses]
+    tests = list(map(encode_basestring_ascii, value.instance.test_ids))
+    hypotheses = list(map(encode_basestring_ascii, value.instance.hypothesis_ids))
     item = newline + " "
     key = item + " "
     member = "," + key + " "

@@ -16,9 +16,11 @@ reads the outcome strings, not the library's outcome array.
 ``persistence.canonical_bytes`` must reproduce.
 
 The last section keeps the ``gen`` pipeline as it ran one character and one
-record at a time: string-loop outcome rows for the hypercube families and
-``instance_to_document``, the per-record document whose canonical bytes
-``persistence.instance_bytes`` must write.  ``report_to_document`` likewise
+record at a time: string-loop outcome rows for the hypercube families,
+``loop_validate_instance``, the per-record check whose first fault the bulk
+``validate_instance`` must report, and ``instance_to_document``, the
+per-record document whose canonical bytes ``persistence.instance_bytes``
+must write.  ``report_to_document`` likewise
 keeps the analysis report as one dict per edge, the document whose canonical
 bytes ``persistence.write_report`` must write.
 """
@@ -29,9 +31,12 @@ import hashlib
 import itertools
 import json
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
+
+from splitfinder import core
 
 
 def split_of(rows: list[str], members: list[int], x: int) -> Fraction:
@@ -570,6 +575,105 @@ def loop_cx_disjunction(m: int) -> list[tuple]:
         out.append(("|".join(f"x{v}" for v in variables), _row(cube, lambda t: t & mask),
                     {"vars": variables, "omitted": omitted}))
     return out
+
+
+def loop_validate_instance(raw):
+    """``validate_instance`` as it ran one record at a time: the reference for
+    the exception class and message of the first fault, in document order,
+    and for the instance a valid document builds."""
+
+    def records(key):
+        entries = raw.get(key)
+        if not entries:
+            raise core.EmptyInstance(f"instance has no {key}")
+        if not isinstance(entries, (list, tuple)):
+            raise core.MalformedInstance(f"{key!r} must be a list of objects")
+        for position, entry in enumerate(entries):
+            if not isinstance(entry, Mapping) or "id" not in entry:
+                raise core.MalformedInstance(f"{key}[{position}] must be an object with an 'id'")
+            if not isinstance(entry["id"], str):
+                raise core.MalformedInstance(f"{key}[{position}]: 'id' must be a string")
+            meta = entry.get("meta")
+            if meta is not None and not isinstance(meta, Mapping):
+                raise core.MalformedInstance(f"{key}[{position}]: 'meta' must be an object")
+        return entries
+
+    def is_int(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    tests_raw = records("tests")
+    hyps_raw = records("hypotheses")
+    tests = []
+    seen_test_ids = set()
+    for entry in tests_raw:
+        tid = entry["id"]
+        if tid in seen_test_ids:
+            raise core.DuplicateId(f"duplicate test id {tid!r}")
+        seen_test_ids.add(tid)
+        meta = entry.get("meta")
+        tests.append(core.TestRecord(tid, dict(meta) if meta else None))
+
+    m_tests = len(tests)
+    hypotheses = []
+    seen_hyp_ids = set()
+    seen_rows = {}
+    for entry in hyps_raw:
+        hid = entry["id"]
+        if hid in seen_hyp_ids:
+            raise core.DuplicateId(f"duplicate hypothesis id {hid!r}")
+        seen_hyp_ids.add(hid)
+        outcomes = entry.get("outcomes")
+        if not isinstance(outcomes, str):
+            raise core.InvalidOutcome(f"hypothesis {hid!r}: outcomes must be a string")
+        if len(outcomes) != m_tests:
+            raise core.RowLengthMismatch(
+                f"hypothesis {hid!r}: row length {len(outcomes)} != {m_tests} tests"
+            )
+        if any(c not in "01" for c in outcomes):
+            raise core.InvalidOutcome(f"hypothesis {hid!r}: outcomes must be '0'/'1'")
+        if outcomes in seen_rows:
+            raise core.DuplicateOutcomeRow(
+                f"hypotheses {seen_rows[outcomes]!r} and {hid!r} share an outcome row"
+            )
+        seen_rows[outcomes] = hid
+        meta = entry.get("meta")
+        hypotheses.append(core.HypothesisRecord(hid, outcomes, dict(meta) if meta else None))
+
+    dim = None
+    for rec in (*tests, *hypotheses):
+        meta = rec.meta or {}
+        if "cycle_index" in meta and not is_int(meta["cycle_index"]):
+            raise core.InvalidMeta(f"record {rec.id!r}: cycle_index must be an integer")
+        if "coords" not in meta:
+            continue
+        coords = meta["coords"]
+        if not isinstance(coords, list) or not all(is_int(c) for c in coords):
+            raise core.InvalidMeta(f"record {rec.id!r}: coords must be a list of integers")
+        if dim is None:
+            dim = len(coords)
+        elif len(coords) != dim:
+            raise core.InvalidMeta(f"record {rec.id!r}: coords dimension {len(coords)} != {dim}")
+
+    params = raw.get("params") or {}
+    if not isinstance(params, Mapping):
+        raise core.MalformedInstance("'params' must be an object")
+    for key in ("name", "family"):
+        if not isinstance(raw.get(key, ""), str):
+            raise core.MalformedInstance(f"{key!r} must be a string")
+
+    rows = [h.outcomes for h in hypotheses]
+    outcomes = np.array([[c == "1" for c in row] for row in rows], dtype=bool)
+    return core.Instance(
+        name=raw.get("name", ""),
+        family=raw.get("family", ""),
+        params=dict(params),
+        test_ids=tuple(t.id for t in tests),
+        test_meta=tuple(t.meta for t in tests),
+        hypothesis_ids=tuple(h.id for h in hypotheses),
+        rows=tuple(rows),
+        hypothesis_meta=tuple(h.meta for h in hypotheses),
+        outcomes=outcomes.reshape(len(rows), m_tests),
+    )
 
 
 def instance_to_document(instance) -> dict:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import delta_set
+from splitfinder import core, persistence
 from splitfinder.core import (
     DuplicateId,
     DuplicateOutcomeRow,
@@ -18,6 +20,7 @@ from splitfinder.core import (
     InstanceError,
     InvalidMeta,
     InvalidOutcome,
+    MalformedInstance,
     RowLengthMismatch,
     parse_rational,
     rational_text,
@@ -157,6 +160,7 @@ FAULTS = (
     "duplicate_test_id", "duplicate_hypothesis_id", "non_string_row", "short_row", "long_row",
     "bad_ascii_character", "non_ascii_character", "duplicate_row", "non_dict_test",
     "non_dict_hypothesis", "missing_id", "bad_meta", "bad_coords", "bad_params",
+    "non_string_id", "falsy_meta", "bad_name",
 )
 
 
@@ -195,6 +199,16 @@ def apply_fault(doc: dict, kind: str, data) -> None:
         tests[t]["meta"] = {"coords": data.draw(st.sampled_from([[0, 0], [1.5], "00", [True]]))}
     elif kind == "bad_params":
         doc["params"] = data.draw(st.sampled_from([["d"], "d=3", 3]))
+    elif kind == "non_string_id":
+        entry = tests[t] if data.draw(st.booleans()) else hyps[h]
+        if isinstance(entry, dict):
+            entry["id"] = data.draw(st.sampled_from([None, 0, 1.5, True, [1], {"id": "t0"}]))
+    elif kind == "falsy_meta" and isinstance(tests[t], dict):
+        # An empty object is no fault: it reads as no meta.
+        tests[t]["meta"] = data.draw(st.sampled_from([[], 0, False, "", {}]))
+    elif kind == "bad_name":
+        key = data.draw(st.sampled_from(["name", "family"]))
+        doc[key] = data.draw(st.sampled_from([None, 3, ["n"], {"f": 1}]))
 
 
 class TestFaultyDocuments:
@@ -230,6 +244,104 @@ class TestFaultyDocuments:
         doc = make_doc(["10", "01"])
         doc["hypotheses"][0]["outcomes"] = Row("10")
         assert validate_instance(doc).outcomes.tolist() == [[True, False], [False, True]]
+
+
+class TestBulkValidation:
+    """``validate_instance`` checks in bulk and walks only a document that fails;
+    ``oracles.loop_validate_instance`` checks one record at a time."""
+
+    @staticmethod
+    def assert_validates_like_the_loop(doc):
+        try:
+            expected = oracles.loop_validate_instance(doc)
+        except InstanceError as exc:
+            with pytest.raises(InstanceError) as raised:
+                validate_instance(doc)
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+            return
+        got = validate_instance(doc)
+        assert (got.name, got.family, got.params) == (expected.name, expected.family, expected.params)
+        assert (got.test_ids, got.hypothesis_ids) == (expected.test_ids, expected.hypothesis_ids)
+        assert got.rows == expected.rows
+        assert (got.test_meta, got.hypothesis_meta) == (expected.test_meta, expected.hypothesis_meta)
+        assert np.array_equal(got.outcomes, expected.outcomes)
+        assert (got.tests, got.hypotheses) == (expected.tests, expected.hypotheses)
+        expected_bytes = oracles.dumps_canonical_bytes(oracles.instance_to_document(expected))
+        assert persistence.instance_bytes(got) == expected_bytes
+        assert got == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_instances(), st.lists(st.sampled_from(FAULTS), max_size=3), st.data())
+    def test_faulty_documents_fail_like_the_loop(self, inst, faults, data):
+        doc = make_doc(list(inst.rows))
+        for kind in sorted(faults, key=lambda kind: kind.startswith("non_dict")):
+            apply_fault(doc, kind, data)
+        self.assert_validates_like_the_loop(doc)
+
+    def test_documents_the_bulk_check_passes_to_the_walk(self):
+        # Tuples, other mappings and str subclasses are valid but not plain JSON.
+        class Text(str):
+            pass
+
+        doc = make_doc(["01", "10", "11"])
+        doc["tests"] = tuple(doc["tests"])
+        doc["hypotheses"][0] = MappingProxyType(doc["hypotheses"][0])
+        doc["hypotheses"][1]["id"] = Text("h1")
+        doc["hypotheses"][2]["meta"] = MappingProxyType({"coords": [1]})
+        doc["tests"][0]["meta"] = {}
+        self.assert_validates_like_the_loop(doc)
+        plain = make_doc(["01", "10", "11"])
+        plain["hypotheses"][2]["meta"] = {"coords": [1]}
+        assert validate_instance(doc) == validate_instance(plain)
+
+    def test_a_valid_plain_document_is_not_walked(self, monkeypatch, pentagon):
+        def walked(raw):
+            raise AssertionError("walked a valid document")
+
+        monkeypatch.setattr(core, "_walked_columns", walked)
+        doc = oracles.instance_to_document(pentagon)
+        assert validate_instance(doc) == pentagon
+
+    @pytest.mark.parametrize("value", [None, 0, 1.5, True, [1], {"id": "t0"}])
+    def test_non_string_ids_are_refused(self, value):
+        doc = make_doc(["0001", "0010"])
+        doc["tests"][3]["id"] = value
+        with pytest.raises(MalformedInstance) as raised:
+            validate_instance(doc)
+        assert str(raised.value) == "tests[3]: 'id' must be a string"
+        doc = make_doc(["01", "10"])
+        doc["hypotheses"][1]["id"] = value
+        with pytest.raises(MalformedInstance, match=r"^hypotheses\[1\]: 'id' must be a string$"):
+            validate_instance(doc)
+
+    def test_null_id_no_longer_collides_with_the_string_none(self):
+        doc = make_doc(["01", "10"])
+        doc["hypotheses"][0]["id"], doc["hypotheses"][1]["id"] = None, "None"
+        with pytest.raises(MalformedInstance, match=r"hypotheses\[0\]: 'id' must be a string"):
+            validate_instance(doc)
+
+    @pytest.mark.parametrize("key", ["name", "family"])
+    @pytest.mark.parametrize("value", [None, 3, ["n"], {"f": 1}])
+    def test_non_string_name_and_family_are_refused(self, key, value):
+        doc = make_doc(["01", "10"])
+        doc[key] = value
+        with pytest.raises(MalformedInstance, match=f"^'{key}' must be a string$"):
+            validate_instance(doc)
+        del doc[key]
+        assert getattr(validate_instance(doc), key) == ""
+
+    @pytest.mark.parametrize("meta", [[], 0, False, ""])
+    def test_falsy_non_object_meta_is_refused(self, meta):
+        doc = make_doc(["01", "10"])
+        doc["tests"][1]["meta"] = meta
+        with pytest.raises(MalformedInstance, match=r"^tests\[1\]: 'meta' must be an object$"):
+            validate_instance(doc)
+
+    @pytest.mark.parametrize("meta", [None, {}])
+    def test_null_and_empty_meta_read_as_no_meta(self, meta):
+        doc = make_doc(["01", "10"])
+        doc["tests"][1]["meta"] = meta
+        assert validate_instance(doc).test_meta == (None, None)
 
 
 class TestSplitProbability:

@@ -391,6 +391,19 @@ class TestInstanceWriter:
         assert written >= 1 << 20
         assert peak < 2 * written
 
+    def test_gen_read_and_run_build_no_records(self, tmp_path):
+        # `gen` and `run --oracle all` read only the instance's columns.
+        generated = families.gen_convex_polygon(80, balanced=False)
+        write_instance(generated, tmp_path / "polygon.json")
+        instance = read_instance(tmp_path / "polygon.json")
+        stats = engine.run_all_oracles(instance)
+        assert (stats.worst_case, stats.average) == (79, Fraction(8959, 632))
+        for built in (generated, instance):
+            assert "tests" not in built.__dict__
+            assert "hypotheses" not in built.__dict__
+        assert instance.tests[0] == generated.tests[0]
+        assert "tests" in instance.__dict__
+
 
 class TestReportWriter:
     """``write_report`` against the one-dict-per-edge document it renders without building."""
