@@ -5,12 +5,12 @@ An instance is a finite binary outcome matrix: every hypothesis answers 0 or
 `Instance` keeps its records as columns: test ids and meta, hypothesis ids
 and meta, and the validated '0'/'1' rows, which decide equality and are what
 gets written.  `outcomes`, a read-only, C-contiguous hypotheses x tests bool
-array parsed from the rows once, is what every computation reads.  The
-per-record views `tests` and `hypotheses` are built only when read.
+array parsed from the rows once, is what every computation reads.
 
-`validate_instance` checks a plain JSON document in bulk, a few set and
-array operations per column.  A document that fails there is walked one
-record at a time, in document order, so its first fault raises the same
+`validate_instance` accepts a document only through its bulk check, a few set
+and array operations per column, and only of JSON's own types: lists, dicts,
+str, int, null.  A document that fails the bulk check is walked one record
+at a time, in document order, only to raise its first fault with the same
 exception and message as a per-record check.
 """
 
@@ -21,7 +21,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -64,24 +64,11 @@ class InstanceTooLarge(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TestRecord:
-    id: str
-    meta: Mapping[str, Any] | None = None
-
-
-@dataclass(frozen=True)
-class HypothesisRecord:
-    id: str
-    outcomes: str  # '0'/'1' characters, one per test, in instance test order
-    meta: Mapping[str, Any] | None = None
-
-
-@dataclass(frozen=True)
 class Instance:
     """Validated, immutable hypothesis/test outcome matrix, kept as columns.
 
-    ``tests`` and ``hypotheses`` are the same columns as one record per
-    test and per hypothesis, built the first time a caller reads them.
+    Each meta entry is the document's own dict (or None for a null or empty
+    meta), not a copy, so a caller that changes it changes the instance.
     """
 
     name: str
@@ -104,14 +91,6 @@ class Instance:
         return len(self.test_ids)
 
     @cached_property
-    def tests(self) -> tuple[TestRecord, ...]:
-        return tuple(map(TestRecord, self.test_ids, self.test_meta))
-
-    @cached_property
-    def hypotheses(self) -> tuple[HypothesisRecord, ...]:
-        return tuple(map(HypothesisRecord, self.hypothesis_ids, self.rows, self.hypothesis_meta))
-
-    @cached_property
     def test_index(self) -> dict[str, int]:
         return {tid: i for i, tid in enumerate(self.test_ids)}
 
@@ -125,18 +104,19 @@ def validate_instance(raw: Mapping[str, Any]) -> Instance:
 
     Raises MalformedInstance, EmptyInstance, DuplicateId, RowLengthMismatch,
     InvalidOutcome, DuplicateOutcomeRow, or InvalidMeta; anything that passes
-    satisfies all instance invariants.  A document is checked in bulk first;
-    only one that fails there is walked a record at a time, in document
+    satisfies all instance invariants.  Only the bulk check accepts a
+    document; one that fails it is walked a record at a time, in document
     order, so the first fault decides the exception and its message.
     """
-    test_ids, test_meta, hypothesis_ids, rows, hypothesis_meta, codes = (
-        _bulk_columns(raw) or _walked_columns(raw)
-    )
-    params = raw.get("params") or {}
-    if not isinstance(params, Mapping):
+    columns = _bulk_columns(raw)
+    if columns is None:
+        _raise_first_fault(raw)
+    test_ids, test_meta, hypothesis_ids, rows, hypothesis_meta, codes = columns
+    params = raw.get("params")
+    if params is not None and type(params) is not dict:
         raise MalformedInstance("'params' must be an object")
     for key in ("name", "family"):
-        if not isinstance(raw.get(key, ""), str):
+        if type(raw.get(key, "")) is not str:
             raise MalformedInstance(f"{key!r} must be a string")
 
     matrix = codes.view(bool)
@@ -144,7 +124,7 @@ def validate_instance(raw: Mapping[str, Any]) -> Instance:
     return Instance(
         name=raw.get("name", ""),
         family=raw.get("family", ""),
-        params=dict(params),
+        params=dict(params or {}),
         test_ids=tuple(test_ids),
         test_meta=tuple(test_meta),
         hypothesis_ids=tuple(hypothesis_ids),
@@ -169,8 +149,8 @@ def _bulk_columns(raw: Mapping[str, Any]) -> tuple | None:
     """The columns and row codes of a plain valid document, checked in bulk; else None.
 
     Plain means JSON's own types: lists of dicts, str ids and rows, meta
-    null or a dict.  None sends the document to ``_walked_columns``, which
-    raises its first fault or, for other mappings and subclasses, accepts it.
+    null or a dict.  Every document this refuses has a fault that
+    ``_raise_first_fault`` names.
     """
     tests, hyps = raw.get("tests"), raw.get("hypotheses")
     if type(tests) is not list or type(hyps) is not list or not tests or not hyps:
@@ -201,7 +181,7 @@ def _bulk_columns(raw: Mapping[str, Any]) -> tuple | None:
         return None
     if codes.max() > 1:
         return None
-    # An empty meta object is kept as None, as the walk keeps it.
+    # An empty meta object is kept as None: it reads as no meta.
     test_meta = [meta or None for meta in test_meta]
     hypothesis_meta = [meta or None for meta in hypothesis_meta]
     return test_ids, test_meta, hypothesis_ids, rows, hypothesis_meta, codes
@@ -222,33 +202,27 @@ def _meta_in_bulk(metas: list) -> bool:
     )
 
 
-def _walked_columns(raw: Mapping[str, Any]) -> tuple:
-    """The columns and row codes, checked one record at a time; the first fault raises."""
-    tests = _records(raw, "tests")
-    hyps = _records(raw, "hypotheses")
-
-    test_ids = [entry["id"] for entry in tests]
-    seen_test_ids: set[str] = set()
-    for tid in test_ids:
-        if tid in seen_test_ids:
+def _raise_first_fault(raw: Mapping[str, Any]) -> NoReturn:
+    """Check one record at a time, with the bulk check's exact types, and
+    raise the first fault in document order."""
+    tests, hyps = _records(raw, "tests"), _records(raw, "hypotheses")
+    seen: set[str] = set()
+    for tid in (entry["id"] for entry in tests):
+        if tid in seen:
             raise DuplicateId(f"duplicate test id {tid!r}")
-        seen_test_ids.add(tid)
+        seen.add(tid)
 
-    m_tests = len(tests)
-    hypothesis_ids, rows = [], []
-    seen_hyp_ids: set[str] = set()
-    seen_rows: dict[str, str] = {}
+    seen, seen_rows = set(), {}
     for entry in hyps:
-        hid = entry["id"]
-        if hid in seen_hyp_ids:
+        hid, outcomes = entry["id"], entry.get("outcomes")
+        if hid in seen:
             raise DuplicateId(f"duplicate hypothesis id {hid!r}")
-        seen_hyp_ids.add(hid)
-        outcomes = entry.get("outcomes")
-        if not isinstance(outcomes, str):
+        seen.add(hid)
+        if type(outcomes) is not str:
             raise InvalidOutcome(f"hypothesis {hid!r}: outcomes must be a string")
-        if len(outcomes) != m_tests:
+        if len(outcomes) != len(tests):
             raise RowLengthMismatch(
-                f"hypothesis {hid!r}: row length {len(outcomes)} != {m_tests} tests"
+                f"hypothesis {hid!r}: row length {len(outcomes)} != {len(tests)} tests"
             )
         if outcomes.count("0") + outcomes.count("1") != len(outcomes):
             raise InvalidOutcome(f"hypothesis {hid!r}: outcomes must be '0'/'1'")
@@ -257,23 +231,9 @@ def _walked_columns(raw: Mapping[str, Any]) -> tuple:
                 f"hypotheses {seen_rows[outcomes]!r} and {hid!r} share an outcome row"
             )
         seen_rows[outcomes] = hid
-        hypothesis_ids.append(hid)
-        rows.append(outcomes)
 
-    test_meta = [_meta_copy(entry) for entry in tests]
-    hypothesis_meta = [_meta_copy(entry) for entry in hyps]
-    _check_meta(test_ids + hypothesis_ids, test_meta + hypothesis_meta)
-    return test_ids, test_meta, hypothesis_ids, rows, hypothesis_meta, _row_codes(rows, m_tests)
-
-
-def _meta_copy(entry: Mapping[str, Any]) -> dict | None:
-    meta = entry.get("meta")
-    return dict(meta) if meta else None
-
-
-def _is_mapping(value: Any) -> bool:
-    # The exact-type test first: the ABC check costs far more per call.
-    return type(value) is dict or isinstance(value, Mapping)
+    _check_meta(tests + hyps)
+    raise MalformedInstance("the bulk check refused a document in which no fault was found")
 
 
 def _records(raw: Mapping[str, Any], key: str) -> list:
@@ -282,41 +242,35 @@ def _records(raw: Mapping[str, Any], key: str) -> list:
     entries = raw.get(key)
     if not entries:
         raise EmptyInstance(f"instance has no {key}")
-    if not isinstance(entries, (list, tuple)):
+    if type(entries) is not list:
         raise MalformedInstance(f"{key!r} must be a list of objects")
     for position, entry in enumerate(entries):
-        if not _is_mapping(entry) or "id" not in entry:
+        if type(entry) is not dict or "id" not in entry:
             raise MalformedInstance(f"{key}[{position}] must be an object with an 'id'")
-        if not isinstance(entry["id"], str):
+        if type(entry["id"]) is not str:
             raise MalformedInstance(f"{key}[{position}]: 'id' must be a string")
         meta = entry.get("meta")
-        if meta is not None and not _is_mapping(meta):
+        if meta is not None and type(meta) is not dict:
             raise MalformedInstance(f"{key}[{position}]: 'meta' must be an object")
     return entries
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_meta(ids: list[str], metas: list) -> None:
+def _check_meta(entries: list[dict]) -> None:
     """Coordinates are int lists of one dimension; cycle indices are ints."""
     dim = None
-    for rid, meta in zip(ids, metas):
-        meta = meta or {}
-        if "cycle_index" in meta and not _is_int(meta["cycle_index"]):
+    for entry in entries:
+        rid, meta = entry["id"], entry.get("meta") or {}
+        if "cycle_index" in meta and type(meta["cycle_index"]) is not int:
             raise InvalidMeta(f"record {rid!r}: cycle_index must be an integer")
         if "coords" not in meta:
             continue
         coords = meta["coords"]
-        if not isinstance(coords, list) or not all(_is_int(c) for c in coords):
+        if type(coords) is not list or not all(type(c) is int for c in coords):
             raise InvalidMeta(f"record {rid!r}: coords must be a list of integers")
         if dim is None:
             dim = len(coords)
         elif len(coords) != dim:
-            raise InvalidMeta(
-                f"record {rid!r}: coords dimension {len(coords)} != {dim}"
-            )
+            raise InvalidMeta(f"record {rid!r}: coords dimension {len(coords)} != {dim}")
 
 
 def parse_rational(value: Any) -> Fraction:

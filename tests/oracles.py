@@ -17,12 +17,13 @@ reads the outcome strings, not the library's outcome array.
 
 The last section keeps the ``gen`` pipeline as it ran one character and one
 record at a time: string-loop outcome rows for the hypercube families,
-``loop_validate_instance``, the per-record check whose first fault the bulk
-``validate_instance`` must report, and ``instance_to_document``, the
-per-record document whose canonical bytes ``persistence.instance_bytes``
-must write.  ``report_to_document`` likewise
-keeps the analysis report as one dict per edge, the document whose canonical
-bytes ``persistence.write_report`` must write.
+``loop_validate_instance``, the per-record check whose first fault (class
+and message) and whose accepted instance ``validate_instance`` must match,
+built from plain (id, outcomes, meta) tuples, and ``instance_to_document``,
+the per-record document, zipped from the instance's columns, whose canonical
+bytes ``persistence.instance_bytes`` must write.  ``report_to_document``
+likewise keeps the analysis report as one dict per edge, the document whose
+canonical bytes ``persistence.write_report`` must write.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import hashlib
 import itertools
 import json
 import random
-from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -131,12 +131,12 @@ def connected_at_threshold(rows: list[str], k: int) -> bool:
 
 def loop_adjacency_pairs(instance) -> list[tuple[int, int]] | None:
     """Neighbour pairs with one loop per test geometry: grid coords, cycle, bit-string ids."""
-    tests = instance.tests
-    if all(t.meta and "coords" in t.meta for t in tests):
-        index = {tuple(t.meta["coords"]): i for i, t in enumerate(tests)}
+    ids, metas = instance.test_ids, instance.test_meta
+    if all(meta and "coords" in meta for meta in metas):
+        index = {tuple(meta["coords"]): i for i, meta in enumerate(metas)}
         pairs = []
-        for i, t in enumerate(tests):
-            coords = tuple(t.meta["coords"])
+        for i, meta in enumerate(metas):
+            coords = tuple(meta["coords"])
             for dim in range(len(coords)):
                 for delta in (-1, 1):
                     shifted = list(coords)
@@ -145,22 +145,21 @@ def loop_adjacency_pairs(instance) -> list[tuple[int, int]] | None:
                     if j is not None:
                         pairs.append((i, j))
         return sorted(set(pairs))
-    if all(t.meta and "cycle_index" in t.meta for t in tests):
-        m = len(tests)
-        by_cycle = sorted(range(m), key=lambda i: tests[i].meta["cycle_index"])
+    if all(meta and "cycle_index" in meta for meta in metas):
+        m = len(metas)
+        by_cycle = sorted(range(m), key=lambda i: metas[i]["cycle_index"])
         pairs = []
         for pos in range(m):
             i, j = by_cycle[pos], by_cycle[(pos + 1) % m]
             pairs.extend([(i, j), (j, i)])
         return sorted(set(pairs))
-    ids = [t.id for t in tests]
     length = len(ids[0])
     if all(len(i) == length and not i.strip("01") for i in ids):
-        index = {t.id: i for i, t in enumerate(tests)}
+        index = {tid: i for i, tid in enumerate(ids)}
         pairs = []
-        for i, t in enumerate(tests):
-            for pos in range(len(t.id)):
-                flipped = t.id[:pos] + ("1" if t.id[pos] == "0" else "0") + t.id[pos + 1 :]
+        for i, tid in enumerate(ids):
+            for pos in range(len(tid)):
+                flipped = tid[:pos] + ("1" if tid[pos] == "0" else "0") + tid[pos + 1 :]
                 j = index.get(flipped)
                 if j is not None:
                     pairs.append((i, j))
@@ -371,7 +370,7 @@ def loop_sample_subsets(seed: int, size: int, samples: int) -> list[int]:
 
 def columns_of(instance) -> tuple[int, ...]:
     """Per test, the int whose bit h is hypothesis h's outcome, read from the strings."""
-    rows = [h.outcomes for h in instance.hypotheses]
+    rows = list(instance.rows)
     return tuple(int("".join(col)[::-1], 2) for col in zip(*rows))
 
 
@@ -405,7 +404,7 @@ def loop_edge_reports(
     up to ``limit`` members ``loop_min_subset_split`` scans every subset,
     and larger ones scan ``loop_sample_subsets(seed ^ index, ...)``.
     """
-    rows = [h.outcomes for h in instance.hypotheses]
+    rows = list(instance.rows)
     columns = columns_of(instance)
     out = []
     for index, (x, x_prime) in enumerate(pairs):
@@ -467,7 +466,7 @@ def dumps_canonical_bytes(document) -> bytes:
 
 def delta_set(instance, x: int, x_prime: int) -> np.ndarray:
     """Indices, ascending, of the hypotheses answering 0 on x and 1 on x_prime, from the strings."""
-    rows = [h.outcomes for h in instance.hypotheses]
+    rows = list(instance.rows)
     return np.array(delta_members(rows, x, x_prime), dtype=np.intp)
 
 
@@ -580,41 +579,38 @@ def loop_cx_disjunction(m: int) -> list[tuple]:
 def loop_validate_instance(raw):
     """``validate_instance`` as it ran one record at a time: the reference for
     the exception class and message of the first fault, in document order,
-    and for the instance a valid document builds."""
+    and for the instance a valid document builds.  Only JSON's own types
+    pass: lists, dicts, str, int (not bool) and null."""
 
     def records(key):
         entries = raw.get(key)
         if not entries:
             raise core.EmptyInstance(f"instance has no {key}")
-        if not isinstance(entries, (list, tuple)):
+        if type(entries) is not list:
             raise core.MalformedInstance(f"{key!r} must be a list of objects")
         for position, entry in enumerate(entries):
-            if not isinstance(entry, Mapping) or "id" not in entry:
+            if type(entry) is not dict or "id" not in entry:
                 raise core.MalformedInstance(f"{key}[{position}] must be an object with an 'id'")
-            if not isinstance(entry["id"], str):
+            if type(entry["id"]) is not str:
                 raise core.MalformedInstance(f"{key}[{position}]: 'id' must be a string")
             meta = entry.get("meta")
-            if meta is not None and not isinstance(meta, Mapping):
+            if meta is not None and type(meta) is not dict:
                 raise core.MalformedInstance(f"{key}[{position}]: 'meta' must be an object")
         return entries
 
-    def is_int(value):
-        return isinstance(value, int) and not isinstance(value, bool)
-
     tests_raw = records("tests")
     hyps_raw = records("hypotheses")
-    tests = []
+    tests = []  # (id, meta)
     seen_test_ids = set()
     for entry in tests_raw:
         tid = entry["id"]
         if tid in seen_test_ids:
             raise core.DuplicateId(f"duplicate test id {tid!r}")
         seen_test_ids.add(tid)
-        meta = entry.get("meta")
-        tests.append(core.TestRecord(tid, dict(meta) if meta else None))
+        tests.append((tid, entry.get("meta") or None))
 
     m_tests = len(tests)
-    hypotheses = []
+    hypotheses = []  # (id, outcomes, meta)
     seen_hyp_ids = set()
     seen_rows = {}
     for entry in hyps_raw:
@@ -623,7 +619,7 @@ def loop_validate_instance(raw):
             raise core.DuplicateId(f"duplicate hypothesis id {hid!r}")
         seen_hyp_ids.add(hid)
         outcomes = entry.get("outcomes")
-        if not isinstance(outcomes, str):
+        if type(outcomes) is not str:
             raise core.InvalidOutcome(f"hypothesis {hid!r}: outcomes must be a string")
         if len(outcomes) != m_tests:
             raise core.RowLengthMismatch(
@@ -636,42 +632,44 @@ def loop_validate_instance(raw):
                 f"hypotheses {seen_rows[outcomes]!r} and {hid!r} share an outcome row"
             )
         seen_rows[outcomes] = hid
-        meta = entry.get("meta")
-        hypotheses.append(core.HypothesisRecord(hid, outcomes, dict(meta) if meta else None))
+        hypotheses.append((hid, outcomes, entry.get("meta") or None))
 
     dim = None
-    for rec in (*tests, *hypotheses):
-        meta = rec.meta or {}
-        if "cycle_index" in meta and not is_int(meta["cycle_index"]):
-            raise core.InvalidMeta(f"record {rec.id!r}: cycle_index must be an integer")
+    for rid, *_, meta in (*tests, *hypotheses):
+        meta = meta or {}
+        if "cycle_index" in meta and type(meta["cycle_index"]) is not int:
+            raise core.InvalidMeta(f"record {rid!r}: cycle_index must be an integer")
         if "coords" not in meta:
             continue
         coords = meta["coords"]
-        if not isinstance(coords, list) or not all(is_int(c) for c in coords):
-            raise core.InvalidMeta(f"record {rec.id!r}: coords must be a list of integers")
+        if type(coords) is not list or not all(type(c) is int for c in coords):
+            raise core.InvalidMeta(f"record {rid!r}: coords must be a list of integers")
         if dim is None:
             dim = len(coords)
         elif len(coords) != dim:
-            raise core.InvalidMeta(f"record {rec.id!r}: coords dimension {len(coords)} != {dim}")
+            raise core.InvalidMeta(f"record {rid!r}: coords dimension {len(coords)} != {dim}")
 
-    params = raw.get("params") or {}
-    if not isinstance(params, Mapping):
+    params = raw.get("params")
+    if params is None:
+        params = {}
+    if type(params) is not dict:
         raise core.MalformedInstance("'params' must be an object")
     for key in ("name", "family"):
-        if not isinstance(raw.get(key, ""), str):
+        if type(raw.get(key, "")) is not str:
             raise core.MalformedInstance(f"{key!r} must be a string")
 
-    rows = [h.outcomes for h in hypotheses]
+    test_ids, test_meta = zip(*tests)
+    hypothesis_ids, rows, hypothesis_meta = zip(*hypotheses)
     outcomes = np.array([[c == "1" for c in row] for row in rows], dtype=bool)
     return core.Instance(
         name=raw.get("name", ""),
         family=raw.get("family", ""),
         params=dict(params),
-        test_ids=tuple(t.id for t in tests),
-        test_meta=tuple(t.meta for t in tests),
-        hypothesis_ids=tuple(h.id for h in hypotheses),
-        rows=tuple(rows),
-        hypothesis_meta=tuple(h.meta for h in hypotheses),
+        test_ids=test_ids,
+        test_meta=test_meta,
+        hypothesis_ids=hypothesis_ids,
+        rows=rows,
+        hypothesis_meta=hypothesis_meta,
         outcomes=outcomes.reshape(len(rows), m_tests),
     )
 
@@ -685,16 +683,12 @@ def instance_to_document(instance) -> dict:
         "family": instance.family,
         "params": dict(instance.params),
         "tests": [
-            {"id": t.id, **({"meta": dict(t.meta)} if t.meta else {})}
-            for t in instance.tests
+            {"id": tid, **({"meta": dict(meta)} if meta else {})}
+            for tid, meta in zip(instance.test_ids, instance.test_meta)
         ],
         "hypotheses": [
-            {
-                "id": h.id,
-                "outcomes": h.outcomes,
-                **({"meta": dict(h.meta)} if h.meta else {}),
-            }
-            for h in instance.hypotheses
+            {"id": hid, "outcomes": row, **({"meta": dict(meta)} if meta else {})}
+            for hid, row, meta in zip(instance.hypothesis_ids, instance.rows, instance.hypothesis_meta)
         ],
     }
 
@@ -710,8 +704,7 @@ def _float12(value: float | None) -> float | str:
 def report_to_document(report, instance) -> dict:
     """The analysis report's JSON document, one dict per edge: the reference
     for the bytes ``persistence.write_report`` writes from the edge reports."""
-    tests = [t.id for t in instance.tests]
-    hypotheses = [h.id for h in instance.hypotheses]
+    tests, hypotheses = instance.test_ids, instance.hypothesis_ids
     instance_bytes = dumps_canonical_bytes(instance_to_document(instance))
     return {
         "schema_version": 1,

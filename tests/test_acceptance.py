@@ -52,7 +52,7 @@ def test_criterion_1_pentagon_reproduction():
 
         transcripts = [
             engine.run_gbs(pentagon, engine.hypothesis_oracle(pentagon, h),
-                           pentagon.hypotheses[h].id)
+                           pentagon.hypothesis_ids[h])
             for h in range(pentagon.n)
         ]
         assert all(t.identified == t.oracle_id for t in transcripts)
@@ -120,7 +120,7 @@ def test_criterion_4_box_localization():
 def test_criterion_5_counterexample_certificates():
     with criterion(5, "counterexample certificates", 1.0):
         for inst in (families.gen_counterexample_disjunction(3), families.gen_counterexample_plus(2, 2)):
-            ones = oracles.ones_per_test([h.outcomes for h in inst.hypotheses], [range(inst.n)])
+            ones = oracles.ones_per_test(list(inst.rows), [range(inst.n)])
             _, best = engine.best_split_test(ones, [inst.n])
             value = Fraction(int(best[0]), inst.n)
             assert value == Fraction(1, 4)

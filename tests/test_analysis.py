@@ -59,7 +59,7 @@ class TestMinK:
         k = min_k(disjunction_d3m1)
         # Oracle: full pairwise disagreement table; flipping one assignment
         # bit changes exactly the flipped variable's hypothesis.
-        rows = [h.outcomes for h in disjunction_d3m1.hypotheses]
+        rows = list(disjunction_d3m1.rows)
         assert oracles.connected_at_threshold(rows, 1)
         assert not oracles.connected_at_threshold(rows, 0)
         assert k == 1
@@ -67,7 +67,7 @@ class TestMinK:
     def test_threshold_is_tight(self, disjunction_d4m2, pentagon):
         for inst in (disjunction_d4m2, pentagon):
             k = min_k(inst)
-            rows = [h.outcomes for h in inst.hypotheses]
+            rows = list(inst.rows)
             assert oracles.connected_at_threshold(rows, k)
             assert not oracles.connected_at_threshold(rows, k - 1)
 
@@ -136,7 +136,7 @@ class TestCoherence:
     def test_disjunction_two_point_certificate(self, disjunction_d6m2):
         cert = coherence(disjunction_d6m2)
         assert cert.value == Fraction(1, 2)
-        ids = {disjunction_d6m2.tests[x].id for x in cert.distribution}
+        ids = {disjunction_d6m2.test_ids[x] for x in cert.distribution}
         assert ids == {"000000", "111111"}
         assert all(w == Fraction(1, 2) for w in cert.distribution.values())
 
@@ -154,7 +154,7 @@ class TestCoherence:
     def test_pentagon_balanced_exact_value(self, pentagon_balanced):
         # Oracle: the uniform distribution achieves min(2/5, 1 - 3/5) = 2/5,
         # and by cyclic symmetry no distribution does better.
-        rows = [h.outcomes for h in pentagon_balanced.hypotheses]
+        rows = list(pentagon_balanced.rows)
         uniform = {x: Fraction(1, 5) for x in range(5)}
         assert oracles.certificate_value(rows, uniform) == Fraction(2, 5)
         cert = coherence(pentagon_balanced)
@@ -178,7 +178,7 @@ class TestVerifyCertificate:
     def test_uniform_on_pentagon_by_direct_summation(self, pentagon):
         uniform = {x: Fraction(1, 5) for x in range(5)}
         cert = CoherenceCertificate(uniform, Fraction(0))
-        rows = [h.outcomes for h in pentagon.hypotheses]
+        rows = list(pentagon.rows)
         expected = oracles.certificate_value(rows, uniform)
         assert expected == Fraction(1, 5)
         assert verify_certificate(pentagon, cert) == expected
@@ -230,7 +230,7 @@ class TestEdgeAlpha:
     def test_polygon_adjacent_edge_value_third(self, pentagon):
         # Oracle: brute-force minimum over all subsets of the 4-arc
         # disagreement set, scanning every test with Fraction arithmetic.
-        rows = [h.outcomes for h in pentagon.hypotheses]
+        rows = list(pentagon.rows)
         pool = oracles.delta_members(rows, 0, 1)
         expected = oracles.min_subset_split(rows, pool)
         assert expected == Fraction(1, 3)
@@ -244,7 +244,7 @@ class TestEdgeAlpha:
             (box_d2r11, [(10, 11), (24, 25), (3, 10)]),
             (disjunction_d4m2, [(0, 1), (0, 8), (5, 7)]),
         ):
-            rows = [h.outcomes for h in inst.hypotheses]
+            rows = list(inst.rows)
             for x, xp in pairs:
                 report = edge_alpha(inst, x, xp)
                 pool = oracles.delta_members(rows, x, xp)
@@ -257,7 +257,7 @@ class TestEdgeAlpha:
         # The m=3 omitted-variable family, viewed as one big disagreement
         # set: no subset-of-everything splits better than 1/4.
         inst = families.gen_counterexample_disjunction(3)
-        rows = [h.outcomes for h in inst.hypotheses]
+        rows = list(inst.rows)
         assert oracles.best_split(rows, list(range(inst.n)))[1] == Fraction(1, 4)
 
     def test_sampled_edge_is_deterministic(self, disjunction_d6m2):
@@ -280,7 +280,7 @@ class TestEdgeAlpha:
         )
         assert report.status == FALSIFIED_WITNESS
         assert report.witness is not None
-        rows = [h.outcomes for h in inst.hypotheses]
+        rows = list(inst.rows)
         assert oracles.best_split(rows, list(report.witness))[1] == report.edge_value
 
     def test_monotone_under_hypothesis_restriction(self, box_d2r11):
@@ -289,10 +289,10 @@ class TestEdgeAlpha:
         inst = box_d2r11
         base = edge_alpha(inst, 10, 11)
         doc = {
-            "tests": [{"id": t.id, "meta": dict(t.meta)} for t in inst.tests],
+            "tests": [{"id": tid, "meta": dict(meta)} for tid, meta in zip(inst.test_ids, inst.test_meta)],
             "hypotheses": [
-                {"id": h.id, "outcomes": h.outcomes, "meta": dict(h.meta)}
-                for i, h in enumerate(inst.hypotheses)
+                {"id": hid, "outcomes": row, "meta": dict(meta)}
+                for i, (hid, row, meta) in enumerate(zip(inst.hypothesis_ids, inst.rows, inst.hypothesis_meta))
                 if i % 3 != 0
             ],
         }
@@ -414,7 +414,7 @@ class TestEdgePass:
         pairs of each width, so block boundaries fall inside every width."""
         inst = families.generate(family, params)
         _, candidates = candidate_edges(inst)
-        rows = [h.outcomes for h in inst.hypotheses]
+        rows = list(inst.rows)
         taken: dict[int, int] = {}
         pairs = []
         for x, x_prime in candidates:
@@ -671,14 +671,14 @@ class TestOptimalWorstCase:
         assert optimal_worst_case(inst) == 1
 
     def test_box_d1r2_is_exactly_three(self, box_d1r2):
-        rows = [h.outcomes for h in box_d1r2.hypotheses]
+        rows = list(box_d1r2.rows)
         expected = oracles.optimal_tree_depth(rows, frozenset(range(box_d1r2.n)))
         assert expected == 3 == math.ceil(math.log2(box_d1r2.n))
         assert optimal_worst_case(box_d1r2) == expected
 
     def test_matches_naive_dp_on_small_instances(self, disjunction_d4m2, box_d2r11):
         for inst in (disjunction_d4m2, box_d2r11):
-            rows = [h.outcomes for h in inst.hypotheses]
+            rows = list(inst.rows)
             expected = oracles.optimal_tree_depth(rows, frozenset(range(inst.n)))
             assert optimal_worst_case(inst) == expected
             assert expected >= math.ceil(math.log2(inst.n))
@@ -719,7 +719,7 @@ class TestSubsetSplitAudit:
         assert not audit.passed
         # The witness is the full four-tip set: its best split is 1/4.
         assert audit.witness == (0, 1, 2, 3)
-        rows = [h.outcomes for h in cx_plus_d2l2.hypotheses]
+        rows = list(cx_plus_d2l2.rows)
         assert oracles.best_split(rows, list(audit.witness))[1] == Fraction(1, 4)
 
     def test_cap_is_enforced(self, pentagon):
@@ -843,7 +843,7 @@ class TestVectorizedPairPaths:
     @settings(max_examples=80, deadline=None)
     @given(random_instances(), st.integers(min_value=0, max_value=6))
     def test_all_mode_pairs_match_the_delta_loop(self, inst, limit):
-        rows = [h.outcomes for h in inst.hypotheses]
+        rows = list(inst.rows)
         m = inst.m_tests
         expected = [
             (i, j)
@@ -856,7 +856,7 @@ class TestVectorizedPairPaths:
     @settings(max_examples=60, deadline=None)
     @given(random_instances(), st.integers(min_value=0, max_value=6))
     def test_neighborly_audit_matches_the_disagreement_loop(self, inst, limit):
-        rows = [h.outcomes for h in inst.hypotheses]
+        rows = list(inst.rows)
         audit = neighborly_edge_audit(inst, limit)
         k = audit.k_min
         assert k == oracles.loop_min_k(oracles.columns_of(inst))[0]

@@ -398,8 +398,13 @@ class TestAnalyzeRunVerify:
             lambda doc: doc["hypotheses"][0].pop("id"),
             lambda doc: doc.update({"tests": {"id": "t0"}}),
             lambda doc: doc["tests"].__setitem__(0, doc["tests"][0]["id"]),
+            lambda doc: doc.update({"params": []}),
+            lambda doc: doc.update({"params": 0}),
+            lambda doc: doc.update({"params": False}),
+            lambda doc: doc.update({"params": ""}),
         ],
-        ids=["hypothesis-without-id", "tests-an-object", "test-a-bare-string"],
+        ids=["hypothesis-without-id", "tests-an-object", "test-a-bare-string",
+             "params-an-empty-list", "params-zero", "params-false", "params-an-empty-string"],
     )
     def test_run_malformed_instance_exit_2(self, dj_instance, capsys, doctor):
         instance_path, _ = dj_instance

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -27,6 +28,25 @@ from splitfinder.core import (
     validate_instance,
 )
 from splitfinder.engine import QueryBudgetExceeded, best_split_test, restrict
+from test_engine import SMALL_FAMILY_INSTANCES
+
+
+# The message of the walk's last line, which a refused document never reaches.
+WALK_GUARD = "the bulk check refused a document in which no fault was found"
+# The document-level faults, checked only after the bulk check accepts.
+DOCUMENT_FAULTS = {"'params' must be an object", "'name' must be a string", "'family' must be a string"}
+
+
+class Text(str):
+    pass
+
+
+class Whole(int):
+    pass
+
+
+class Coords(list):
+    pass
 
 
 def make_doc(rows: list[str], name: str = "adhoc") -> dict:
@@ -62,7 +82,7 @@ def everyone(inst) -> np.ndarray:
 
 def node_counts(inst, members) -> np.ndarray:
     """The one-node counts of `best_split_test`, from a plain loop."""
-    return oracles.ones_per_test([h.outcomes for h in inst.hypotheses], [list(members)])
+    return oracles.ones_per_test(list(inst.rows), [list(members)])
 
 
 def best_split(inst, members) -> tuple[int, Fraction]:
@@ -149,7 +169,7 @@ class TestValidateInstance:
         columns = oracles.columns_of(inst)
         for h in range(inst.n):
             for x in range(inst.m_tests):
-                bit = int(inst.hypotheses[h].outcomes[x])
+                bit = int(inst.rows[h][x])
                 assert inst.outcomes[h, x] == bit
                 assert ((columns[x] >> h) & 1) == bit
 
@@ -160,7 +180,7 @@ FAULTS = (
     "duplicate_test_id", "duplicate_hypothesis_id", "non_string_row", "short_row", "long_row",
     "bad_ascii_character", "non_ascii_character", "duplicate_row", "non_dict_test",
     "non_dict_hypothesis", "missing_id", "bad_meta", "bad_coords", "bad_params",
-    "non_string_id", "falsy_meta", "bad_name",
+    "non_string_id", "falsy_meta", "bad_name", "falsy_params",
 )
 
 
@@ -209,6 +229,9 @@ def apply_fault(doc: dict, kind: str, data) -> None:
     elif kind == "bad_name":
         key = data.draw(st.sampled_from(["name", "family"]))
         doc[key] = data.draw(st.sampled_from([None, 3, ["n"], {"f": 1}]))
+    elif kind == "falsy_params":
+        # Null and an empty object are no fault: both read as no params.
+        doc["params"] = data.draw(st.sampled_from([[], 0, False, "", None, {}]))
 
 
 class TestFaultyDocuments:
@@ -217,7 +240,7 @@ class TestFaultyDocuments:
     @settings(max_examples=300, deadline=None)
     @given(small_instances(), st.lists(st.sampled_from(FAULTS), max_size=3), st.data())
     def test_faults_raise_instance_errors(self, inst, faults, data):
-        doc = make_doc([h.outcomes for h in inst.hypotheses])
+        doc = make_doc(list(inst.rows))
         # Entries are replaced by non-objects last, so every other fault finds an object.
         for kind in sorted(faults, key=lambda kind: kind.startswith("non_dict")):
             apply_fault(doc, kind, data)
@@ -237,13 +260,12 @@ class TestFaultyDocuments:
         with pytest.raises((InvalidOutcome, RowLengthMismatch)):
             validate_instance(doc)
 
-    def test_string_subclass_rows_are_accepted(self):
-        class Row(str):
-            pass
-
+    def test_string_subclass_rows_are_refused(self):
         doc = make_doc(["10", "01"])
-        doc["hypotheses"][0]["outcomes"] = Row("10")
-        assert validate_instance(doc).outcomes.tolist() == [[True, False], [False, True]]
+        doc["hypotheses"][0]["outcomes"] = Text("10")
+        with pytest.raises(InvalidOutcome) as raised:
+            validate_instance(doc)
+        assert str(raised.value) == "hypothesis 'h0': outcomes must be a string"
 
 
 class TestBulkValidation:
@@ -265,7 +287,6 @@ class TestBulkValidation:
         assert got.rows == expected.rows
         assert (got.test_meta, got.hypothesis_meta) == (expected.test_meta, expected.hypothesis_meta)
         assert np.array_equal(got.outcomes, expected.outcomes)
-        assert (got.tests, got.hypotheses) == (expected.tests, expected.hypotheses)
         expected_bytes = oracles.dumps_canonical_bytes(oracles.instance_to_document(expected))
         assert persistence.instance_bytes(got) == expected_bytes
         assert got == expected
@@ -278,29 +299,76 @@ class TestBulkValidation:
             apply_fault(doc, kind, data)
         self.assert_validates_like_the_loop(doc)
 
-    def test_documents_the_bulk_check_passes_to_the_walk(self):
-        # Tuples, other mappings and str subclasses are valid but not plain JSON.
-        class Text(str):
-            pass
+    @settings(max_examples=300, deadline=None)
+    @given(small_instances(), st.lists(st.sampled_from(FAULTS), max_size=3), st.data())
+    def test_only_the_bulk_check_accepts(self, inst, faults, data):
+        # The bulk check refuses a document exactly when validate_instance
+        # raises for one of its records; params, name and family are checked
+        # after it, on a document it accepted.  The walk's guard never raises.
+        doc = make_doc(list(inst.rows))
+        for kind in sorted(faults, key=lambda kind: kind.startswith("non_dict")):
+            apply_fault(doc, kind, data)
+        columns = core._bulk_columns(doc)
+        try:
+            validate_instance(doc)
+        except InstanceError as exc:
+            assert str(exc) != WALK_GUARD
+            assert (columns is None) == (str(exc) not in DOCUMENT_FAULTS)
+        else:
+            assert columns is not None
 
+    def test_the_walk_guard_raises_when_no_fault_is_found(self, monkeypatch):
+        # Reached only if the bulk check refused a valid document.
+        monkeypatch.setattr(core, "_bulk_columns", lambda raw: None)
+        with pytest.raises(MalformedInstance) as raised:
+            validate_instance(make_doc(["01", "10"]))
+        assert str(raised.value) == WALK_GUARD
+
+    @pytest.mark.parametrize(
+        "doctor, error, message",
+        [
+            (lambda doc: doc.update(tests=tuple(doc["tests"])),
+             MalformedInstance, "'tests' must be a list of objects"),
+            (lambda doc: doc["hypotheses"].__setitem__(0, MappingProxyType(doc["hypotheses"][0])),
+             MalformedInstance, "hypotheses[0] must be an object with an 'id'"),
+            (lambda doc: doc["tests"].__setitem__(1, OrderedDict(doc["tests"][1])),
+             MalformedInstance, "tests[1] must be an object with an 'id'"),
+            (lambda doc: doc["hypotheses"][1].update(id=Text("h1")),
+             MalformedInstance, "hypotheses[1]: 'id' must be a string"),
+            (lambda doc: doc["hypotheses"][2].update(meta=OrderedDict(coords=[1])),
+             MalformedInstance, "hypotheses[2]: 'meta' must be an object"),
+            (lambda doc: doc["tests"][1].update(meta={"coords": Coords([1])}),
+             InvalidMeta, "record 't1': coords must be a list of integers"),
+            (lambda doc: doc["tests"][1].update(meta={"coords": [Whole(1)]}),
+             InvalidMeta, "record 't1': coords must be a list of integers"),
+            (lambda doc: doc["tests"][0].update(meta={"cycle_index": Whole(0)}),
+             InvalidMeta, "record 't0': cycle_index must be an integer"),
+            (lambda doc: doc.update(params=OrderedDict()),
+             MalformedInstance, "'params' must be an object"),
+            (lambda doc: doc.update(name=Text("n")),
+             MalformedInstance, "'name' must be a string"),
+        ],
+        ids=["tuple-tests", "mapping-entry", "dict-subclass-entry", "str-subclass-id", "dict-subclass-meta",
+             "list-subclass-coords", "int-subclass-coord", "int-subclass-cycle-index", "dict-subclass-params",
+             "str-subclass-name"],
+    )
+    def test_values_of_other_than_json_types_are_refused(self, doctor, error, message):
         doc = make_doc(["01", "10", "11"])
-        doc["tests"] = tuple(doc["tests"])
-        doc["hypotheses"][0] = MappingProxyType(doc["hypotheses"][0])
-        doc["hypotheses"][1]["id"] = Text("h1")
-        doc["hypotheses"][2]["meta"] = MappingProxyType({"coords": [1]})
-        doc["tests"][0]["meta"] = {}
+        doctor(doc)
+        with pytest.raises(error) as raised:
+            validate_instance(doc)
+        assert (type(raised.value), str(raised.value)) == (error, message)
         self.assert_validates_like_the_loop(doc)
-        plain = make_doc(["01", "10", "11"])
-        plain["hypotheses"][2]["meta"] = {"coords": [1]}
-        assert validate_instance(doc) == validate_instance(plain)
 
-    def test_a_valid_plain_document_is_not_walked(self, monkeypatch, pentagon):
+    @pytest.mark.parametrize("family", sorted(SMALL_FAMILY_INSTANCES))
+    def test_a_valid_plain_document_is_not_walked(self, monkeypatch, family):
         def walked(raw):
             raise AssertionError("walked a valid document")
 
-        monkeypatch.setattr(core, "_walked_columns", walked)
-        doc = oracles.instance_to_document(pentagon)
-        assert validate_instance(doc) == pentagon
+        monkeypatch.setattr(core, "_raise_first_fault", walked)
+        instance = SMALL_FAMILY_INSTANCES[family]()
+        doc = oracles.instance_to_document(instance)
+        assert validate_instance(doc) == instance
 
     @pytest.mark.parametrize("value", [None, 0, 1.5, True, [1], {"id": "t0"}])
     def test_non_string_ids_are_refused(self, value):
@@ -343,6 +411,21 @@ class TestBulkValidation:
         doc["tests"][1]["meta"] = meta
         assert validate_instance(doc).test_meta == (None, None)
 
+    @pytest.mark.parametrize("params", [[], 0, False, ""])
+    def test_falsy_non_object_params_are_refused(self, params):
+        doc = make_doc(["01", "10"])
+        doc["params"] = params
+        with pytest.raises(MalformedInstance, match=r"^'params' must be an object$"):
+            validate_instance(doc)
+
+    @pytest.mark.parametrize("params", [None, {}])
+    def test_null_and_empty_params_read_as_no_params(self, params):
+        doc = make_doc(["01", "10"])
+        doc["params"] = params
+        assert validate_instance(doc).params == {}
+        del doc["params"]
+        assert validate_instance(doc).params == {}
+
 
 class TestSplitProbability:
     def test_disjunction_single_bit_test(self, disjunction_d3m1):
@@ -350,7 +433,7 @@ class TestSplitProbability:
         x = inst.test_index["100"]
         ones = restrict(inst.outcomes, everyone(inst), x, 1).size
         # Oracle: only x1 fires on assignment 100.
-        rows = [h.outcomes for h in inst.hypotheses]
+        rows = list(inst.rows)
         assert oracles.p_one_of(rows, [0, 1, 2], x) == Fraction(1, 3)
         assert Fraction(ones, inst.n) == Fraction(1, 3)
         assert split_of_test(inst, everyone(inst), x) == Fraction(1, 3)
@@ -358,7 +441,7 @@ class TestSplitProbability:
     def test_constant_column_splits_zero(self, disjunction_d3m1):
         inst = disjunction_d3m1
         x = inst.test_index["000"]
-        rows = [h.outcomes for h in inst.hypotheses]
+        rows = list(inst.rows)
         assert oracles.split_of(rows, [0, 1, 2], x) == 0
         with pytest.raises(QueryBudgetExceeded, match="no test splits a version space of 3"):
             split_of_test(inst, everyone(inst), x)
@@ -373,7 +456,7 @@ class TestBestSplitTest:
         # t0 and t2 each split off one of the 4 hypotheses; t1 halves them
         # and must win over the lower index.
         inst = validate_instance(make_doc(["100", "000", "010", "011"]))
-        rows = [h.outcomes for h in inst.hypotheses]
+        rows = list(inst.rows)
         x, value = best_split(inst, everyone(inst))
         assert (x, value) == oracles.best_split(rows, [0, 1, 2, 3])
         assert (x, value) == (1, Fraction(1, 2))
@@ -394,7 +477,7 @@ class TestBestSplitTest:
             ],
         }
         inst = validate_instance(doc)
-        rows = [h.outcomes for h in inst.hypotheses]
+        rows = list(inst.rows)
         splits = [oracles.split_of(rows, [0, 1, 2], x) for x in range(6)]
         assert splits[2] == splits[5] == Fraction(1, 3) == max(splits)
         assert best_split(inst, everyone(inst)) == (2, Fraction(1, 3))
@@ -407,7 +490,7 @@ class TestBestSplitTest:
     def test_nodes_of_one_call_are_chosen_independently(self, disjunction_d4m2):
         inst = disjunction_d4m2
         nodes = [[0, 3, 4, 9], [1, 2], [5, 6, 7, 8]]
-        rows = [h.outcomes for h in inst.hypotheses]
+        rows = list(inst.rows)
         ones = oracles.ones_per_test(rows, nodes)
         tests, best = best_split_test(ones, [len(node) for node in nodes])
         for i, node in enumerate(nodes):
@@ -418,7 +501,7 @@ class TestBestSplitTest:
 
 class TestRestrict:
     def test_positive_side_size(self, pentagon):
-        rows = [h.outcomes for h in pentagon.hypotheses]
+        rows = list(pentagon.rows)
         kept = restrict(pentagon.outcomes, everyone(pentagon), 0, 1)
         assert kept.size == oracles.p_one_of(rows, list(range(pentagon.n)), 0) * pentagon.n
 
@@ -429,7 +512,7 @@ class TestRestrict:
     def test_disjunction_restrict_example(self, disjunction_d3m1):
         inst = disjunction_d3m1
         kept = restrict(inst.outcomes, everyone(inst), inst.test_index["100"], 1)
-        assert [inst.hypotheses[h].id for h in kept] == ["x1"]
+        assert [inst.hypothesis_ids[h] for h in kept] == ["x1"]
 
 
 class TestDeltaSet:
@@ -439,7 +522,7 @@ class TestDeltaSet:
     def test_disjunction_delta(self, disjunction_d3m1):
         inst = disjunction_d3m1
         members = delta_set(inst, inst.test_index["000"], inst.test_index["100"])
-        assert [inst.hypotheses[h].id for h in members] == ["x1"]
+        assert [inst.hypothesis_ids[h] for h in members] == ["x1"]
 
     def test_pentagon_adjacent_delta_size(self, pentagon):
         # Oracle: arcs of length 1..4 on the 5-cycle containing vertex 1 but
@@ -450,7 +533,7 @@ class TestDeltaSet:
 
     def test_delta_pair_decomposition(self, disjunction_d4m2):
         inst = disjunction_d4m2
-        rows = [h.outcomes for h in inst.hypotheses]
+        rows = list(inst.rows)
         for x, xp in [(0, 1), (3, 9), (5, 10)]:
             fwd = delta_set(inst, x, xp).tolist()
             bwd = delta_set(inst, xp, x).tolist()
@@ -482,7 +565,7 @@ def test_restrict_partitions_every_space(inst, data):
 def test_split_range_and_definition(inst, data):
     x = data.draw(st.integers(min_value=0, max_value=inst.m_tests - 1))
     members = member_subset(inst, data)
-    rows = [h.outcomes for h in inst.hypotheses]
+    rows = list(inst.rows)
     p_one = oracles.p_one_of(rows, members.tolist(), x)
     assert Fraction(restrict(inst.outcomes, members, x, 1).size, members.size) == p_one
     if 0 < p_one < 1:

@@ -44,7 +44,7 @@ class TestRunGbs:
     def test_every_oracle_is_identified(self, pentagon):
         for h in range(pentagon.n):
             tr = run_gbs(pentagon, hypothesis_oracle(pentagon, h), str(h))
-            assert tr.identified == pentagon.hypotheses[h].id
+            assert tr.identified == pentagon.hypothesis_ids[h]
 
     def test_some_pentagon_oracle_needs_exactly_four_queries(self, pentagon):
         counts = [
@@ -64,7 +64,7 @@ class TestRunGbs:
     def test_box_d1r2_needs_at_most_three(self, box_d1r2):
         # Oracle: the exact optimal tree for this 5-hypothesis interval
         # family is depth 3, so the greedy runs must fit in 3 as well.
-        rows = [h.outcomes for h in box_d1r2.hypotheses]
+        rows = list(box_d1r2.rows)
         optimal = oracles.optimal_tree_depth(rows, frozenset(range(box_d1r2.n)))
         assert optimal == 3
         for h in range(box_d1r2.n):
@@ -93,7 +93,7 @@ class TestRunGbs:
             for step in tr.steps:
                 members = restrict(outcomes, members, pentagon.test_index[step.test_id], step.outcome)
                 assert members.size == step.remaining
-            assert pentagon.hypotheses[members[0]].id == tr.identified
+            assert pentagon.hypothesis_ids[members[0]] == tr.identified
 
     def test_unsplittable_space_raises_budget_exceeded(self):
         # The tree's duplicate-row instance: after the first query, h1 and h2
@@ -140,7 +140,7 @@ class TestRunAllOracles:
 
     def test_pentagon_sweep(self, pentagon):
         stats = run_all_oracles(pentagon)
-        assert set(stats.per_oracle) == {h.id for h in pentagon.hypotheses}
+        assert set(stats.per_oracle) == set(pentagon.hypothesis_ids)
         assert stats.worst_case == max(stats.per_oracle.values())
         assert stats.average == Fraction(sum(stats.per_oracle.values()), pentagon.n)
         assert stats.average <= stats.worst_case
@@ -148,9 +148,9 @@ class TestRunAllOracles:
     def test_per_oracle_counts_are_the_loop_counts(self, disjunction_d6m2):
         inst = disjunction_d6m2
         stats = run_all_oracles(inst)
-        paths, least = oracles.greedy_tree([h.outcomes for h in inst.hypotheses])
+        paths, least = oracles.greedy_tree(list(inst.rows))
         assert list(stats.per_oracle.values()) == [len(path) for path in paths]
-        assert list(stats.per_oracle) == [h.id for h in inst.hypotheses]
+        assert list(stats.per_oracle) == list(inst.hypothesis_ids)
         assert stats.min_chosen_split == least
 
 
@@ -181,14 +181,14 @@ def duplicate_row_instance():
 
 def assert_matches_reference(inst):
     """`run_gbs` transcripts and `gbs_tree` equal the recursive string-oracle tree."""
-    paths, least = oracles.greedy_tree([h.outcomes for h in inst.hypotheses])
+    paths, least = oracles.greedy_tree(list(inst.rows))
     tree = gbs_tree(inst)
     assert tree.depths == tuple(len(path) for path in paths)
     assert tree.min_chosen_split == least
     for h, path in enumerate(paths):
         transcript = run_gbs(inst, hypothesis_oracle(inst, h))
-        assert transcript.steps == tuple(Step(inst.tests[x].id, y, left) for x, y, left in path)
-        assert transcript.identified == inst.hypotheses[h].id
+        assert transcript.steps == tuple(Step(inst.test_ids[x], y, left) for x, y, left in path)
+        assert transcript.identified == inst.hypothesis_ids[h]
 
 
 SMALL_FAMILY_INSTANCES = {
@@ -242,13 +242,13 @@ def random_instance(n, m_tests=12):
 def complement(inst):
     """Every outcome flipped, which leaves every split and so the greedy tree as it was."""
     flip = str.maketrans("01", "10")
-    return instance_of([h.outcomes.translate(flip) for h in inst.hypotheses])
+    return instance_of([row.translate(flip) for row in inst.rows])
 
 
 def assert_outcomes_match_strings(inst):
     outcomes = inst.outcomes
     assert outcomes.dtype == bool and outcomes.flags.c_contiguous
-    assert outcomes.tolist() == [[c == "1" for c in h.outcomes] for h in inst.hypotheses]
+    assert outcomes.tolist() == [[c == "1" for c in row] for row in inst.rows]
 
 
 class TestOutcomeArray:

@@ -57,8 +57,8 @@ class TestConvexPolygon:
         assert delta_set(pentagon_balanced, 0, 1).size == expected
 
     def test_balanced_arcs_have_central_fraction(self, pentagon_balanced):
-        for h in pentagon_balanced.hypotheses:
-            ones = Fraction(h.outcomes.count("1"), 5)
+        for row in pentagon_balanced.rows:
+            ones = Fraction(row.count("1"), 5)
             assert Fraction(1, 4) <= ones <= Fraction(3, 4)
 
     def test_too_few_points(self):
@@ -77,8 +77,8 @@ class TestDisjunction:
         zeros = inst.test_index["000000"]
         ones = inst.test_index["111111"]
         for h in range(inst.n):
-            assert inst.hypotheses[h].outcomes[zeros] == "0"
-            assert inst.hypotheses[h].outcomes[ones] == "1"
+            assert inst.rows[h][zeros] == "0"
+            assert inst.rows[h][ones] == "1"
 
     def test_single_hypothesis_family(self):
         inst = gen_disjunction(1, 1)
@@ -105,15 +105,15 @@ class TestMonotoneCnf:
 
     def test_semantics_conjunction_of_disjunctions(self):
         inst = gen_monotone_cnf(5, 2, 2)
-        for h in inst.hypotheses:
-            clauses = h.meta["clauses"]
+        for row, meta in zip(inst.rows, inst.hypothesis_meta):
+            clauses = meta["clauses"]
             flat = [v for clause in clauses for v in clause]
             assert len(set(flat)) == len(flat)  # disjoint clauses
-            for x, t in enumerate(inst.tests):
+            for x, tid in enumerate(inst.test_ids):
                 expected = all(
-                    any(t.id[v - 1] == "1" for v in clause) for clause in clauses
+                    any(tid[v - 1] == "1" for v in clause) for clause in clauses
                 )
-                assert (h.outcomes[x] == "1") == expected
+                assert (row[x] == "1") == expected
 
     def test_l1_exact_size_variant_vs_disjunction(self):
         # l = 1 keeps only exactly-m clauses, a strict subset of the <= m family.
@@ -121,8 +121,8 @@ class TestMonotoneCnf:
         dj = gen_disjunction(5, 2)
         assert cnf.n == math.comb(5, 2)
         assert dj.n == 5 + math.comb(5, 2)
-        cnf_rows = {h.outcomes for h in cnf.hypotheses}
-        dj_rows = {h.outcomes for h in dj.hypotheses}
+        cnf_rows = set(cnf.rows)
+        dj_rows = set(dj.rows)
         assert cnf_rows < dj_rows
 
     def test_bad_params(self):
@@ -133,7 +133,7 @@ class TestMonotoneCnf:
 class TestBoxLocalization:
     def test_counts_and_span(self, box_d1r2):
         assert box_d1r2.n == 5
-        coords = [t.meta["coords"][0] for t in box_d1r2.tests]
+        coords = [meta["coords"][0] for meta in box_d1r2.test_meta]
         assert coords == list(range(-5, 6))
 
     def test_product_count(self):
@@ -145,11 +145,11 @@ class TestBoxLocalization:
         # Oracle: hypotheses answering 0 at x and 1 at x + e1 form a 1 x 3 slab.
         x = inst.test_index["-3,0"]
         xp = inst.test_index["-2,0"]
-        rows = [h.outcomes for h in inst.hypotheses]
+        rows = list(inst.rows)
         pool = oracles.delta_members(rows, x, xp)
         assert len(pool) == 3
         assert delta_set(inst, x, xp).size == 3
-        coords = [inst.hypotheses[h].meta["coords"] for h in pool]
+        coords = [inst.hypothesis_meta[h]["coords"] for h in pool]
         assert all(c[0] == -1 for c in coords)
         assert sorted(c[1] for c in coords) == [-1, 0, 1]
 
@@ -197,10 +197,10 @@ class TestShapeLocalization:
     def test_box_offsets_match_box_generator(self, radii, center):
         box = gen_box_localization(radii, center)
         shape = gen_shape_localization(families.box_offsets(radii), center)
-        assert [t.id for t in box.tests] == [t.id for t in shape.tests]
-        assert [h.outcomes for h in box.hypotheses] == [h.outcomes for h in shape.hypotheses]
-        assert box.tests == shape.tests
-        assert box.hypotheses == shape.hypotheses
+        assert box.test_ids == shape.test_ids
+        assert box.rows == shape.rows
+        assert box.test_meta == shape.test_meta
+        assert (box.hypothesis_ids, box.hypothesis_meta) == (shape.hypothesis_ids, shape.hypothesis_meta)
 
     @pytest.mark.parametrize("d, radius", itertools.product(range(1, 5), range(4)))
     def test_l1_ball_offsets_are_the_points_within_the_radius(self, d, radius):
@@ -239,14 +239,14 @@ class TestDiscreteLinear:
         assert Fraction(2) <= 2 * Fraction(2) - Fraction(8, 8)
         inst = gen_discrete_linear(8, 2)
         assert inst.n > 0
-        shapes = {(sum(1 for w in h.meta["w"] if w > 0), sum(1 for w in h.meta["w"] if w < 0), h.meta["b"]) for h in inst.hypotheses}
+        shapes = {(sum(1 for w in meta["w"] if w > 0), sum(1 for w in meta["w"] if w < 0), meta["b"]) for meta in inst.hypothesis_meta}
         assert (3, 2, 0) in shapes
 
     def test_every_kept_pair_satisfies_constraints(self):
         inst = gen_discrete_linear(8, 2)
         r, margin = Fraction(2), Fraction(8, 8)
-        for h in list(inst.hypotheses)[::97]:
-            w, b = h.meta["w"], h.meta["b"]
+        for meta in inst.hypothesis_meta[::97]:
+            w, b = meta["w"], meta["b"]
             plus = sum(1 for v in w if v > 0)
             minus = sum(1 for v in w if v < 0)
             assert plus - b <= r * (minus + b) - margin
@@ -254,7 +254,7 @@ class TestDiscreteLinear:
 
     def test_duplicate_rows_collapse(self):
         inst = gen_discrete_linear(4, 4)
-        rows = [h.outcomes for h in inst.hypotheses]
+        rows = list(inst.rows)
         assert len(rows) == len(set(rows))
 
     def test_tiny_dimension_is_empty(self):
@@ -269,11 +269,11 @@ class TestLinearKcase:
 
     def test_semantics(self):
         inst = gen_linear_kcase(4)
-        for h in inst.hypotheses:
-            w = h.meta["w"]
-            for x, t in enumerate(inst.tests):
-                dot = sum(wi * int(bit) for wi, bit in zip(w, t.id))
-                assert (h.outcomes[x] == "1") == (dot > h.meta["b"])
+        for row, meta in zip(inst.rows, inst.hypothesis_meta):
+            w = meta["w"]
+            for x, tid in enumerate(inst.test_ids):
+                dot = sum(wi * int(bit) for wi, bit in zip(w, tid))
+                assert (row[x] == "1") == (dot > meta["b"])
 
     def test_k_lower_bounds(self):
         k4 = min_k(gen_linear_kcase(4))
@@ -290,7 +290,7 @@ class TestLinearKcase:
 
 def root_split(inst) -> Fraction:
     """The split fraction the greedy step chooses on the full version space."""
-    ones = oracles.ones_per_test([h.outcomes for h in inst.hypotheses], [range(inst.n)])
+    ones = oracles.ones_per_test(list(inst.rows), [range(inst.n)])
     _, best = best_split_test(ones, [inst.n])
     return Fraction(int(best[0]), inst.n)
 
@@ -312,17 +312,17 @@ class TestCounterexamples:
     def test_disjunction_holds_the_disjunctions_of_m_of_m_plus_1_variables(self, m):
         cx = gen_counterexample_disjunction(m)
         full = gen_disjunction(m + 1, m)
-        assert cx.tests == full.tests
-        size_m = [(h.id, h.outcomes) for h in full.hypotheses if len(h.meta["vars"]) == m]
-        assert sorted((h.id, h.outcomes) for h in cx.hypotheses) == sorted(size_m)
-        for h in cx.hypotheses:
-            assert h.meta["vars"] == [v for v in range(1, m + 2) if v != h.meta["omitted"]]
+        assert (cx.test_ids, cx.test_meta) == (full.test_ids, full.test_meta)
+        size_m = [(hid, row) for hid, row, meta in records_of(full) if len(meta["vars"]) == m]
+        assert sorted((hid, row) for hid, row, _ in records_of(cx)) == sorted(size_m)
+        for meta in cx.hypothesis_meta:
+            assert meta["vars"] == [v for v in range(1, m + 2) if v != meta["omitted"]]
 
     def test_plus_d2l2_split_exactly_quarter(self, cx_plus_d2l2):
         inst = cx_plus_d2l2
         assert inst.n == 4
         # Oracle sweep over the axis test region.
-        rows = [h.outcomes for h in inst.hypotheses]
+        rows = list(inst.rows)
         assert oracles.best_split(rows, [0, 1, 2, 3])[1] == Fraction(1, 4)
         assert root_split(inst) == Fraction(1, 4) < Fraction(1, 3)
 
@@ -494,7 +494,7 @@ def test_large_generated_instance_digest(family, params, digest):
 
 
 def records_of(instance) -> list[tuple]:
-    return [(h.id, h.outcomes, h.meta) for h in instance.hypotheses]
+    return list(zip(instance.hypothesis_ids, instance.rows, instance.hypothesis_meta))
 
 
 class TestRowsMatchTheStringLoops:

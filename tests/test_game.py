@@ -173,7 +173,7 @@ class TestDominanceReduction:
         for instance in family_instances():
             assert reaches_game(instance)
             cert = coherence(instance)
-            rows = [h.outcomes for h in instance.hypotheses]
+            rows = list(instance.rows)
             value, _ = oracles.unreduced_coherence(rows)
             assert cert.value == value
             assert oracles.certificate_value(rows, dict(cert.distribution)) == value
@@ -187,7 +187,7 @@ class TestDominanceReduction:
             if not reaches_game(instance):
                 continue
             cert = coherence(instance)
-            rows = [h.outcomes for h in instance.hypotheses]
+            rows = list(instance.rows)
             value, _ = oracles.unreduced_coherence(rows)
             assert cert.value == value
             assert oracles.certificate_value(rows, dict(cert.distribution)) == value
@@ -227,7 +227,7 @@ def assert_quotient_certificate(instance):
     """The quotient game's value is the unreduced game's, its certificate
     achieves it, its partition is equitable and both lifted strategies are
     uniform on every class."""
-    rows = [h.outcomes for h in instance.hypotheses]
+    rows = list(instance.rows)
     with pytest.MonkeyPatch.context() as mp:
         partitions = capture_calls(mp, "_equitable_classes")
         scores = capture_calls(mp, "_best_test_score")
