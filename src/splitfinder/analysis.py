@@ -9,6 +9,7 @@ sampling artifacts can only understate, never overstate, a guarantee.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections.abc import Mapping, Sequence
@@ -651,11 +652,17 @@ def candidate_edges(
     """Resolve the candidate edge set: adjacency preset or all small pairs.
 
     Returns the mode actually used, which matters when a preset is
-    requested but no adjacency structure is derivable.
+    requested but no adjacency structure is derivable.  An instance's
+    ``edge_preset`` of null means no preset; any other value that is not a
+    string is named by its JSON text.
     """
     source = "edge mode"
     if mode is None:
-        mode, source = str(instance.params.get("edge_preset", "all")), "edge_preset"
+        mode, source = instance.params.get("edge_preset"), "edge_preset"
+        if mode is None:
+            mode = "all"
+        elif type(mode) is not str:
+            raise ValueError(f"unknown edge_preset {json.dumps(mode)}")
     if mode in ("l1", "cycle"):
         pairs = _adjacency_pairs(instance)
         if pairs is not None:

@@ -32,8 +32,9 @@ import numpy as np
 
 from .core import Instance, InstanceTooLarge, parse_rational, rational_text, validate_instance
 
-# Most outcome characters (tests x hypotheses) a generator may build.  It is
-# checked from the parameters alone, before anything is materialized.
+# Most outcome characters (tests x hypotheses) a generator may build, and
+# most coordinates a localization family may form (``_check_points``).  Both
+# are checked from the parameters alone, before anything is materialized.
 MAX_OUTCOMES = 1 << 26
 # Outcome cells a hypercube family evaluates per numpy block.  Its int64
 # temporaries stay at 64 KB, under glibc's default mmap threshold, so each
@@ -71,6 +72,21 @@ def _check_size(family: str, tests: int, hypotheses: int) -> None:
         raise InstanceTooLarge(
             f"{family}: {tests} tests x {hypotheses} hypotheses exceeds the limit of"
             f" {MAX_OUTCOMES} outcomes"
+        )
+
+
+def _check_points(family: str, d: int, tests: int, hypotheses: int) -> None:
+    """Refuse a localization instance too large to build, before any point exists.
+
+    Besides its outcomes, building it forms a d-tuple per test point and a
+    d-tuple difference per outcome, so it is also charged
+    d x tests x (hypotheses + 1) coordinates.
+    """
+    _check_size(family, tests, hypotheses)
+    if d * tests * (hypotheses + 1) > MAX_OUTCOMES:
+        raise InstanceTooLarge(
+            f"{family}: d={d} x {tests} tests x ({hypotheses} hypotheses + 1) exceeds the limit"
+            f" of {MAX_OUTCOMES} coordinates"
         )
 
 
@@ -305,7 +321,7 @@ def _check_l1_ball(d: int, radius: int) -> None:
             f" {MAX_OUTCOMES} outcomes"
         )
     ball = sum(2**k * math.comb(d, k) * math.comb(radius, k) for k in range(min(d, radius) + 1))
-    _check_size("shape_localization", (4 * radius + 3) ** d, ball)
+    _check_points("shape_localization", d, (4 * radius + 3) ** d, ball)
 
 
 def plus_offsets(d: int, l: int) -> list[tuple[int, ...]]:
@@ -368,11 +384,8 @@ def gen_box_localization(
     center = (0,) * d if center is None else tuple(int(c) for c in center)
     if len(center) != d:
         raise BadParams("center dimension must match radii")
-    _check_size(
-        "box_localization",
-        math.prod(4 * r + 3 for r in radii),
-        math.prod(2 * r + 1 for r in radii),
-    )
+    tests, hypotheses = math.prod(4 * r + 3 for r in radii), math.prod(2 * r + 1 for r in radii)
+    _check_points("box_localization", d, tests, hypotheses)
     params = {
         "r": list(radii),
         "center": list(center),
@@ -423,7 +436,7 @@ def gen_shape_localization(
     if len(center) != d:
         raise BadParams("center dimension must match offsets")
     reach = [max(abs(p[i]) for p in offsets) for i in range(d)]
-    _check_size("shape_localization", math.prod(4 * r + 3 for r in reach), len(offsets))
+    _check_points("shape_localization", d, math.prod(4 * r + 3 for r in reach), len(offsets))
     params = {
         "offsets": [list(p) for p in offsets],
         "center": list(center),
@@ -580,7 +593,7 @@ def gen_counterexample_plus(d: int, l: int) -> Instance:
     if d < 2 or l < 1:
         raise BadParams(f"cx_plus needs d >= 2 and l >= 1, got d={d}, l={l}")
     # Tests: the origin and 2(2l+1) points per axis; hypotheses: the 2d arm tips.
-    _check_size("cx_plus", 1 + 2 * d * (2 * l + 1), 2 * d)
+    _check_points("cx_plus", d, 1 + 2 * d * (2 * l + 1), 2 * d)
     offsets = plus_offsets(d, l)
     tips = [p for p in offsets if l in map(abs, p)]
     test_points = plus_offsets(d, 2 * l + 1)

@@ -9,25 +9,26 @@ literal string "unbounded".
 One recursive encoder, ``_encode``, writes every document.  Its bytes are
 those of ``json.dumps(document, sort_keys=True, indent=1) + "\\n"`` in
 UTF-8, and its text goes to the output buffer a group of strings at a time,
-so its temporaries stay bounded whatever the document's size.
-``instance_bytes`` encodes an instance straight from its columns, and
-``write_report`` an analysis report's edges straight from its
-``EdgeReport``s, one template string per edge, so no dict is built per
-record or edge.
+so its temporaries stay bounded whatever the document's size.  Its list
+branch is the only loop over a list's items; a ``_Rows`` hands it an item
+writer in place of ``_encode``.  ``instance_bytes`` writes an instance's
+records straight from its columns, and ``write_report`` a report's edges
+straight from its ``EdgeReport``s, one template string per edge, so no dict
+is built per record or edge.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, NamedTuple
 
 from .analysis import (
     DIAG_DISCONNECTED,
@@ -82,26 +83,6 @@ def _parse_fraction(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
-def _fraction_reader() -> Callable[[Any], Fraction]:
-    """``_parse_fraction`` that parses each distinct string once, for one document.
-
-    A report repeats a few edge values over thousands of edges.  Anything
-    that is not a string goes straight to ``_parse_fraction``, unhashable
-    values included, so a malformed value fails as it would uncached.
-    """
-    parsed: dict[str, Fraction] = {}
-
-    def read(text) -> Fraction:
-        if not isinstance(text, str):
-            return _parse_fraction(text)
-        value = parsed.get(text)
-        if value is None:
-            value = parsed[text] = _parse_fraction(text)
-        return value
-
-    return read
-
-
 def _float12(value: float | None) -> float | str:
     if value is None:
         return "unbounded"
@@ -149,15 +130,27 @@ def _spill(parts: list[str], out: io.BytesIO) -> None:
     parts.clear()
 
 
+class _Rows(NamedTuple):
+    """A JSON list whose items ``_encode`` hands to a writer of their own.
+
+    ``writer`` is called once per list with the line the items start on, so
+    it builds its key strings once, and returns an item writer with
+    ``_encode``'s signature.
+    """
+
+    items: Sequence
+    writer: Callable[[str], Callable[[str, Any, str, list[str], io.BytesIO], None]]
+
+
 def _encode(prefix: str, value, newline: str, parts: list[str], out: io.BytesIO) -> None:
     """Append ``prefix`` and the ``sort_keys=True, indent=1`` JSON text of ``value``.
 
     ``prefix`` goes in front of the value, in one string with a scalar's
     text.  ``newline`` is a line break and the indent of the line ``value``
     starts on.  After each item of a list or dict, once ``parts`` holds
-    ``_CHUNK_GROUP`` strings they are joined and written to ``out``.  A test
-    or hypothesis record is written as the object its instance document
-    holds, and a report's ``_Edges`` as its edge list.  Scalars of the
+    ``_CHUNK_GROUP`` strings they are joined and written to ``out``.  A
+    ``_Rows`` is written as a list whose items its own writer appends, so
+    this list branch is the one loop that frames a list.  Scalars of the
     exact JSON types are looked up in ``_SCALAR_TEXT``; subclasses of str,
     int and float, tested last so that containers pay for no extra test,
     are written as the stdlib writes them, and any other value raises
@@ -185,21 +178,19 @@ def _encode(prefix: str, value, newline: str, parts: list[str], out: io.BytesIO)
             separator = "," + inner
         parts.append(newline + "}")
     elif isinstance(value, (list, tuple)):
-        if not value:
+        items, writer = value if type(value) is _Rows else (value, None)
+        if not items:
             parts.append(prefix + "[]")
             return
         inner = newline + " "
+        write = _encode if writer is None else writer(inner)
         separator = prefix + "[" + inner
-        for item in value:
-            _encode(separator, item, inner, parts, out)
+        for item in items:
+            write(separator, item, inner, parts, out)
             if len(parts) >= _CHUNK_GROUP:
                 _spill(parts, out)
             separator = "," + inner
         parts.append(newline + "]")
-    elif isinstance(value, _Records):
-        _encode_records(prefix, value, newline, parts, out)
-    elif isinstance(value, _Edges):
-        _encode_edges(prefix, value, newline, parts, out)
     elif isinstance(value, str):
         parts.append(prefix + encode_basestring_ascii(value))
     elif isinstance(value, int):
@@ -232,47 +223,38 @@ def canonical_bytes(document: dict) -> bytes:
 # Instances
 
 
-class _Records:
-    """An instance's tests or hypotheses, which ``_encode`` writes straight from its columns."""
-
-    def __init__(self, ids: tuple[str, ...], metas: tuple, rows: tuple[str, ...] | None = None):
-        self.ids = ids
-        self.metas = metas
-        self.rows = rows
-
-
-def _encode_records(prefix: str, value: _Records, newline: str, parts: list[str], out: io.BytesIO) -> None:
-    """``_encode`` of a record list, each record written as its document object.
+def _records(ids: tuple[str, ...], metas: tuple, rows: tuple[str, ...] | None = None) -> _Rows:
+    """An instance's tests or hypotheses, each written as its document object.
 
     Keys are in sorted order ("id", "meta", "outcomes"); a record without
     meta has no "meta" key.  Ids and rows are strings, so each is escaped
-    directly.
+    directly.  Each item is a record's index.
     """
-    item = newline + " "
-    key = item + " "
-    head = "{" + key + '"id": '
-    meta_key = "," + key + '"meta": '
-    row_key = "," + key + '"outcomes": '
-    separator = prefix + "[" + item
-    rows = value.rows or itertools.repeat(None)
-    for rid, meta, row in zip(value.ids, value.metas, rows):
-        parts.append(separator + head + encode_basestring_ascii(rid))
-        if meta:
-            _encode(meta_key, meta, key, parts, out)
-        if row is not None:
-            parts.append(row_key + encode_basestring_ascii(row))
-        parts.append(item + "}")
-        if len(parts) >= _CHUNK_GROUP:
-            _spill(parts, out)
-        separator = "," + item
-    parts.append(newline + "]")
+
+    def writer(newline: str):
+        key = newline + " "
+        head, meta_key, row_key = "{" + key + '"id": ', "," + key + '"meta": ', "," + key + '"outcomes": '
+        close = newline + "}"
+
+        def write(prefix: str, index: int, newline: str, parts: list[str], out: io.BytesIO) -> None:
+            parts.append(prefix + head + encode_basestring_ascii(ids[index]))
+            meta = metas[index]
+            if meta:
+                _encode(meta_key, meta, key, parts, out)
+            if rows is not None:
+                parts.append(row_key + encode_basestring_ascii(rows[index]))
+            parts.append(close)
+
+        return write
+
+    return _Rows(range(len(ids)), writer)
 
 
 def instance_bytes(instance: Instance) -> bytes:
     """The instance's canonical bytes, encoded straight from its columns.
 
-    ``_encode_records`` writes each record as its document object, so no
-    dict and no record object is built per test or hypothesis.
+    ``_records`` writes each record as its document object, so no dict and
+    no record object is built per test or hypothesis.
     """
     return canonical_bytes(
         {
@@ -280,8 +262,8 @@ def instance_bytes(instance: Instance) -> bytes:
             "name": instance.name,
             "family": instance.family,
             "params": dict(instance.params),
-            "tests": _Records(instance.test_ids, instance.test_meta),
-            "hypotheses": _Records(instance.hypothesis_ids, instance.hypothesis_meta, instance.rows),
+            "tests": _records(instance.test_ids, instance.test_meta),
+            "hypotheses": _records(instance.hypothesis_ids, instance.hypothesis_meta, instance.rows),
         }
     )
 
@@ -388,12 +370,10 @@ def _one_of(value: Any, allowed: tuple) -> Any:
 _STATUSES = (VERIFIED_EXHAUSTIVE, FALSIFIED_WITNESS, UNKNOWN_SAMPLED)
 
 
-def _edge_from_doc(
-    instance: Instance, doc: dict, fraction: Callable[[Any], Fraction]
-) -> EdgeReport:
+def _edge_from_doc(instance: Instance, doc: dict, fraction: Callable[[Any], Fraction]) -> EdgeReport:
     witness = doc.get("witness")
-    if witness is not None and type(witness) is not list:
-        raise TypeError(f"a witness must be null or a list, got {witness!r}")
+    if witness is not None and (type(witness) is not list or len(witness) < 2):
+        raise TypeError(f"a witness must be null or a list of two or more ids, got {witness!r}")
     return EdgeReport(
         from_test=instance.test_index[doc["from"]],
         to_test=instance.test_index[doc["to"]],
@@ -405,52 +385,37 @@ def _edge_from_doc(
     )
 
 
-class _Edges:
-    """A report's edges, which ``_encode`` writes straight from the ``EdgeReport``s."""
+def _edges(edges: tuple[EdgeReport, ...], instance: Instance) -> _Rows:
+    """A report's edges, each written from its ``EdgeReport`` as one template string.
 
-    def __init__(self, edges: tuple[EdgeReport, ...], instance: Instance):
-        self.edges = edges
-        self.instance = instance
-
-
-def _encode_edges(prefix: str, value: _Edges, newline: str, parts: list[str], out: io.BytesIO) -> None:
-    """``_encode`` of a report's edge list, one template string per edge.
-
-    Each test and hypothesis id is escaped once.  An edge's keys are in
-    sorted order, its value is written as ``"num/den"`` and its witness as
-    null or a list of hypothesis ids.
+    Each test and hypothesis id is escaped once per report.  An edge's value
+    is written as ``"num/den"`` and its witness as null or a list of
+    hypothesis ids.
     """
-    if not value.edges:
-        parts.append(prefix + "[]")
-        return
-    tests = list(map(encode_basestring_ascii, value.instance.test_ids))
-    hypotheses = list(map(encode_basestring_ascii, value.instance.hypothesis_ids))
-    item = newline + " "
-    key = item + " "
-    member = "," + key + " "
-    template = (
-        "{" + key + '"delta_size": %s,' + key + '"edge_value": "%s/%s",' + key + '"from": %s,'
-        + key + '"samples_tried": %s,' + key + '"status": %s,' + key + '"to": %s,'
-        + key + '"witness": %s' + item + "}"
-    )
-    separator = prefix + "[" + item
-    for edge in value.edges:
-        witness = edge.witness
-        if witness is None:
-            witness = "null"
-        elif witness:
-            witness = "[" + key + " " + member.join([hypotheses[h] for h in witness]) + key + "]"
-        else:
-            witness = "[]"
-        fraction = edge.edge_value
-        parts.append(separator + template % (
-            edge.delta_size, fraction.numerator, fraction.denominator, tests[edge.from_test],
-            edge.samples_tried, encode_basestring_ascii(edge.status), tests[edge.to_test], witness,
-        ))
-        if len(parts) >= _CHUNK_GROUP:
-            _spill(parts, out)
-        separator = "," + item
-    parts.append(newline + "]")
+    tests = list(map(encode_basestring_ascii, instance.test_ids))
+    hypotheses = list(map(encode_basestring_ascii, instance.hypothesis_ids))
+
+    def writer(newline: str):
+        key = newline + " "
+        template = (
+            "{" + key + '"delta_size": %s,' + key + '"edge_value": "%s/%s",' + key + '"from": %s,'
+            + key + '"samples_tried": %s,' + key + '"status": %s,' + key + '"to": %s,'
+            + key + '"witness": %s' + newline + "}"
+        )
+        opening, member, close = "[" + key + " ", "," + key + " ", key + "]"
+
+        def write(prefix: str, edge: EdgeReport, newline: str, parts: list[str], out: io.BytesIO) -> None:
+            witness = "null" if edge.witness is None else (
+                opening + member.join([hypotheses[h] for h in edge.witness]) + close)
+            fraction = edge.edge_value
+            parts.append(prefix + template % (
+                edge.delta_size, fraction.numerator, fraction.denominator, tests[edge.from_test],
+                edge.samples_tried, encode_basestring_ascii(edge.status), tests[edge.to_test], witness,
+            ))
+
+        return write
+
+    return _Rows(edges, writer)
 
 
 def _report_document(report: AnalysisReport, instance: Instance) -> dict:
@@ -461,7 +426,7 @@ def _report_document(report: AnalysisReport, instance: Instance) -> dict:
         "instance_digest": instance_digest(instance),
         "k_min": report.k_min,
         "coherence": _certificate_to_doc(instance, report.coherence),
-        "edges": _Edges(report.edges, instance),
+        "edges": _edges(report.edges, instance),
         "alpha_star": rational_text(report.alpha_star),
         "alpha_diagnostic": report.alpha_diagnostic,
         "beta": rational_text(report.beta),
@@ -480,8 +445,8 @@ def _report_document(report: AnalysisReport, instance: Instance) -> dict:
 
 def report_from_document(document: dict, instance: Instance) -> AnalysisReport:
     """Rebuild a report; a missing field, unknown id or overflowing number
-    raises PersistenceError."""
-    fraction = _fraction_reader()
+    raises PersistenceError.  Each distinct rational is parsed once per call."""
+    fraction = functools.cache(_parse_fraction)
     try:
         return AnalysisReport(
             k_min=_whole(document["k_min"]),
@@ -504,9 +469,7 @@ def report_from_document(document: dict, instance: Instance) -> AnalysisReport:
             edge_mode=_one_of(document["knobs"]["edge_mode"], ("all", "l1")),
         )
     except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise PersistenceError(
-            f"malformed analysis report: {type(exc).__name__} {exc}"
-        ) from None
+        raise PersistenceError(f"malformed analysis report: {type(exc).__name__} {exc}") from None
 
 
 def transcript_to_document(transcript: Transcript) -> dict:

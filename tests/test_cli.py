@@ -23,6 +23,7 @@ from splitfinder.cli import build_parser, main
 from splitfinder.core import validate_instance
 from splitfinder.persistence import write_instance
 from test_analysis import counting_kernels
+from test_families import refuse_to_build
 
 
 def run_cli(capsys, *argv):
@@ -96,11 +97,17 @@ class TestGen:
             ("shape_localization", ["d=6", "l1_radius=40"]),
             ("shape_localization",
              ["offsets=" + ";".join(",".join(map(str, p)) for p in families.plus_offsets(6, 20))]),
+            # Under the outcome limit, but not under the coordinate limit.
+            ("box_localization", ["r=" + ",".join(["0"] * 16)]),
+            ("cx_plus", ["d=2000", "l=1"]),
         ],
         ids=["disjunction", "cnf", "kcase", "linear", "cx-disjunction", "polygon", "box", "cx-plus",
-             "shape-l1-d20", "shape-l1-r40", "shape-plus-arm20"],
+             "shape-l1-d20", "shape-l1-r40", "shape-plus-arm20", "box-r0-d16", "cx-plus-d2000"],
     )
-    def test_oversized_params_exit_3_before_building(self, tmp_path, capsys, family, params):
+    def test_oversized_params_exit_3_before_building(self, tmp_path, capsys, monkeypatch, family, params):
+        # The point builders raise, so a missing check fails here instead of running.
+        for builder in ("box_offsets", "plus_offsets", "_shape_instance", "_localization_instance"):
+            monkeypatch.setattr(families, builder, refuse_to_build)
         start = time.perf_counter()
         code, out, err = run_cli(
             capsys, "gen", "--family", family,
@@ -178,6 +185,27 @@ class TestAnalyzeRunVerify:
         assert code == 0
         assert "alpha_star=0/1 (unverified_edges_dominate)" in out
         assert "split_worst=unbounded" in out
+
+    @pytest.mark.parametrize(
+        "flags, conditional",
+        [(["--limit", "0", "--samples", "20"], True), ([], False)],
+        ids=["sampled-edges", "every-edge-verified"],
+    )
+    def test_verify_notes_bounds_that_rest_on_sampled_edges(
+        self, dj_instance, tmp_path, capsys, flags, conditional
+    ):
+        instance_path, _ = dj_instance
+        report_path = tmp_path / "dj.report.json"
+        run_cli(capsys, "analyze", "--in", str(instance_path), *flags, "--out", str(report_path))
+        statuses = {e["status"] for e in json.loads(report_path.read_text())["edges"]}
+        assert (analysis.UNKNOWN_SAMPLED in statuses) is conditional
+        code, out, err = run_cli(
+            capsys, "verify", "--in", str(instance_path), "--report", str(report_path)
+        )
+        assert (code, err) == (0, "")
+        note = "NOTE bounds are conditional: some edges were not exhaustively verified\n"
+        assert out.endswith(note) is conditional
+        assert out.count("NOTE") == conditional
 
     @pytest.mark.parametrize("flag, value", [("--samples", "-3"), ("--limit", "-1"), ("--samples", "x")])
     def test_analyze_negative_or_non_integer_count_exit_2(self, dj_instance, tmp_path, capsys, flag, value):
@@ -601,6 +629,33 @@ class TestRefusals:
         code, out, err = run_cli(capsys, "analyze", "--in", str(instance_path), "--out", str(report))
         assert (code, out, err) == (2, "", "ERROR ValueError: unknown edge_preset 'grid'\n")
         assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "preset, error",
+        [
+            (None, None),
+            (3, "unknown edge_preset 3"),
+            (False, "unknown edge_preset false"),
+            (["l1"], 'unknown edge_preset ["l1"]'),
+            ({"mode": "l1"}, 'unknown edge_preset {"mode": "l1"}'),
+        ],
+        ids=["null", "number", "false", "list", "object"],
+    )
+    def test_a_null_edge_preset_means_none(self, tmp_path, capsys, preset, error):
+        instance = validate_instance({
+            "params": {"edge_preset": preset, "alpha_hint": None},
+            "tests": [{"id": "t0"}, {"id": "t1"}],
+            "hypotheses": [{"id": h, "outcomes": row} for h, row in zip("abc", ["00", "01", "11"])],
+        })
+        instance_path, report = tmp_path / "preset.instance.json", tmp_path / "preset.report.json"
+        write_instance(instance, instance_path)
+        code, out, err = run_cli(capsys, "analyze", "--in", str(instance_path), "--out", str(report))
+        if error is None:
+            assert (code, err) == (0, "")
+            assert json.loads(report.read_text())["knobs"]["edge_mode"] == "all"
+        else:
+            assert (code, out, err) == (2, "", f"ERROR ValueError: {error}\n")
+            assert not report.exists()
 
     def test_verify_refuses_an_unknown_report_kind(self, dj_instance, tmp_path, capsys):
         instance_path, _ = dj_instance

@@ -231,6 +231,50 @@ class TestShapeLocalization:
             gen_shape_localization(offsets)
 
 
+def refuse_to_build(*args, **kwargs):
+    raise AssertionError("a localization point was built before the size check")
+
+
+# Localization parameters whose outcome count is under MAX_OUTCOMES but whose
+# coordinates are not: 3^16 sixteen-dimensional test points for one
+# hypothesis, or 12001 two-thousand-dimensional test points for 4000.
+DIMENSION_BOUND_PARAMS = {
+    "box-r0-d16": ("box_localization", {"r": ",".join(["0"] * 16)}),
+    "shape-one-offset-d16": ("shape_localization", {"offsets": ",".join(["0"] * 16)}),
+    "shape-l1-r0-d16": ("shape_localization", {"d": "16", "l1_radius": "0"}),
+    "cx-plus-d2000": ("cx_plus", {"d": "2000", "l": "1"}),
+    "cx-plus-d200": ("cx_plus", {"d": "200", "l": "1"}),
+    "box-r27-d2": ("box_localization", {"r": "27,27"}),
+}
+
+
+class TestLocalizationSize:
+    """A localization family is charged d x tests x (hypotheses + 1) coordinates."""
+
+    @pytest.mark.parametrize(
+        "family, params", DIMENSION_BOUND_PARAMS.values(), ids=DIMENSION_BOUND_PARAMS
+    )
+    def test_the_dimension_is_charged_before_any_point_exists(self, monkeypatch, family, params):
+        for builder in ("box_offsets", "plus_offsets", "_shape_instance", "_localization_instance"):
+            monkeypatch.setattr(families, builder, refuse_to_build)
+        with pytest.raises(families.InstanceTooLarge, match=f"^{family}: d=.* coordinates$"):
+            families.generate(family, params)
+
+    @pytest.mark.parametrize(
+        "accepted, refused",
+        [
+            ((13, 3**13, 1), (14, 3**14, 1)),  # box r=0 in 13 and 14 dimensions
+            ((177, 1 + 6 * 177, 2 * 177), (178, 1 + 6 * 178, 2 * 178)),  # cx_plus l=1
+            ((2, 107**2, 53**2), (2, 111**2, 55**2)),  # box r=26,26 and r=27,27
+        ],
+        ids=["box-r0", "cx-plus-l1", "box-d2"],
+    )
+    def test_the_largest_accepted_size(self, accepted, refused):
+        families._check_points("family", *accepted)
+        with pytest.raises(families.InstanceTooLarge):
+            families._check_points("family", *refused)
+
+
 class TestDiscreteLinear:
     def test_d8_r2_nonempty_with_known_witness(self):
         # Constraint arithmetic: w+ = 3, w- = 2, b = 0 satisfies

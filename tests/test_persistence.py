@@ -195,9 +195,10 @@ class TestReportRoundTrip:
         edge = doc["edges"][0]
         edge["witness"] = ["a", "b"]
         assert report_from_document(doc, instance)
-        edge["witness"] = "ab"
-        with pytest.raises(persistence.PersistenceError, match="a witness must be null or a list"):
-            report_from_document(doc, instance)
+        for witness in ("ab", [], ["a"]):
+            edge["witness"] = witness
+            with pytest.raises(persistence.PersistenceError, match="a witness must be null or a list"):
+                report_from_document(doc, instance)
 
     def test_write_report_refuses_other_payloads(self):
         sink = io.BytesIO()
