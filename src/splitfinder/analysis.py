@@ -892,7 +892,7 @@ def analyze_instance(
     mode, pairs = candidate_edges(instance, edge_mode, exhaustive_limit)
     hint = instance.params.get("alpha_hint")
     try:
-        candidate_alpha = parse_rational(str(hint)) if hint else None
+        candidate_alpha = None if hint is None else parse_rational(str(hint))
     except ValueError:
         raise MalformedInstance(f"'alpha_hint' must be a rational like 1/3, got {hint!r}") from None
 

@@ -116,7 +116,7 @@ def cmd_analyze(args) -> int:
 def cmd_run(args) -> int:
     instance = persistence.read_instance(args.infile)
     if args.oracle == "all":
-        stats = engine.run_all_oracles(instance)
+        stats = engine.gbs_tree(instance)
         if args.out:
             persistence.write_report(stats, args.out)
         print(
@@ -153,7 +153,7 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFY_FAILED
     claimed = rational_text(report.coherence.value)
     print(f"PASS coherence_certificate: claimed={claimed} achieved={rational_text(achieved)}")
-    stats = engine.run_all_oracles(instance)
+    stats = engine.gbs_tree(instance)
     verdict = analysis.verify_bounds(instance, report, stats, optimal_cap=args.cap)
     for check in verdict.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -217,7 +217,7 @@ def cmd_sweep(args) -> int:
         params.update(dict(zip(keys, combo)))
         instance = families.generate(args.family, params)
         report = _analyze(instance, args)
-        stats = engine.run_all_oracles(instance)
+        stats = engine.gbs_tree(instance)
         rows.append(
             {
                 "name": instance.name,

@@ -7,9 +7,10 @@ implementation; it picks the test of every node in a batch from the nodes'
 positive counts per test.  `run_gbs` calls it once per query and keeps the
 members that fit the answer (`restrict`); it serves one simulated, scripted
 (any answer callable) or interactive oracle.  `gbs_tree` calls it once per
-depth on every live node and yields the `run_gbs` query count of every
-hidden hypothesis and the least split any node chose, the per-step
-quantity that the split bounds assume is at least beta.
+depth on every live node and returns `CostStats`: the `run_gbs` query count
+of every hidden hypothesis, from which the worst case and average are read,
+and the least split any node chose, the per-step quantity that the split
+bounds assume is at least beta.
 
 Both read `Instance.outcomes`, the C-contiguous hypotheses x tests array,
 so gathering a node's members copies whole contiguous rows.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import operator
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO
 
@@ -62,18 +63,16 @@ class Transcript:
 
 @dataclass(frozen=True)
 class CostStats:
-    worst_case: int
-    average: Fraction
-    per_oracle: dict[str, int]
-    # Least split chosen at any internal node (None when n = 1).  Not
-    # serialized, so it takes no part in equality either.
-    min_chosen_split: Fraction | None = field(default=None, compare=False)
+    per_oracle: dict[str, int]  # hypothesis id -> queries until identified, in instance order
+    min_chosen_split: Fraction | None  # least split chosen at any node; None when n = 1
 
+    @property
+    def worst_case(self) -> int:
+        return max(self.per_oracle.values())
 
-@dataclass(frozen=True)
-class GbsTree:
-    depths: tuple[int, ...]  # per hypothesis: queries until it is identified
-    min_chosen_split: Fraction | None  # None when there is no internal node
+    @property
+    def average(self) -> Fraction:
+        return Fraction(sum(self.per_oracle.values()), len(self.per_oracle))
 
 
 AnswerSource = Callable[[int], int]
@@ -138,20 +137,21 @@ def run_gbs(instance: Instance, answer: AnswerSource, oracle_id: str = "oracle")
     return Transcript(oracle_id, tuple(steps), instance.hypothesis_ids[members[0]])
 
 
-def gbs_tree(instance: Instance) -> GbsTree:
-    """Build the greedy decision tree of `run_gbs` once, one depth at a time.
+def gbs_tree(instance: Instance) -> CostStats:
+    """Query counts with each hypothesis as the hidden truth, from one greedy tree.
 
-    Live nodes (>= 2 members) carry their counts per test, and one
-    `best_split_test` call chooses a whole depth's tests.  A node of two
-    members ends in two leaves.  For every other node only the smaller
-    child's rows are summed; the larger child's counts are the parent's
-    minus those (sibling subtraction), exact since the smaller child is a
-    subset.  Ranked by smaller-child size, the smaller children of one size
-    are one run of members, summed as one (nodes, size, tests) block.
+    The tree of `run_gbs` is built once, one depth at a time.  Live nodes
+    (>= 2 members) carry their counts per test, and one `best_split_test`
+    call chooses a whole depth's tests.  A node of two members ends in two
+    leaves.  For every other node only the smaller child's rows are summed;
+    the larger child's counts are the parent's minus those (sibling
+    subtraction), exact since the smaller child is a subset.  Ranked by
+    smaller-child size, the smaller children of one size are one run of
+    members, summed as one (nodes, size, tests) block.
     """
     n = instance.n
     if n == 1:
-        return GbsTree((0,), None)
+        return CostStats({instance.hypothesis_ids[0]: 0}, None)
     outcomes = instance.outcomes
     dtype = np.min_scalar_type(n)  # every count is at most n
     depths = np.zeros(n, dtype=np.int64)
@@ -200,19 +200,7 @@ def gbs_tree(instance: Instance) -> GbsTree:
     num, den, _ = kernels._first_min(
         np.concatenate(chosen_splits).astype(np.int64), np.concatenate(node_sizes)
     )
-    return GbsTree(tuple(depths.tolist()), Fraction(num, den))
-
-
-def run_all_oracles(instance: Instance) -> CostStats:
-    """Query counts with each hypothesis as the hidden truth, from one `gbs_tree`."""
-    tree = gbs_tree(instance)
-    counts = tree.depths
-    return CostStats(
-        worst_case=max(counts),
-        average=Fraction(sum(counts), len(counts)),
-        per_oracle=dict(zip(instance.hypothesis_ids, counts)),
-        min_chosen_split=tree.min_chosen_split,
-    )
+    return CostStats(dict(zip(instance.hypothesis_ids, depths.tolist())), Fraction(num, den))
 
 
 def interactive_session(instance: Instance, reader: IO[str], writer: IO[str]) -> Transcript:

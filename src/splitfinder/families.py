@@ -131,7 +131,7 @@ def gen_convex_polygon(m_points: int, balanced: bool) -> Instance:
         lengths = range(lo, m - lo + 1)
     else:
         lengths = range(1, m)
-    _check_size("convex_polygon", m, m * len(lengths))
+    _check_size("convex_polygon", m, m * (lengths.stop - lengths.start))  # len() overflows past 2^63
 
     tests = [{"id": f"p{i}", "meta": {"cycle_index": i}} for i in range(m)]
     hypotheses = []
@@ -671,26 +671,41 @@ def _ratio(params: dict) -> Fraction:
         raise BadParams("param 'r' must be a rational like 2 or 3/2") from None
 
 
-# Each family's generator, fed from CLI-style string parameters.
+# Each family's parameter keys and generator, fed from CLI-style string parameters.
 _GENERATORS = {
-    "convex_polygon": lambda p: gen_convex_polygon(_as_int(p, "m"), _as_bool(p, "balanced", True)),
-    "disjunction": lambda p: gen_disjunction(_as_int(p, "d"), _as_int(p, "m")),
-    "monotone_cnf": lambda p: gen_monotone_cnf(_as_int(p, "d"), _as_int(p, "m"), _as_int(p, "l")),
-    "box_localization": lambda p: gen_box_localization(_as_int_list(p, "r"), _center(p)),
-    "shape_localization": lambda p: gen_shape_localization(_shape_offsets(p), _center(p)),
+    "convex_polygon": (
+        ("m", "balanced"),
+        lambda p: gen_convex_polygon(_as_int(p, "m"), _as_bool(p, "balanced", True)),
+    ),
+    "disjunction": (("d", "m"), lambda p: gen_disjunction(_as_int(p, "d"), _as_int(p, "m"))),
+    "monotone_cnf": (
+        ("d", "m", "l"),
+        lambda p: gen_monotone_cnf(_as_int(p, "d"), _as_int(p, "m"), _as_int(p, "l")),
+    ),
+    "box_localization": (
+        ("r", "center"),
+        lambda p: gen_box_localization(_as_int_list(p, "r"), _center(p)),
+    ),
+    "shape_localization": (
+        ("offsets", "d", "l1_radius", "center"),
+        lambda p: gen_shape_localization(_shape_offsets(p), _center(p)),
+    ),
     # Keyword order keeps r read before d.
-    "discrete_linear": lambda p: gen_discrete_linear(r=_ratio(p), d=_as_int(p, "d")),
-    "linear_kcase": lambda p: gen_linear_kcase(_as_int(p, "d")),
-    "cx_disjunction": lambda p: gen_counterexample_disjunction(_as_int(p, "m")),
-    "cx_plus": lambda p: gen_counterexample_plus(_as_int(p, "d"), _as_int(p, "l")),
+    "discrete_linear": (("d", "r"), lambda p: gen_discrete_linear(r=_ratio(p), d=_as_int(p, "d"))),
+    "linear_kcase": (("d",), lambda p: gen_linear_kcase(_as_int(p, "d"))),
+    "cx_disjunction": (("m",), lambda p: gen_counterexample_disjunction(_as_int(p, "m"))),
+    "cx_plus": (("d", "l"), lambda p: gen_counterexample_plus(_as_int(p, "d"), _as_int(p, "l"))),
 }
 
 FAMILIES = tuple(_GENERATORS)
 
 
 def generate(family: str, params: dict) -> Instance:
-    """Build an instance from CLI-style string parameters."""
-    generator = _GENERATORS.get(family)
-    if generator is None:
+    """Build an instance from CLI-style string parameters, refusing a key it would not read."""
+    if family not in _GENERATORS:
         raise BadParams(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    keys, generator = _GENERATORS[family]
+    for key in params:
+        if key not in keys:
+            raise BadParams(f"{family} takes no param {key!r}; it takes {', '.join(keys)}")
     return generator(params)

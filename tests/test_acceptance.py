@@ -79,7 +79,7 @@ def test_criterion_2_disjunction_suite():
         assert all(e.edge_value >= Fraction(1, 3) for e in report.edges)
         assert report.beta == Fraction(1, 5)
 
-        stats = engine.run_all_oracles(inst)
+        stats = engine.gbs_tree(inst)
         worst_bound = math.log2(21) / -math.log2(4 / 5)
         average_bound = math.log2(21) / binary_entropy(Fraction(1, 5))
         assert stats.worst_case <= worst_bound
@@ -109,7 +109,7 @@ def test_criterion_4_box_localization():
         assert all(e.edge_value >= Fraction(1, 4) for e in report.edges)
         assert report.alpha_star >= Fraction(1, 4)
 
-        stats = engine.run_all_oracles(inst)
+        stats = engine.gbs_tree(inst)
         verdict = verify_bounds(inst, report, stats)
         by_name = {c.name: c for c in verdict.checks}
         assert by_name["worst_case<=split_worst"].passed
@@ -181,7 +181,7 @@ def test_criterion_8_optimal_tree_sanity():
             if inst.n > 12:
                 continue
             optimal = optimal_worst_case(inst)
-            stats = engine.run_all_oracles(inst)
+            stats = engine.gbs_tree(inst)
             assert optimal >= math.ceil(math.log2(inst.n))
             assert optimal <= stats.worst_case
             covered += 1
@@ -227,7 +227,7 @@ def test_criterion_9_headless_property_suites(tmp_path):
         third = tmp_path / "c.json"
         persistence.write_instance(inst, third)
         assert persistence.read_instance(third) == inst
-        stats = engine.run_all_oracles(inst)
+        stats = engine.gbs_tree(inst)
         spath = tmp_path / "stats.json"
         persistence.write_report(stats, spath)
         doc = persistence.read_report_document(spath)

@@ -892,7 +892,7 @@ class TestAnalyzeAndVerify:
 
     def test_verify_bounds_passes_on_disjunction(self, disjunction_d6m2):
         report = analyze_instance(disjunction_d6m2)
-        stats = engine.run_all_oracles(disjunction_d6m2)
+        stats = engine.gbs_tree(disjunction_d6m2)
         verdict = verify_bounds(disjunction_d6m2, report, stats)
         assert verdict.all_passed
         assert not verdict.conditional
@@ -901,7 +901,7 @@ class TestAnalyzeAndVerify:
 
     def test_verify_bounds_detects_violation(self, disjunction_d4m2):
         report = analyze_instance(disjunction_d4m2)
-        stats = engine.run_all_oracles(disjunction_d4m2)
+        stats = engine.gbs_tree(disjunction_d4m2)
         doctored = analysis.AnalysisReport(
             k_min=report.k_min,
             coherence=report.coherence,
@@ -922,7 +922,7 @@ class TestAnalyzeAndVerify:
 
     def test_least_chosen_split_is_checked_exactly_against_beta(self, disjunction_d4m2):
         report = analyze_instance(disjunction_d4m2)
-        stats = engine.run_all_oracles(disjunction_d4m2)
+        stats = engine.gbs_tree(disjunction_d4m2)
         assert stats.min_chosen_split == Fraction(1, 3)
         for beta, passed in ((Fraction(1, 3), True), (Fraction(1, 3) + Fraction(1, 10**30), False)):
             doctored = dataclasses.replace(report, beta=beta)
@@ -933,7 +933,7 @@ class TestAnalyzeAndVerify:
 
     def test_conditional_flag_with_sampled_edges(self, disjunction_d4m2):
         report = analyze_instance(disjunction_d4m2, exhaustive_limit=0, samples=20)
-        stats = engine.run_all_oracles(disjunction_d4m2)
+        stats = engine.gbs_tree(disjunction_d4m2)
         verdict = verify_bounds(disjunction_d4m2, report, stats)
         assert verdict.conditional
         # Unbounded split bounds pass vacuously; the comparison is still reported.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -41,6 +42,20 @@ def dj_instance(tmp_path, capsys):
     )
     assert code == 0
     return path, out
+
+
+# Per family: small parameters it builds from, and the keys it reads.
+FAMILY_PARAMS = {
+    "convex_polygon": (["m=6"], "m, balanced"),
+    "disjunction": (["d=4", "m=2"], "d, m"),
+    "monotone_cnf": (["d=4", "m=1", "l=2"], "d, m, l"),
+    "box_localization": (["r=1,2"], "r, center"),
+    "shape_localization": (["d=2", "l1_radius=1"], "offsets, d, l1_radius, center"),
+    "discrete_linear": (["d=5", "r=2"], "d, r"),
+    "linear_kcase": (["d=8"], "d"),
+    "cx_disjunction": (["m=3"], "m"),
+    "cx_plus": (["d=2", "l=2"], "d, l"),
+}
 
 
 class TestGen:
@@ -100,9 +115,13 @@ class TestGen:
             # Under the outcome limit, but not under the coordinate limit.
             ("box_localization", ["r=" + ",".join(["0"] * 16)]),
             ("cx_plus", ["d=2000", "l=1"]),
+            # 2^64 arcs: more than len() of a range can count.
+            ("convex_polygon", ["m=18446744073709551616", "balanced=true"]),
+            ("convex_polygon", ["m=18446744073709551616", "balanced=false"]),
         ],
         ids=["disjunction", "cnf", "kcase", "linear", "cx-disjunction", "polygon", "box", "cx-plus",
-             "shape-l1-d20", "shape-l1-r40", "shape-plus-arm20", "box-r0-d16", "cx-plus-d2000"],
+             "shape-l1-d20", "shape-l1-r40", "shape-plus-arm20", "box-r0-d16", "cx-plus-d2000",
+             "polygon-m2^64-balanced", "polygon-m2^64-all"],
     )
     def test_oversized_params_exit_3_before_building(self, tmp_path, capsys, monkeypatch, family, params):
         # The point builders raise, so a missing check fails here instead of running.
@@ -118,6 +137,21 @@ class TestGen:
         assert (code, out) == (3, "")
         assert err.startswith("ERROR InstanceTooLarge: ") and err.count("\n") == 1
         assert not (tmp_path / "x.json").exists()
+
+    def test_family_params_cover_every_family(self):
+        assert set(FAMILY_PARAMS) == set(families.FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    def test_a_param_the_family_does_not_read_exits_2(self, tmp_path, capsys, family):
+        params, keys = FAMILY_PARAMS[family]
+        out_path = tmp_path / "x.json"
+        argv = ["gen", "--family", family, *[a for p in params for a in ("--param", p)]]
+        assert run_cli(capsys, *argv, "--out", str(out_path))[0] == 0
+        out_path.unlink()
+        code, out, err = run_cli(capsys, *argv, "--param", "balance=false", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == f"ERROR BadParams: {family} takes no param 'balance'; it takes {keys}\n"
+        assert not out_path.exists()
 
     def test_digest_hashes_the_written_bytes_encoded_once(self, tmp_path, capsys, monkeypatch):
         encoded = []
@@ -657,6 +691,33 @@ class TestRefusals:
             assert (code, out, err) == (2, "", f"ERROR ValueError: {error}\n")
             assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "hint, shown",
+        [(None, None), (0, None), ("0", None), (False, "False"), ("", "''"), ([], "[]"), ({}, "{}")],
+        ids=["null", "zero", "zero-text", "false", "empty-text", "empty-list", "empty-object"],
+    )
+    def test_only_a_null_alpha_hint_means_none(self, tmp_path, capsys, hint, shown):
+        generated = families.gen_disjunction(4, 2)
+
+        def analyze(name, value):
+            instance = dataclasses.replace(generated, params={**generated.params, "alpha_hint": value})
+            instance_path, report = tmp_path / f"{name}.instance.json", tmp_path / f"{name}.report.json"
+            write_instance(instance, instance_path)
+            # At --limit 2 most edges are sampled, where a hint can falsify a value.
+            argv = ["analyze", "--in", str(instance_path), "--out", str(report), "--limit", "2"]
+            return run_cli(capsys, *argv), report
+
+        (code, out, err), report = analyze("hint", hint)
+        if shown is not None:
+            message = f"ERROR MalformedInstance: 'alpha_hint' must be a rational like 1/3, got {shown}\n"
+            assert (code, out, err) == (2, "", message)
+            assert not report.exists()
+        else:
+            (none_code, _, _), none_report = analyze("none", None)
+            assert (code, err, none_code) == (0, "", 0)
+            edges = json.loads(report.read_text())["edges"]
+            assert edges == json.loads(none_report.read_text())["edges"]
+
     def test_verify_refuses_an_unknown_report_kind(self, dj_instance, tmp_path, capsys):
         instance_path, _ = dj_instance
         mystery = tmp_path / "mystery.json"
@@ -1021,6 +1082,16 @@ class TestSweep:
         )
         assert code == 2 and not out_path.exists()
         assert err.startswith(f"ERROR UsageError: argument {flag}: ") and err.count("\n") == 1
+
+    def test_a_grid_key_the_family_does_not_read_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "convex_polygon", "--param", "m=6",
+            "--grid", "balance=true,false", "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "ERROR BadParams: convex_polygon takes no param 'balance'; it takes m, balanced\n"
+        assert not out_path.exists()
 
     def test_sweep_reruns_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

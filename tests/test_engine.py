@@ -16,6 +16,7 @@ import oracles
 from splitfinder import engine, families
 from splitfinder.core import validate_instance
 from splitfinder.engine import (
+    CostStats,
     InconsistentOracle,
     QueryBudgetExceeded,
     Step,
@@ -23,7 +24,6 @@ from splitfinder.engine import (
     hypothesis_oracle,
     interactive_session,
     restrict,
-    run_all_oracles,
     run_gbs,
 )
 
@@ -132,14 +132,14 @@ class TestRunGbs:
         assert all(type(step.outcome) is int for step in run_gbs(inst, lambda _x: yes).steps)
 
 
-class TestRunAllOracles:
+class TestCostStats:
     def test_two_hypotheses_one_query(self):
-        stats = run_all_oracles(pair_instance())
+        stats = gbs_tree(pair_instance())
         assert stats.worst_case == 1
         assert stats.average == 1
 
     def test_pentagon_sweep(self, pentagon):
-        stats = run_all_oracles(pentagon)
+        stats = gbs_tree(pentagon)
         assert set(stats.per_oracle) == set(pentagon.hypothesis_ids)
         assert stats.worst_case == max(stats.per_oracle.values())
         assert stats.average == Fraction(sum(stats.per_oracle.values()), pentagon.n)
@@ -147,7 +147,7 @@ class TestRunAllOracles:
 
     def test_per_oracle_counts_are_the_loop_counts(self, disjunction_d6m2):
         inst = disjunction_d6m2
-        stats = run_all_oracles(inst)
+        stats = gbs_tree(inst)
         paths, least = oracles.greedy_tree(list(inst.rows))
         assert list(stats.per_oracle.values()) == [len(path) for path in paths]
         assert list(stats.per_oracle) == list(inst.hypothesis_ids)
@@ -182,9 +182,9 @@ def duplicate_row_instance():
 def assert_matches_reference(inst):
     """`run_gbs` transcripts and `gbs_tree` equal the recursive string-oracle tree."""
     paths, least = oracles.greedy_tree(list(inst.rows))
-    tree = gbs_tree(inst)
-    assert tree.depths == tuple(len(path) for path in paths)
-    assert tree.min_chosen_split == least
+    stats = gbs_tree(inst)
+    assert tuple(stats.per_oracle.values()) == tuple(len(path) for path in paths)
+    assert stats.min_chosen_split == least
     for h, path in enumerate(paths):
         transcript = run_gbs(inst, hypothesis_oracle(inst, h))
         assert transcript.steps == tuple(Step(inst.test_ids[x], y, left) for x, y, left in path)
@@ -302,7 +302,8 @@ class TestGbsTree:
         # a count that wrapped to 0 there would leave no test that splits.
         peel = peel_instance(n)
         flipped = complement(peel)
-        expected = engine.GbsTree(tuple(range(1, n - 1)) + (n - 1, n - 1), Fraction(1, n))
+        depths = tuple(range(1, n - 1)) + (n - 1, n - 1)
+        expected = CostStats(dict(zip(peel.hypothesis_ids, depths)), Fraction(1, n))
         assert gbs_tree(flipped) == gbs_tree(peel) == expected
         assert run_gbs(flipped, hypothesis_oracle(flipped, n - 1)).query_count == n - 1
 
@@ -315,32 +316,32 @@ class TestGbsTree:
             return step(ones, sizes)
 
         monkeypatch.setattr(engine, "best_split_test", counted)
-        tree = gbs_tree(peel_instance(70))
-        assert len(calls) == max(tree.depths) == 69
+        stats = gbs_tree(peel_instance(70))
+        assert len(calls) == stats.worst_case == 69
         assert calls == [1] * 69  # one live node per depth
 
     def test_disjunction_d12_m2_costs(self):
         # 4096 tests in uint8 counts; the entry point's check in CI pins the same figures.
-        stats = run_all_oracles(families.gen_disjunction(12, 2))
+        stats = gbs_tree(families.gen_disjunction(12, 2))
         assert (stats.worst_case, stats.average) == (7, Fraction(497, 78))
 
     def test_peel_deeper_than_62_levels(self):
         # Labels of the form 2 * parent + answer would overflow int64 here.
         inst = peel_instance(70)
-        tree = gbs_tree(inst)
-        assert max(tree.depths) == 69
-        assert tree.min_chosen_split == Fraction(1, 70)
+        stats = gbs_tree(inst)
+        assert max(stats.per_oracle.values()) == 69
+        assert stats.min_chosen_split == Fraction(1, 70)
         assert_matches_reference(inst)
 
     def test_single_hypothesis_is_a_leaf_at_depth_zero(self):
         inst = instance_of(["1"])
-        assert gbs_tree(inst) == engine.GbsTree((0,), None)
-        stats = run_all_oracles(inst)
+        stats = gbs_tree(inst)
+        assert stats == CostStats({"h0": 0}, None)
         assert (stats.worst_case, stats.average, stats.min_chosen_split) == (0, 0, None)
 
     def test_two_hypotheses(self):
-        tree = gbs_tree(pair_instance())
-        assert tree == engine.GbsTree((1, 1), Fraction(1, 2))
+        stats = gbs_tree(pair_instance())
+        assert stats == CostStats({"a": 1, "b": 1}, Fraction(1, 2))
 
     def test_unsplittable_node_raises_budget_exceeded(self):
         # After the first split no test tells h1 and h2 apart.

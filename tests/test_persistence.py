@@ -174,12 +174,14 @@ class TestReportRoundTrip:
         assert doc["query_count"] == transcript.query_count
 
     def test_stats_round_trip_exact_average(self):
-        stats = CostStats(worst_case=3, average=Fraction(33, 20), per_oracle={"a": 1, "b": 2})
+        counts = [2] * 11 + [1] * 8 + [3]  # 20 counts summing to 33
+        per_oracle = {f"h{i:02d}": q for i, q in enumerate(counts)}
+        stats = CostStats(per_oracle, Fraction(1, 3))
         buffer = io.BytesIO()
         write_report(stats, buffer)
         doc = json.loads(buffer.getvalue())
         assert doc["average"] == "33/20"
-        assert (doc["kind"], doc["worst_case"], doc["per_oracle"]) == ("cost_stats", 3, {"a": 1, "b": 2})
+        assert (doc["kind"], doc["worst_case"], doc["per_oracle"]) == ("cost_stats", 3, per_oracle)
 
     def test_report_requires_instance(self, disjunction_d4m2):
         report = analysis.analyze_instance(disjunction_d4m2)
@@ -399,7 +401,7 @@ class TestInstanceWriter:
         generated = families.gen_convex_polygon(80, balanced=False)
         write_instance(generated, tmp_path / "polygon.json")
         instance = read_instance(tmp_path / "polygon.json")
-        stats = engine.run_all_oracles(instance)
+        stats = engine.gbs_tree(instance)
         assert (stats.worst_case, stats.average) == (79, Fraction(8959, 632))
         assert (instance.test_ids[0], instance.test_meta[0]) == (generated.test_ids[0], generated.test_meta[0])
 
@@ -477,7 +479,7 @@ class TestEncodeBeforeOpen:
     """A document JSON cannot hold fails before the sink is opened or written."""
 
     def unserializable_payloads(self, pentagon):
-        stats = CostStats(worst_case=1, average=Fraction(1), per_oracle={"h0": Fraction(1, 2)})
+        stats = CostStats({"h0": Fraction(1, 2)}, None)
         transcript = Transcript("h0", (Step({"p0"}, 1, 1),), "h0")
         instance = dataclasses.replace(pentagon, params={**pentagon.params, "r": {1, 2}})
         return [
